@@ -15,10 +15,10 @@ Library layout:
 from .engine import Scenario, Trajectory, integrate, integrate_fixed_rk4
 from .scenario_io import (default_scenario, load_scenario, parse_scenario,
                           write_manifold, write_trajectory)
-from .state import ExogenousInputs, MixtureSnapshot, Parameters, ProcessState
+from .state import ExogenousInputs, Parameters, ProcessState
 
 __all__ = [
-    "ExogenousInputs", "MixtureSnapshot", "Parameters", "ProcessState",
+    "ExogenousInputs", "Parameters", "ProcessState",
     "Scenario", "Trajectory", "default_scenario", "integrate",
     "integrate_fixed_rk4", "load_scenario", "parse_scenario",
     "write_manifold", "write_trajectory",

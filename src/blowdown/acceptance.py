@@ -22,7 +22,6 @@ from . import hydraulics, smc
 from .engine import Scenario, Trajectory, integrate, integrate_fixed_rk4
 from .errors import IntegrationError
 from .scenario_io import default_scenario, trajectory_csv
-from .state import EPS_DEFAULT
 
 #: Seed for every randomized criterion; fixed so `check` is reproducible.
 RANDOM_SEED = 20230815
@@ -195,14 +194,15 @@ def criterion_mass(ctx: _Context) -> CriterionResult:
 
 def criterion_reconstruction(ctx: _Context) -> CriterionResult:
     """Initial consistency and mixture density match their anchors."""
-    snap = ctx.trajectory[0].snapshot
-    dC = abs(snap.C - 0.090909)
-    drho = abs(snap.rho_mix - 1095.26)
+    C0 = ctx.trajectory.column("C")[0]
+    rho0 = ctx.trajectory.column("rho_mix")[0]
+    dC = abs(C0 - 0.090909)
+    drho = abs(rho0 - 1095.26)
     ok = dC <= 1e-6 and drho <= 0.01
     return CriterionResult(
         6, "initial reconstructions", ok,
-        f"C(0) = {snap.C:.7f} (+-1e-6 of 0.090909), "
-        f"rho_mix(0) = {snap.rho_mix:.2f} (+-0.01 of 1095.26)")
+        f"C(0) = {C0:.7f} (+-1e-6 of 0.090909), "
+        f"rho_mix(0) = {rho0:.2f} (+-0.01 of 1095.26)")
 
 
 def criterion_oracle(ctx: _Context) -> CriterionResult:

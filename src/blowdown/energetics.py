@@ -8,7 +8,6 @@ dimensionally strict wattage when an absolute number is wanted.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 from .errors import ParameterError, StateValidityError
 from .state import EPS_DEFAULT
@@ -44,17 +43,9 @@ def useful_power(H_static: float, q_p: float) -> float:
 def efficiency(P_useful: float, P_h: float,
                eps: float = EPS_DEFAULT) -> float:
     """Clamped instantaneous transport efficiency in [0, 1]."""
-    return efficiency_detail(P_useful, P_h, eps)[0]
-
-
-def efficiency_detail(P_useful: float, P_h: float,
-                      eps: float = EPS_DEFAULT) -> Tuple[float, float, bool]:
-    """(clamped efficiency, raw unclamped ratio, clamp-fired flag)."""
     if not math.isfinite(P_useful) or not math.isfinite(P_h):
         raise StateValidityError("powers must be finite")
-    raw = P_useful / (P_h + eps)
-    clamped = min(max(raw, 0.0), 1.0)
-    return clamped, raw, clamped != raw
+    return min(max(P_useful / (P_h + eps), 0.0), 1.0)
 
 
 def electrical_power(P_h: float, eta_pm: float) -> float:

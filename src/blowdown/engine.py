@@ -9,23 +9,29 @@ Disturbance breakpoints are handled by stopping and restarting the solver
 exactly at each breakpoint, so no step ever straddles an input discontinuity.
 Numerical protections (mass floors, flow/head bounds, bounded relaxation
 target) are applied after every accepted step; a bitmask of the protections
-that fired is logged with each trajectory record.
+that fired is logged with each trajectory row.
+
+A run is one table with a row per logged instant and a column per name in
+`TRAJECTORY_COLUMNS`: the differential states, the held inputs, the
+algebraic reconstructions of `evaluate_snapshot`, dV/dt and the protection
+mask. Both integrators log through the same row builder.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Sequence, Tuple
+import operator
+from dataclasses import dataclass, fields
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import BDF, LSODA, RK45
 
 from . import energetics, hydraulics, rheology, smc
-from .errors import IntegrationError, ParameterError, ScenarioError, StateValidityError
-from .state import (ExogenousInputs, MixtureSnapshot, Parameters, ProcessState,
-                    consistency, mixture_density, phase_volumes)
+from .errors import IntegrationError, ParameterError, ScenarioError
+from .state import (ExogenousInputs, Parameters, ProcessState, consistency,
+                    mixture_density, phase_volumes)
 
 # Protection bitmask flags.
 PROT_MS_FLOOR = 0x01      # dry-fiber mass clamped to 0
@@ -86,46 +92,37 @@ class Scenario:
         return self
 
 
-@dataclass
-class TrajectoryRecord:
-    t: float
-    state: ProcessState
-    snapshot: MixtureSnapshot
-    inputs: ExogenousInputs
-    protection_mask: int = 0
-    dVdt: float = 0.0
+#: Fixed trajectory column order (one flat table; every figure panel of
+#: interest is a column selection of it).
+TRAJECTORY_COLUMNS = [
+    "t", "M_s", "M_fl", "C", "rho_mix", "V", "C_n", "H_static", "q_p",
+    "q_p_alg", "q_p_ref", "q_p_cmd", "e_q", "xi_eq", "s_q", "sigma_C",
+    "H_eq", "H0s", "H0", "f_s", "f_liq", "f_in", "f_fl", "k_ch", "gamma_K",
+    "gamma_dot", "tau", "Phi_v", "P_h", "P_useful", "P_elec", "eta_h",
+    "E_h", "E_useful", "E_elec", "V_lyap", "dVdt", "protection_mask",
+]
+_COLUMN_INDEX = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
+_ROW_VALUES = operator.itemgetter(*TRAJECTORY_COLUMNS)
+_STATE_NAMES = tuple(f.name for f in fields(ProcessState))
 
 
-@dataclass
 class Trajectory:
-    """Ordered, validated sequence of logged instants."""
+    """Logged instants as one read-only float table (rows x columns)."""
 
-    records: List[TrajectoryRecord] = field(default_factory=list)
+    def __init__(self, rows: List[Tuple[float, ...]]):
+        self.data = np.array(rows, dtype=float)
+        self.data.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
+        return len(self.data)
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return self.data[:, 0]
 
     def column(self, name: str) -> np.ndarray:
-        """Per-record values of a state, snapshot, input or record field."""
-        out = []
-        for r in self.records:
-            for owner in (r.state, r.snapshot, r.inputs, r):
-                if hasattr(owner, name):
-                    out.append(getattr(owner, name))
-                    break
-            else:
-                raise KeyError(name)
-        return np.array(out)
+        """Per-row values of one column; unknown names raise KeyError."""
+        return self.data[:, _COLUMN_INDEX[name]]
 
 
 def inputs_at(schedule: Sequence[Tuple[float, ExogenousInputs]],
@@ -147,8 +144,8 @@ def assemble_rhs(t: float, y: Sequence[float], params: Parameters,
 
 
 def evaluate_snapshot(y: Sequence[float], params: Parameters,
-                      inputs: ExogenousInputs) -> MixtureSnapshot:
-    """All algebraic reconstructions and diagnostics at one instant."""
+                      inputs: ExogenousInputs) -> Dict[str, float]:
+    """The logged algebraic reconstructions and diagnostics at one instant."""
     _, snap = _evaluate(y, params, inputs, full=True)
     return snap
 
@@ -232,21 +229,17 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     if not full:
         return derivs, None
 
-    V_s, V_fl, V, M_total = phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)
+    _, _, V, _ = phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)
     gamma_dot = rheology.shear_rate(q_p, p.D_pipe)
     tau = rheology.hb_stress(gamma_dot, p.tau_y, p.K_HB, p.n)
     Phi_v = rheology.viscous_dissipation(tau, gamma_dot) if q_p > 0 else 0.0
-    eta_h, eta_raw, eta_clamped = energetics.efficiency_detail(
-        P_useful, P_h, p.eps)
-    snap = MixtureSnapshot(
-        C=C, M_total=M_total, V_s=V_s, V_fl=V_fl, V=V, rho_mix=rho_mix,
-        C_n=C_n, H_static=H_static, q_p_alg=q_alg, sigma_C=sigma_C,
-        q_p_star=q_star, q_p_cmd=q_cmd, e_q=e_q, s_q=s_q, H_eq=H_eq, H0s=H0s,
-        f_s=f_s, f_liq=f_liq, gamma_dot=gamma_dot, tau=tau, Phi_v=Phi_v,
-        P_h=P_h, P_useful=P_useful, P_elec=P_elec, eta_h=eta_h,
-        eta_h_raw=eta_raw, eta_clamp_active=eta_clamped,
-        V_lyap=0.5 * s_q * s_q,
-        head_clamp_active=(raw_cmd != H0s))
+    snap = dict(
+        C=C, V=V, rho_mix=rho_mix, C_n=C_n, H_static=H_static, q_p_alg=q_alg,
+        sigma_C=sigma_C, e_q=e_q, s_q=s_q, H_eq=H_eq, H0s=H0s, f_s=f_s,
+        f_liq=f_liq, gamma_dot=gamma_dot, tau=tau, Phi_v=Phi_v, P_h=P_h,
+        P_useful=P_useful, P_elec=P_elec,
+        eta_h=energetics.efficiency(P_useful, P_h, p.eps),
+        V_lyap=0.5 * s_q * s_q)
     return derivs, snap
 
 
@@ -273,13 +266,6 @@ def _protect_array(y: np.ndarray, p: Parameters) -> Tuple[np.ndarray, int]:
     return out, mask
 
 
-def apply_protections(state: ProcessState,
-                      params: Parameters) -> Tuple[ProcessState, int]:
-    """Clamp a state into the admissible region; returns (state, bitmask)."""
-    y, mask = _protect_array(np.array(state.as_array()), params)
-    return ProcessState.from_array(y), mask
-
-
 def _log_grid(scenario: Scenario) -> List[float]:
     """Multiples of log_interval plus every breakpoint plus t_end."""
     t_end = scenario.t_end
@@ -297,6 +283,28 @@ def _log_grid(scenario: Scenario) -> List[float]:
     return sorted(pts)
 
 
+def _log_row(rows: List[Tuple[float, ...]], t: float, y_raw,
+             scenario: Scenario, mask: int) -> None:
+    """Append the trajectory row logged at `t`.
+
+    The row holds the protected state, the inputs held at `t`, the
+    reconstructions of `evaluate_snapshot`, dV/dt against the previous row,
+    and `mask` together with the protections this state itself needs.
+    """
+    p = scenario.parameters
+    y, m = _protect_array(y_raw, p)
+    u = inputs_at(scenario.schedule, t)
+    row = evaluate_snapshot(y, p, u)
+    dVdt = 0.0
+    if rows and t > rows[-1][0]:
+        _, dVdt = smc.lyapunov_diagnostics(
+            row["s_q"], rows[-1][_COLUMN_INDEX["s_q"]], t - rows[-1][0])
+    row.update(zip(_STATE_NAMES, y.tolist()), t=t, dVdt=dVdt,
+               protection_mask=m | mask)
+    row.update(vars(u))
+    rows.append(_ROW_VALUES(row))
+
+
 def integrate(scenario: Scenario) -> Trajectory:
     """Adaptive, error-controlled, event-aligned closed-loop integration.
 
@@ -311,26 +319,10 @@ def integrate(scenario: Scenario) -> Trajectory:
     breakpoints = [t for t, _ in scenario.schedule if t <= scenario.t_end]
     seg_edges = sorted(set(breakpoints) | {scenario.t_end})
 
-    traj = Trajectory()
-    prev_s = 0.0
-    prev_t = 0.0
-
-    def add_record(t: float, y_raw: np.ndarray, accum_mask: int) -> None:
-        nonlocal prev_s, prev_t
-        y_rec, m = _protect_array(y_raw, p)
-        u = inputs_at(scenario.schedule, t)
-        snap = evaluate_snapshot(y_rec, p, u)
-        dVdt = 0.0
-        if traj.records and t > prev_t:
-            _, dVdt = smc.lyapunov_diagnostics(snap.s_q, prev_s, t - prev_t)
-        traj.records.append(TrajectoryRecord(
-            t=t, state=ProcessState.from_array(y_rec), snapshot=snap,
-            inputs=u, protection_mask=m | accum_mask, dVdt=dVdt))
-        prev_s, prev_t = snap.s_q, t
-
-    add_record(0.0, y, 0)
+    rows: List[Tuple[float, ...]] = []
+    _log_row(rows, 0.0, y, scenario, 0)
     if scenario.t_end == 0.0:
-        return traj
+        return Trajectory(rows)
 
     accum = 0
     log_idx = 1  # t = 0 already recorded
@@ -355,7 +347,7 @@ def integrate(scenario: Scenario) -> Trajectory:
                    and log_times[log_idx] <= tb):
                 t_log = log_times[log_idx]
                 y_log = sol(t_log) if t_log < solver.t else np.array(solver.y)
-                add_record(t_log, y_log, accum)
+                _log_row(rows, t_log, y_log, scenario, accum)
                 accum = 0
                 log_idx += 1
             y_prot, m = _protect_array(solver.y, p)
@@ -369,15 +361,16 @@ def integrate(scenario: Scenario) -> Trajectory:
         y, m = _protect_array(solver.y, p)
         accum |= m
 
-    return traj
+    return Trajectory(rows)
 
 
 def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
     """Independent fixed-step 4th-order reference integrator.
 
-    Shares only the right-hand side with `integrate`; stepping, event
-    alignment and logging are implemented from scratch so the two paths can
-    cross-check each other. Steps never straddle an input breakpoint.
+    Shares the right-hand side, the log grid, the post-step protections and
+    the row builder with `integrate`; its stepping and event alignment are
+    implemented from scratch so the two paths can cross-check each other.
+    Steps never straddle an input breakpoint.
     """
     scenario.validate()
     if dt <= 0:
@@ -389,26 +382,10 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
                         if t <= scenario.t_end} | {scenario.t_end})
     edges = seg_edges if seg_edges and seg_edges[0] == 0.0 else [0.0] + seg_edges
 
-    traj = Trajectory()
-    prev_s = [0.0]
-    prev_t = [0.0]
-
-    def add_record(t, y_raw, mask):
-        y_rec, m = _protect_array(np.array(y_raw), p)
-        u = inputs_at(scenario.schedule, t)
-        snap = evaluate_snapshot(y_rec, p, u)
-        dVdt = 0.0
-        if traj.records and t > prev_t[0]:
-            _, dVdt = smc.lyapunov_diagnostics(snap.s_q, prev_s[0], t - prev_t[0])
-        traj.records.append(TrajectoryRecord(
-            t=t, state=ProcessState.from_array(y_rec), snapshot=snap,
-            inputs=u, protection_mask=m | mask, dVdt=dVdt))
-        prev_s[0] = snap.s_q
-        prev_t[0] = t
-
-    add_record(0.0, y, 0)
+    rows: List[Tuple[float, ...]] = []
+    _log_row(rows, 0.0, y, scenario, 0)
     if scenario.t_end == 0.0:
-        return traj
+        return Trajectory(rows)
 
     log_idx = 1
     accum = 0
@@ -428,7 +405,7 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
             accum |= m
             while (log_idx < len(log_times)
                    and log_times[log_idx] <= t + 1e-9):
-                add_record(log_times[log_idx], y, accum)
+                _log_row(rows, log_times[log_idx], y, scenario, accum)
                 accum = 0
                 log_idx += 1
-    return traj
+    return Trajectory(rows)

@@ -14,27 +14,17 @@ import io
 import math
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 import yaml
 
 from . import smc
-from .engine import Scenario, Trajectory
+from .engine import (TRAJECTORY_COLUMNS, Scenario, Trajectory,
+                     evaluate_snapshot)
 from .errors import (InvariantViolation, ParameterError, ScenarioError,
                      ScenarioSyntaxError, StateValidityError, UnknownKeyError)
-from .state import (ExogenousInputs, Parameters, ProcessState, consistency,
-                    mixture_density)
-
-#: Fixed trajectory CSV column order (one flat file; every figure panel of
-#: interest is a column selection of it).
-TRAJECTORY_COLUMNS = [
-    "t", "M_s", "M_fl", "C", "rho_mix", "V", "C_n", "H_static", "q_p",
-    "q_p_alg", "q_p_ref", "q_p_cmd", "e_q", "xi_eq", "s_q", "sigma_C",
-    "H_eq", "H0s", "H0", "f_s", "f_liq", "f_in", "f_fl", "k_ch", "gamma_K",
-    "gamma_dot", "tau", "Phi_v", "P_h", "P_useful", "P_elec", "eta_h",
-    "E_h", "E_useful", "E_elec", "V_lyap", "dVdt", "protection_mask",
-]
+from .state import ExogenousInputs, Parameters, ProcessState, consistency
 
 MANIFOLD_COLUMNS = ["e_q", "xi_eq", "s_q"]
 
@@ -79,32 +69,24 @@ def _resolve_initial_state(state_doc: dict, params: Parameters,
 
     The default trajectory starts with the discharge already running at the
     protected reference: q_p_cmd = sigma_C(C0) * q_p_ref, q_p = q_p_cmd and
-    H0 at the equivalent head, so the loop begins on the sliding surface.
+    H0 at the engine's equivalent head, so the loop begins on the sliding
+    surface.
     """
-    from . import hydraulics, rheology
-
     vals = dict(DEFAULT_INITIAL_MASSES)
     vals.update({k: 0.0 for k in ("xi_eq", "E_h", "E_useful", "E_elec")})
     for key, value in state_doc.items():
         vals[key] = _as_number(value, f"initial_state.{key}")
 
-    C0 = consistency(vals["M_s"], vals["M_fl"], params.eps)
-    rho0 = mixture_density(vals["M_s"], vals["M_fl"], params.rho_s,
-                           params.rho_fl, params.eps)
     if "q_p_cmd" not in vals:
+        C0 = consistency(vals["M_s"], vals["M_fl"], params.eps)
         sigma0 = smc.consistency_guard(C0, params.C_max, params.alpha_sig)
         vals["q_p_cmd"] = smc.protected_reference(sigma0, first_inputs.q_p_ref)
     if "q_p" not in vals:
         vals["q_p"] = vals["q_p_cmd"]
     if "H0" not in vals:
-        from .engine import RESISTANCE_FLOOR_CONSISTENCY
-        C_n0 = rheology.hydraulic_resistance(
-            max(C0, RESISTANCE_FLOOR_CONSISTENCY), params.K_ref, params.C_ref,
-            params.alpha_C, params.eps)
-        H_static0 = hydraulics.static_head(rho0, params.K_static)
-        vals["H0"] = min(smc.equivalent_head(H_static0, C_n0, vals["q_p_cmd"],
-                                             params.n, params.eps),
-                         params.H0_max)
+        y = [vals.get(k, 0.0) for k in _STATE_KEYS]
+        H_eq = evaluate_snapshot(y, params, first_inputs)["H_eq"]
+        vals["H0"] = min(H_eq, params.H0_max)
     return ProcessState(**{k: vals[k] for k in _STATE_KEYS})
 
 
@@ -230,28 +212,13 @@ def format_value(value) -> str:
                                       fractional=False, trim="-")
 
 
-def _record_row(record) -> List[str]:
-    row = []
-    for name in TRAJECTORY_COLUMNS:
-        for owner in (record.state, record.snapshot, record.inputs, record):
-            if hasattr(owner, name):
-                row.append(format_value(getattr(owner, name)))
-                break
-        else:
-            if name == "t":
-                row.append(format_value(record.t))
-            else:  # pragma: no cover - schema mismatch guard
-                raise KeyError(name)
-    return row
-
-
 def trajectory_csv(trajectory: Trajectory) -> str:
     """Serialize a trajectory to the fixed-column CSV contract."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRAJECTORY_COLUMNS)
-    for record in trajectory:
-        writer.writerow(_record_row(record))
+    for row in trajectory.data.tolist():
+        writer.writerow([format_value(v) for v in row])
     return buf.getvalue()
 
 

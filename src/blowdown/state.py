@@ -9,7 +9,7 @@ functions that the integrator right-hand side can call in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ParameterError, StateValidityError
 
@@ -42,7 +42,6 @@ class Parameters:
     tau_y: float = 50.0        # yield stress [Pa]
     K_HB: float = 75.0         # HB consistency index [Pa s^n]
     D_pipe: float = 0.20       # blow-line diameter [m]
-    L_eff: float = 20.0        # effective pipeline length [m]
     K_static: float = 0.01     # head-per-density coefficient [m m^3/kg]
     tau_p: float = 120.0       # hydraulic relaxation time [s]
     tau_H: float = 300.0       # pump actuator time constant [s]
@@ -89,8 +88,8 @@ class Parameters:
             raise ParameterError("resistance/head coefficients must be non-negative")
         if self.H0_max <= 0 or self.q_p_max <= 0:
             raise ParameterError("H0_max and q_p_max must be positive")
-        if self.D_pipe <= 0 or self.L_eff <= 0:
-            raise ParameterError("pipe geometry must be positive")
+        if self.D_pipe <= 0:
+            raise ParameterError("D_pipe must be positive")
         if self.alpha_sig <= 0:
             raise ParameterError("alpha_sig must be positive")
         if self.lambda_q < 0:
@@ -161,41 +160,6 @@ class ExogenousInputs:
             raise StateValidityError(
                 f"q_p_ref must not exceed q_p_max = {params.q_p_max}")
         return self
-
-
-@dataclass
-class MixtureSnapshot:
-    """All algebraic reconstructions and diagnostics at one instant."""
-
-    C: float = 0.0             # consistency [-]
-    M_total: float = 0.0       # total slurry mass [kg]
-    V_s: float = 0.0           # solid-phase volume [m^3]
-    V_fl: float = 0.0          # liquid-phase volume [m^3]
-    V: float = 0.0             # total occupied volume [m^3]
-    rho_mix: float = 0.0       # effective slurry density [kg/m^3]
-    C_n: float = 0.0           # hydraulic resistance
-    H_static: float = 0.0      # static head [m]
-    q_p_alg: float = 0.0       # quasi-steady flow [m^3/s]
-    sigma_C: float = 1.0       # supervisory guard value [-]
-    q_p_star: float = 0.0      # protected reference before conditioning [m^3/s]
-    q_p_cmd: float = 0.0       # conditioned reference [m^3/s]
-    e_q: float = 0.0           # tracking error [m^3/s]
-    s_q: float = 0.0           # sliding variable [m^3/s]
-    H_eq: float = 0.0          # equivalent head [m]
-    H0s: float = 0.0           # commanded head after bounding [m]
-    f_s: float = 0.0           # fiber transport flow [kg/s]
-    f_liq: float = 0.0         # entrained-liquor transport flow [kg/s]
-    gamma_dot: float = 0.0     # shear rate [1/s]
-    tau: float = 0.0           # shear stress [Pa]
-    Phi_v: float = 0.0         # volumetric dissipation [W/m^3]
-    P_h: float = 0.0           # hydraulic power [head-units m^3/s]
-    P_useful: float = 0.0      # useful power [head-units m^3/s]
-    P_elec: float = 0.0        # electrical power [head-units m^3/s]
-    eta_h: float = 0.0         # clamped transport efficiency [-]
-    eta_h_raw: float = 0.0     # unclamped efficiency, logged alongside [-]
-    eta_clamp_active: bool = False
-    V_lyap: float = 0.0        # Lyapunov value 0.5 s_q^2
-    head_clamp_active: bool = False  # control-law bound hit this instant
 
 
 def consistency(M_s: float, M_fl: float, eps: float = EPS_DEFAULT) -> float:

@@ -4,6 +4,7 @@ import pytest
 
 from blowdown import energetics
 from blowdown.errors import ParameterError, StateValidityError
+from blowdown.state import EPS_DEFAULT
 
 
 class TestHydraulicPower:
@@ -57,13 +58,11 @@ class TestEfficiency:
     def test_no_flow_convention(self):
         assert energetics.efficiency(0.0, 0.0) == 0.0
 
-    def test_clamp_and_flag(self):
-        eta, raw, fired = energetics.efficiency_detail(2.0, 1.0)
-        assert eta == 1.0 and raw == pytest.approx(2.0, rel=1e-8) and fired
+    def test_clamp_to_unity(self):
+        assert energetics.efficiency(2.0, 1.0) == 1.0
 
     def test_unclamped_passthrough(self):
-        eta, raw, fired = energetics.efficiency_detail(0.25, 1.0)
-        assert eta == raw and not fired
+        assert energetics.efficiency(0.25, 1.0) == 0.25 / (1.0 + EPS_DEFAULT)
 
 
 class TestElectricalPower:

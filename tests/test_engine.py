@@ -36,9 +36,9 @@ class TestRhsConsistency:
         u = scenario.schedule[0][1]
         dy = assemble_rhs(0.0, y, scenario.parameters, u)
         snap = evaluate_snapshot(y, scenario.parameters, u)
-        assert dy[0] == pytest.approx(-snap.f_s, rel=1e-12)
+        assert dy[0] == pytest.approx(-snap["f_s"], rel=1e-12)
         rho_fl = scenario.parameters.rho_fl
-        expected = rho_fl * u.f_in - rho_fl * u.f_fl - snap.f_liq
+        expected = rho_fl * u.f_in - rho_fl * u.f_fl - snap["f_liq"]
         assert dy[1] == pytest.approx(expected, rel=1e-12)
 
     def test_energy_derivatives_are_powers(self, short_run):
@@ -47,14 +47,14 @@ class TestRhsConsistency:
         u = scenario.schedule[0][1]
         dy = assemble_rhs(0.0, y, scenario.parameters, u)
         snap = evaluate_snapshot(y, scenario.parameters, u)
-        assert dy[6] == pytest.approx(snap.P_h, rel=1e-12)
-        assert dy[7] == pytest.approx(snap.P_useful, rel=1e-12)
-        assert dy[8] == pytest.approx(snap.P_elec, rel=1e-12)
+        assert dy[6] == pytest.approx(snap["P_h"], rel=1e-12)
+        assert dy[7] == pytest.approx(snap["P_useful"], rel=1e-12)
+        assert dy[8] == pytest.approx(snap["P_elec"], rel=1e-12)
 
     def test_on_manifold_start(self, short_run):
         _, traj = short_run
-        assert abs(traj[0].snapshot.s_q) < 1e-12
-        assert abs(traj[0].snapshot.e_q) < 1e-12
+        assert abs(traj.column("s_q")[0]) < 1e-12
+        assert abs(traj.column("e_q")[0]) < 1e-12
 
 
 class TestLoggingGrid:
@@ -73,8 +73,8 @@ class TestLoggingGrid:
         t = traj.times
         assert 125.0 in t
         idx = int(np.flatnonzero(t == 125.0)[0])
-        assert traj[idx].inputs.k_ch == 0.9
-        assert traj[idx - 1].inputs.k_ch == 0.5
+        assert traj.column("k_ch")[idx] == 0.9
+        assert traj.column("k_ch")[idx - 1] == 0.5
 
     def test_default_run_contains_event_rows(self):
         traj = integrate(replace(default_scenario(), t_end=2.1e4))
@@ -84,7 +84,7 @@ class TestLoggingGrid:
         scenario = parse_scenario({"t_end": 0.0})
         traj = integrate(scenario)
         assert len(traj) == 1
-        assert traj[0].t == 0.0
+        assert traj.times[0] == 0.0
 
 
 class TestTrajectoryColumns:
@@ -101,7 +101,7 @@ class TestTrajectoryColumns:
 
     def test_first_record_has_zero_dVdt(self, short_run):
         _, traj = short_run
-        assert traj[0].dVdt == 0.0
+        assert traj.column("dVdt")[0] == 0.0
 
 
 class TestBounds:

@@ -1,12 +1,12 @@
 """Scenario documents, CSV serialization, determinism."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from blowdown.engine import integrate
+from blowdown.engine import PROT_MS_FLOOR, evaluate_snapshot, integrate
 from blowdown.errors import (InvariantViolation, ScenarioSyntaxError,
                              UnknownKeyError)
 from blowdown.scenario_io import (MANIFOLD_COLUMNS, TRAJECTORY_COLUMNS,
@@ -14,6 +14,7 @@ from blowdown.scenario_io import (MANIFOLD_COLUMNS, TRAJECTORY_COLUMNS,
                                   load_scenario, parse_scenario,
                                   read_trajectory, trajectory_csv,
                                   write_manifold, write_trajectory)
+from blowdown.state import ExogenousInputs, ProcessState
 
 
 class TestParsing:
@@ -48,6 +49,9 @@ class TestParsing:
     def test_unknown_parameter_key_is_path_qualified(self):
         with pytest.raises(UnknownKeyError, match="parameters.k_smcc"):
             parse_scenario({"parameters": {"k_smcc": 3}})
+        # L_eff entered no equation and was removed from the schema.
+        with pytest.raises(UnknownKeyError, match="parameters.L_eff"):
+            parse_scenario({"parameters": {"L_eff": 20.0}})
 
     def test_malformed_yaml(self):
         with pytest.raises(ScenarioSyntaxError):
@@ -115,6 +119,20 @@ class TestInitialStateResolution:
         with pytest.raises(InvariantViolation):
             parse_scenario({"initial_state": {"q_p": 0.01}})
 
+    @pytest.mark.parametrize("masses", [
+        {}, {"M_s": 0.0, "M_fl": 0.0}, {"M_s": 1e-7, "M_fl": 0.0}])
+    def test_head_starts_at_engine_equivalent_head(self, masses):
+        # The engine's density clamp applies to the starting head too, so a
+        # nearly empty vessel starts at the head the controller commands.
+        scenario = parse_scenario({"initial_state": masses})
+        p, state = scenario.parameters, scenario.initial_state
+        snap = evaluate_snapshot(state.as_array(), p, scenario.schedule[0][1])
+        assert state.H0 == min(snap["H_eq"], p.H0_max)
+
+    def test_default_head(self):
+        H0 = parse_scenario({}).initial_state.H0
+        assert H0 == pytest.approx(95.7037, abs=1e-4)
+
 
 class TestFormatValue:
     def test_nine_significant_digits(self):
@@ -154,12 +172,34 @@ class TestTrajectoryCsv:
         target = tmp_path / "traj.csv"
         write_trajectory(short_traj, target)
         cols = read_trajectory(target)
-        rewritten = trajectory_csv(short_traj)
-        for name in TRAJECTORY_COLUMNS:
-            assert name in cols
+        assert list(cols) == TRAJECTORY_COLUMNS
         # Re-serializing the parsed values reproduces the same text.
-        again = target.read_text()
-        assert again == rewritten
+        rows = zip(*(cols[name] for name in TRAJECTORY_COLUMNS))
+        again = "".join(",".join(map(format_value, row)) + "\n"
+                        for row in rows)
+        assert ",".join(TRAJECTORY_COLUMNS) + "\n" + again == \
+            trajectory_csv(short_traj)
+
+    def test_row_schema_partitions_columns(self, short_traj):
+        scenario = default_scenario()
+        snap = evaluate_snapshot(scenario.initial_state.as_array(),
+                                 scenario.parameters, scenario.schedule[0][1])
+        states = {f.name for f in fields(ProcessState)}
+        inputs = {f.name for f in fields(ExogenousInputs)}
+        groups = [set(snap), states, inputs, {"t", "dVdt", "protection_mask"}]
+        assert len(states) == 9 and len(inputs) == 5
+        assert sum(map(len, groups)) == len(set().union(*groups))
+        assert set().union(*groups) == set(TRAJECTORY_COLUMNS)
+        assert short_traj.data.shape == (len(short_traj),
+                                         len(TRAJECTORY_COLUMNS))
+
+    def test_protection_mask_prints_as_integer(self):
+        traj = integrate(default_scenario())
+        mask = traj.column("protection_mask").astype(int)
+        fired = np.flatnonzero(mask & PROT_MS_FLOOR)
+        assert len(fired) == 10 and traj.times[fired[0]] == 26800.0
+        rows = trajectory_csv(traj).splitlines()[1:]
+        assert [rows[i].rsplit(",", 1)[1] for i in fired] == ["1"] * 10
 
     def test_determinism_across_runs(self):
         scenario = replace(default_scenario(), t_end=500.0)
