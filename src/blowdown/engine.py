@@ -244,25 +244,27 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
 
 
 def _protect_array(y: np.ndarray, p: Parameters) -> Tuple[np.ndarray, int]:
-    mask = 0
-    out = np.array(y, dtype=float)
-    if not np.all(np.isfinite(out)):
+    """The state with every crossed hard bound clamped, and the bits crossed.
+
+    Returns `y` itself when no bound is crossed, else a clamped copy.
+    """
+    vals = y.tolist()
+    if not all(map(math.isfinite, vals)):
         raise IntegrationError("protection cannot repair a non-finite state")
-    if out[0] < 0.0:
-        out[0] = 0.0
-        mask |= PROT_MS_FLOOR
-    if out[1] < 0.0:
-        out[1] = 0.0
-        mask |= PROT_MFL_FLOOR
-    if out[2] < 0.0 or out[2] > p.q_p_max:
-        out[2] = min(max(out[2], 0.0), p.q_p_max)
-        mask |= PROT_QP_BOUND
-    if out[4] < 0.0 or out[4] > p.H0_max:
-        out[4] = min(max(out[4], 0.0), p.H0_max)
-        mask |= PROT_H0_BOUND
-    if out[5] < 0.0 or out[5] > p.q_p_max:
-        out[5] = min(max(out[5], 0.0), p.q_p_max)
-        mask |= PROT_QCMD_BOUND
+    M_s, M_fl, q_p, _, H0, q_cmd = vals[:6]
+    mask = ((M_s < 0.0) * PROT_MS_FLOOR
+            | (M_fl < 0.0) * PROT_MFL_FLOOR
+            | (not 0.0 <= q_p <= p.q_p_max) * PROT_QP_BOUND
+            | (not 0.0 <= H0 <= p.H0_max) * PROT_H0_BOUND
+            | (not 0.0 <= q_cmd <= p.q_p_max) * PROT_QCMD_BOUND)
+    if not mask:
+        return y, 0
+    out = np.array(y, dtype=float)
+    out[0] = max(M_s, 0.0)
+    out[1] = max(M_fl, 0.0)
+    out[2] = min(max(q_p, 0.0), p.q_p_max)
+    out[4] = min(max(H0, 0.0), p.H0_max)
+    out[5] = min(max(q_cmd, 0.0), p.q_p_max)
     return out, mask
 
 
@@ -341,12 +343,17 @@ def integrate(scenario: Scenario) -> Trajectory:
                 raise IntegrationError(
                     f"integration step failed: {msg}", t=solver.t,
                     state=ProcessState.from_array(solver.y))
-            sol = solver.dense_output()
+            sol = None  # built only for a log time inside the step
             while (log_idx < len(log_times)
                    and log_times[log_idx] <= solver.t + 1e-12 * max(1.0, solver.t)
                    and log_times[log_idx] <= tb):
                 t_log = log_times[log_idx]
-                y_log = sol(t_log) if t_log < solver.t else np.array(solver.y)
+                if t_log < solver.t:
+                    if sol is None:
+                        sol = solver.dense_output()
+                    y_log = sol(t_log)
+                else:
+                    y_log = np.array(solver.y)
                 _log_row(rows, t_log, y_log, scenario, accum)
                 accum = 0
                 log_idx += 1

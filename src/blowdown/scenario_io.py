@@ -10,7 +10,6 @@ value that has no published source with a `not-in-paper` tag.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -158,9 +157,9 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
     if not isinstance(state_doc, dict):
         raise InvariantViolation("initial_state", "must be a mapping")
     _reject_unknown(state_doc, _STATE_KEYS, "initial_state")
-    initial_state = _resolve_initial_state(state_doc, params, schedule[0][1])
     try:
-        initial_state.validate(params)
+        initial_state = _resolve_initial_state(state_doc, params,
+                                               schedule[0][1]).validate(params)
     except StateValidityError as exc:
         raise InvariantViolation("initial_state", str(exc)) from exc
 
@@ -200,7 +199,11 @@ def default_scenario() -> Scenario:
 
 
 def format_value(value) -> str:
-    """Decimal notation with 9 significant digits; ints stay ints."""
+    """Decimal notation with 9 significant digits; ints stay ints.
+
+    The reference rule for every CSV cell: the block formatter of
+    `trajectory_csv` and `write_manifold` must print what this prints.
+    """
     if isinstance(value, (bool, np.bool_)):
         value = int(value)
     if isinstance(value, (int, np.integer)):
@@ -212,14 +215,64 @@ def format_value(value) -> str:
                                       fractional=False, trim="-")
 
 
+#: Rows per formatting block: one C-level `%` per block keeps the per-cell
+#: work out of the interpreter, while the argument tuple stays small (one
+#: tuple for the whole table raised peak memory).
+_BLOCK_ROWS = 256
+
+
+def _decimals(v: np.ndarray):
+    """Decimal places that print each cell at 9 significant digits.
+
+    Returns the trimmed decimal count of every cell and a mask of the cells
+    this float arithmetic cannot settle, which `format_value` prints:
+    non-finite values, |v| >= 1e9 (digits past the ninth print as zeros)
+    and possible ties. x below is the cell scaled to a 9-digit integer part,
+    off by at most a few ulp (< 1e-6), so an x within 1e-6 of a half may
+    round either way.
+    """
+    a = np.abs(v)
+    plain = a < 1e9  # False for inf and nan
+    a = np.where(plain & (a > 0.0), a, 1.0)  # 1 also prints with 0 places
+    k = 8.0 - np.floor(np.log10(a))  # 0 <= k <= 332
+    x = a * 10.0 ** np.floor(k / 2) * 10.0 ** np.ceil(k / 2)  # 10**k overflows
+    m = np.rint(x)
+    deferred = ~plain | (np.abs(np.abs(x - m) - 0.5) < 1e-6)
+    # m reaches 1e9 when rounding carries into a new leading digit, or when
+    # log10 fell just short of an integer at a power of ten.
+    carry = m >= 1e9
+    m = np.where(carry, 1e8, m).astype(np.int64)
+    zeros = sum((m % 10 ** j == 0).astype(np.int64) for j in range(1, 9))
+    return np.maximum(k.astype(np.int64) - carry - zeros, 0), deferred
+
+
+def _csv_text(columns, table: np.ndarray) -> str:
+    """CSV text: a header line, then each cell as `format_value` prints it."""
+    table = np.asarray(table, dtype=float)
+    row_format = ",".join(["%.*f"] * len(columns)) + "\n"
+    parts = [",".join(columns) + "\n"]
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS] + 0.0  # -0.0 prints as 0
+        places, deferred = _decimals(block)
+        args = [0] * (2 * block.size)
+        args[0::2] = places.ravel().tolist()
+        args[1::2] = block.ravel().tolist()
+        block_format = row_format * len(block)
+        if deferred.any():
+            # A deferred cell prints the text of `format_value` via "%.*s".
+            cells = block_format.split("%")[1:]  # ".*f," or ".*f\n"
+            for i in np.flatnonzero(deferred).tolist():
+                text = format_value(args[2 * i + 1])
+                cells[i] = ".*s" + cells[i][3:]
+                args[2 * i:2 * i + 2] = len(text), text
+            block_format = "%" + "%".join(cells)
+        parts.append(block_format % tuple(args))
+    return "".join(parts)
+
+
 def trajectory_csv(trajectory: Trajectory) -> str:
     """Serialize a trajectory to the fixed-column CSV contract."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRAJECTORY_COLUMNS)
-    for row in trajectory.data.tolist():
-        writer.writerow([format_value(v) for v in row])
-    return buf.getvalue()
+    return _csv_text(TRAJECTORY_COLUMNS, trajectory.data)
 
 
 def write_trajectory(trajectory: Trajectory,
@@ -243,9 +296,5 @@ def read_trajectory(path: Union[str, Path]) -> Dict[str, np.ndarray]:
 def write_manifold(e_grid, xi_grid, s_grid,
                    destination: Union[str, Path]) -> None:
     """Write the sliding-manifold grid as a flat (e_q, xi_eq, s_q) CSV."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFOLD_COLUMNS)
-    for e, x, s in zip(np.ravel(e_grid), np.ravel(xi_grid), np.ravel(s_grid)):
-        writer.writerow([format_value(e), format_value(x), format_value(s)])
-    Path(destination).write_text(buf.getvalue())
+    table = np.column_stack([np.ravel(g) for g in (e_grid, xi_grid, s_grid)])
+    Path(destination).write_text(_csv_text(MANIFOLD_COLUMNS, table))

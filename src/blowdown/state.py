@@ -128,6 +128,9 @@ class ProcessState:
         if not 0 <= self.H0 <= params.H0_max:
             raise StateValidityError(
                 f"H0 must lie in [0, {params.H0_max}], got {self.H0}")
+        if not 0 <= self.q_p_cmd <= params.q_p_max:
+            raise StateValidityError(
+                f"q_p_cmd must lie in [0, {params.q_p_max}], got {self.q_p_cmd}")
         return self
 
     def as_array(self):

@@ -45,6 +45,14 @@ class TestSimulate:
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_USAGE
 
+    def test_negative_initial_mass(self, tmp_path, capsys):
+        doc = tmp_path / "bad.yaml"
+        doc.write_text("initial_state:\n  M_s: -1.0\n")
+        code = main(["simulate", "--scenario", str(doc),
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        assert "initial_state" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

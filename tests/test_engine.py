@@ -80,6 +80,28 @@ class TestLoggingGrid:
         traj = integrate(replace(default_scenario(), t_end=2.1e4))
         assert 2.0e4 in traj.times
 
+    def test_logging_only_observes(self):
+        # The log grid changes which instants are read off the solver, never
+        # its steps: rows at shared times are bit-identical except dV/dt
+        # (against the previous row) and the protection mask, which holds
+        # the protections fired since the previous row.
+        scenario = default_scenario()
+        base = integrate(scenario)
+        keep = [i for i, name in enumerate(engine.TRAJECTORY_COLUMNS)
+                if name not in ("dVdt", "protection_mask")]
+        for log_interval in (20.0, scenario.t_end):
+            other = integrate(replace(scenario, log_interval=log_interval))
+            _, i, j = np.intersect1d(base.times, other.times,
+                                     return_indices=True)
+            assert len(i) == {20.0: 1001, scenario.t_end: 5}[log_interval]
+            assert np.array_equal(base.data[i][:, keep],
+                                  other.data[j][:, keep])
+        # The t_end grid is a subset of the base grid: each of its masks is
+        # the union of the base masks since its previous row.
+        fired = np.bitwise_or.reduceat(
+            base.column("protection_mask").astype(int), np.r_[0, i[:-1] + 1])
+        assert np.array_equal(fired, other.column("protection_mask"))
+
     def test_zero_horizon_single_record(self):
         scenario = parse_scenario({"t_end": 0.0})
         traj = integrate(scenario)

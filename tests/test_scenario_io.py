@@ -5,16 +5,25 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blowdown.engine import PROT_MS_FLOOR, evaluate_snapshot, integrate
+from blowdown.engine import (PROT_MS_FLOOR, evaluate_snapshot, integrate,
+                             integrate_fixed_rk4)
 from blowdown.errors import (InvariantViolation, ScenarioSyntaxError,
                              UnknownKeyError)
 from blowdown.scenario_io import (MANIFOLD_COLUMNS, TRAJECTORY_COLUMNS,
-                                  default_scenario, format_value,
+                                  _csv_text, default_scenario, format_value,
                                   load_scenario, parse_scenario,
                                   read_trajectory, trajectory_csv,
                                   write_manifold, write_trajectory)
 from blowdown.state import ExogenousInputs, ProcessState
+
+
+def per_cell_csv(columns, rows) -> str:
+    """The reference writer: a header, then every cell via `format_value`."""
+    return "".join([",".join(columns) + "\n"] +
+                   [",".join(map(format_value, row)) + "\n" for row in rows])
 
 
 class TestParsing:
@@ -119,6 +128,14 @@ class TestInitialStateResolution:
         with pytest.raises(InvariantViolation):
             parse_scenario({"initial_state": {"q_p": 0.01}})
 
+    @pytest.mark.parametrize("state", [
+        {"M_s": -1.0}, {"M_fl": -1.0}, {"q_p_cmd": 0.01, "q_p": 0.003},
+        {"q_p_cmd": -1e-4, "q_p": 0.003}])
+    def test_invalid_initial_state_names_path(self, state):
+        with pytest.raises(InvariantViolation) as err:
+            parse_scenario({"initial_state": state})
+        assert err.value.path == "initial_state"
+
     @pytest.mark.parametrize("masses", [
         {}, {"M_s": 0.0, "M_fl": 0.0}, {"M_s": 1e-7, "M_fl": 0.0}])
     def test_head_starts_at_engine_equivalent_head(self, masses):
@@ -148,10 +165,38 @@ class TestFormatValue:
         assert "e" not in format_value(1.23456789e-7).lower()
         assert "e" not in format_value(1.23456789e7).lower()
 
+    @settings(deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=64))
+    def test_block_formatter_matches_format_value(self, row):
+        columns = [f"c{i}" for i in range(len(row))]
+        assert _csv_text(columns, [row]) == per_cell_csv(columns, [row])
+
+    def test_block_formatter_edge_cases(self):
+        powers = 10.0 ** np.arange(-300, 9)
+        cells = np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            [12345678.25, 0.5, 2.5, 999999999.5, 99999999.95, 5e-324, 0.0,
+             -0.0, 2.0 ** 53, 1e9, 1.5e12, 1e300, np.inf, np.nan],
+            # ninth digit followed by 5 in decimal, not exactly in binary
+            [12345678.05, 12345678.95, 123456.7895, 0.1234567805],
+            np.arange(32.0)])  # every protection_mask value
+        cells = np.concatenate([cells, -cells])
+        table = cells.reshape(-1, 2)  # rows span several blocks
+        columns = ["a", "b"]
+        assert _csv_text(columns, table) == per_cell_csv(columns,
+                                                         table.tolist())
+        assert format_value(-0.0) == "0"
+
 
 @pytest.fixture(scope="module")
 def short_traj():
     return integrate(replace(default_scenario(), t_end=500.0))
+
+
+@pytest.fixture(scope="module")
+def default_traj():
+    return integrate(default_scenario())
 
 
 class TestTrajectoryCsv:
@@ -175,9 +220,7 @@ class TestTrajectoryCsv:
         assert list(cols) == TRAJECTORY_COLUMNS
         # Re-serializing the parsed values reproduces the same text.
         rows = zip(*(cols[name] for name in TRAJECTORY_COLUMNS))
-        again = "".join(",".join(map(format_value, row)) + "\n"
-                        for row in rows)
-        assert ",".join(TRAJECTORY_COLUMNS) + "\n" + again == \
+        assert per_cell_csv(TRAJECTORY_COLUMNS, rows) == \
             trajectory_csv(short_traj)
 
     def test_row_schema_partitions_columns(self, short_traj):
@@ -193,8 +236,14 @@ class TestTrajectoryCsv:
         assert short_traj.data.shape == (len(short_traj),
                                          len(TRAJECTORY_COLUMNS))
 
-    def test_protection_mask_prints_as_integer(self):
-        traj = integrate(default_scenario())
+    def test_matches_per_cell_reference(self, default_traj):
+        rk4 = integrate_fixed_rk4(parse_scenario({"t_end": 2000.0}), dt=1.0)
+        for traj in (default_traj, rk4):
+            assert trajectory_csv(traj) == per_cell_csv(
+                TRAJECTORY_COLUMNS, traj.data.tolist())
+
+    def test_protection_mask_prints_as_integer(self, default_traj):
+        traj = default_traj
         mask = traj.column("protection_mask").astype(int)
         fired = np.flatnonzero(mask & PROT_MS_FLOOR)
         assert len(fired) == 10 and traj.times[fired[0]] == 26800.0
@@ -218,3 +267,5 @@ class TestManifoldCsv:
         assert lines[0].split(",") == MANIFOLD_COLUMNS
         assert lines[1] == "0,0,0"
         assert len(lines) == 1 + 25
+        assert target.read_text() == per_cell_csv(
+            MANIFOLD_COLUMNS, zip(*map(np.ravel, grids)))

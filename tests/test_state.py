@@ -121,6 +121,12 @@ class TestProcessState:
         with pytest.raises(StateValidityError):
             ProcessState(M_s=1.0, M_fl=1.0, H0=121.0).validate(Parameters())
 
+    @pytest.mark.parametrize("q_p_cmd", [-1e-4, 0.005])
+    def test_rejects_reference_outside_flow_bounds(self, q_p_cmd):
+        with pytest.raises(StateValidityError, match="q_p_cmd"):
+            ProcessState(M_s=1.0, M_fl=1.0,
+                         q_p_cmd=q_p_cmd).validate(Parameters())
+
 
 class TestExogenousInputs:
     def test_defaults_validate(self):
