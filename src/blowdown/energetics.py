@@ -3,6 +3,10 @@
 Powers are carried in head units (head x flow, [m * m^3/s]) because every
 ratio of interest is scale-invariant in them; `hydraulic_power_si` gives the
 dimensionally strict wattage when an absolute number is wanted.
+
+Each relation is written once, in a private unchecked form that the checking
+public helper calls; the engine validates a scenario once and calls the
+unchecked forms directly.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ def hydraulic_power(H0: float, q_p: float) -> float:
     """Hydraulic transport power H0 * q_p [head-units m^3/s]."""
     if H0 < 0 or q_p < 0:
         raise StateValidityError("H0 and q_p must be non-negative")
-    return H0 * q_p
+    return _head_power(H0, q_p)
+
+
+def _head_power(head: float, q_p: float) -> float:
+    """Head times flow [head-units m^3/s], unchecked."""
+    return head * q_p
 
 
 def hydraulic_power_si(rho_mix: float, H0: float, q_p: float) -> float:
@@ -37,7 +46,7 @@ def useful_power(H_static: float, q_p: float) -> float:
     """
     if H_static < 0 or q_p < 0:
         raise StateValidityError("H_static and q_p must be non-negative")
-    return H_static * q_p
+    return _head_power(H_static, q_p)
 
 
 def efficiency(P_useful: float, P_h: float,
@@ -45,11 +54,22 @@ def efficiency(P_useful: float, P_h: float,
     """Clamped instantaneous transport efficiency in [0, 1]."""
     if not math.isfinite(P_useful) or not math.isfinite(P_h):
         raise StateValidityError("powers must be finite")
-    return min(max(P_useful / (P_h + eps), 0.0), 1.0)
+    return _efficiency(P_useful, P_h, eps)
+
+
+def _efficiency(P_useful: float, P_h: float, eps: float) -> float:
+    # min(max(ratio, 0.0), 1.0) with the same NaN and -0.0 semantics.
+    ratio = P_useful / (P_h + eps)
+    low = 0.0 if ratio < 0.0 else ratio
+    return 1.0 if low > 1.0 else low
 
 
 def electrical_power(P_h: float, eta_pm: float) -> float:
     """Estimated electrical demand P_h / eta_pm [head-units m^3/s]."""
     if eta_pm <= 0:
         raise ParameterError(f"eta_pm must be positive, got {eta_pm}")
+    return _electrical_power(P_h, eta_pm)
+
+
+def _electrical_power(P_h: float, eta_pm: float) -> float:
     return P_h / eta_pm

@@ -15,6 +15,12 @@ A run is one table with a row per logged instant and a column per name in
 `TRAJECTORY_COLUMNS`: the differential states, the held inputs, the
 algebraic reconstructions of `evaluate_snapshot`, dV/dt and the protection
 mask. Both integrators log through the same row builder.
+
+The right-hand side and the logged reconstructions come from one kernel,
+`_evaluate`, which calls the unchecked form of each physics equation. The
+scenario's parameters, initial state and inputs are validated once, by
+`Scenario.validate`; the kernel then clamps the states it reads and checks
+only that its results are finite.
 """
 
 from __future__ import annotations
@@ -28,10 +34,17 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.integrate import BDF, LSODA, RK45
 
-from . import energetics, hydraulics, rheology, smc
+from .energetics import _efficiency, _electrical_power, _head_power
 from .errors import IntegrationError, ParameterError, ScenarioError
-from .state import (ExogenousInputs, Parameters, ProcessState, consistency,
-                    mixture_density, phase_volumes)
+from .hydraulics import (_algebraic_flow, _relaxation, _static_head,
+                         fiber_flow, liquor_flow)
+from .rheology import (_hb_stress, _hydraulic_resistance, _shear_rate,
+                       _viscous_dissipation)
+from .smc import (_consistency_guard, _control_law, _equivalent_head,
+                  _lyapunov_rate, _lyapunov_value, protected_reference,
+                  sliding_surface)
+from .state import (ExogenousInputs, Parameters, ProcessState, _consistency,
+                    _mixture_density, _phase_volumes)
 
 # Protection bitmask flags.
 PROT_MS_FLOOR = 0x01      # dry-fiber mass clamped to 0
@@ -138,16 +151,27 @@ def inputs_at(schedule: Sequence[Tuple[float, ExogenousInputs]],
 
 def assemble_rhs(t: float, y: Sequence[float], params: Parameters,
                  inputs: ExogenousInputs) -> np.ndarray:
-    """Full closed-loop time derivative at one instant."""
-    derivs, _ = _evaluate(y, params, inputs, full=False)
-    return np.array(derivs)
+    """Full closed-loop time derivative at one instant.
+
+    `params` and `inputs` must have passed their `validate` (as
+    `Scenario.validate` ensures): the kernel does not check them again.
+    A non-finite state or quantity raises IntegrationError.
+    """
+    return np.array(_evaluate(y, params, inputs, False)[0], dtype=float)
 
 
 def evaluate_snapshot(y: Sequence[float], params: Parameters,
                       inputs: ExogenousInputs) -> Dict[str, float]:
-    """The logged algebraic reconstructions and diagnostics at one instant."""
-    _, snap = _evaluate(y, params, inputs, full=True)
-    return snap
+    """The logged algebraic reconstructions and diagnostics at one instant.
+
+    Same contract as `assemble_rhs`.
+    """
+    return _evaluate(y, params, inputs, True)[1]
+
+
+#: Quantities whose finiteness `_evaluate` checks, in reporting order.
+_CHECKED = ("C", "rho_mix", "C_n", "H_static", "q_p_alg", "H_eq", "H0s",
+            "dM_s/dt", "dM_fl/dt", "dq_p/dt", "dH0/dt", "P_h", "P_elec")
 
 
 def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
@@ -155,92 +179,118 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
 
     Clamped local copies of the states are used for the algebraic
     reconstructions so that small solver excursions outside the admissible
-    region cannot produce invalid algebra mid-step.
+    region cannot produce invalid algebra mid-step. Every equation is the
+    unchecked form of its physics module; the parameters and inputs were
+    validated once with the scenario, and the result is checked for
+    finiteness here in one pass. A clamp `lo if x < lo else x` is
+    `max(x, lo)` and `hi if x > hi else x` is `min(x, hi)`, NaN and -0.0
+    included.
     """
-    M_s = max(float(y[0]), 0.0)
-    M_fl = max(float(y[1]), 0.0)
-    q_p = min(max(float(y[2]), 0.0), p.q_p_max)
-    xi_eq = float(y[3])
-    H0 = min(max(float(y[4]), 0.0), p.H0_max)
-    q_cmd = min(max(float(y[5]), 0.0), p.q_p_max)
+    M_s, M_fl, q_p, xi_eq, H0, q_cmd, _, _, _ = np.asarray(
+        y, dtype=float).tolist()
+    states = (M_s, M_fl, q_p, xi_eq, H0, q_cmd)
+    q_p_max, H0_max = p.q_p_max, p.H0_max
+    M_s = 0.0 if M_s < 0.0 else M_s
+    M_fl = 0.0 if M_fl < 0.0 else M_fl
+    q_p = 0.0 if q_p < 0.0 else q_p
+    q_p = q_p_max if q_p > q_p_max else q_p
+    H0 = 0.0 if H0 < 0.0 else H0
+    H0 = H0_max if H0 > H0_max else H0
+    q_cmd = 0.0 if q_cmd < 0.0 else q_cmd
+    q_cmd = q_p_max if q_cmd > q_p_max else q_cmd
 
     # Mixture reconstructions.
-    C = consistency(M_s, M_fl, p.eps)
-    rho_mix = mixture_density(M_s, M_fl, p.rho_s, p.rho_fl, p.eps)
+    C = _consistency(M_s, M_fl, p.eps)
+    rho_mix = _mixture_density(M_s, M_fl, p.rho_s, p.rho_fl, p.eps)
     # Density limitation: head generation sees a density clamped into the
     # physical phase bracket, so a drained vessel (reconstruction -> 0
     # through the regularizer) cannot produce a static-head cliff faster
     # than the actuator can follow. Transport flows keep the raw
     # reconstruction so they vanish together with the inventory.
-    rho_head = min(max(rho_mix, min(p.rho_s, p.rho_fl)),
-                   max(p.rho_s, p.rho_fl))
-    C_n = rheology.hydraulic_resistance(max(C, RESISTANCE_FLOOR_CONSISTENCY),
-                                        p.K_ref, p.C_ref, p.alpha_C, p.eps)
-    H_static = hydraulics.static_head(rho_head, p.K_static)
+    rho_lo, rho_hi = ((p.rho_fl, p.rho_s) if p.rho_fl < p.rho_s
+                      else (p.rho_s, p.rho_fl))
+    rho_head = rho_lo if rho_mix < rho_lo else rho_mix
+    rho_head = rho_hi if rho_head > rho_hi else rho_head
+    C_floor = (RESISTANCE_FLOOR_CONSISTENCY
+               if C < RESISTANCE_FLOOR_CONSISTENCY else C)
+    C_n = _hydraulic_resistance(C_floor, p.K_ref, p.C_ref, p.alpha_C, p.eps)
+    H_static = _static_head(rho_head, p.K_static)
 
     # Supervisory layer and reference conditioning.
-    sigma_C = smc.consistency_guard(C, p.C_max, p.alpha_sig)
-    q_star = smc.protected_reference(sigma_C, u.q_p_ref)
-    d_q_cmd = smc.reference_conditioner_rhs(q_cmd, q_star, p.tau_ref)
+    sigma_C = _consistency_guard(C, p.C_max, p.alpha_sig)
+    q_star = protected_reference(sigma_C, u.q_p_ref)
+    d_q_cmd = _relaxation(q_star, q_cmd, p.tau_ref)
 
     # Sliding-mode head command.
     e_q = q_p - q_cmd
-    s_q = smc.sliding_surface(e_q, xi_eq, p.lambda_q)
-    H_eq = smc.equivalent_head(H_static, C_n, q_cmd, p.n, p.eps)
-    raw_cmd = H_eq - p.k_smc * smc.saturation(s_q / p.phi_q)
-    H0s = min(max(raw_cmd, 0.0), p.H0_max)
-    d_H0 = hydraulics.actuator_rhs(H0s, H0, p.tau_H)
+    s_q = sliding_surface(e_q, xi_eq, p.lambda_q)
+    H_eq = _equivalent_head(H_static, C_n, q_cmd, p.n, p.eps)
+    raw_cmd, H0s = _control_law(H_eq, s_q, p.k_smc, p.phi_q, H0_max)
+    d_H0 = _relaxation(H0s, H0, p.tau_H)
 
     # Conditional anti-windup: pause the error integral while the head bound
     # is active and integrating would push further into the bound.
-    windup = (raw_cmd > p.H0_max and e_q < 0.0) or (raw_cmd < 0.0 and e_q > 0.0)
+    windup = (raw_cmd > H0_max and e_q < 0.0) or (raw_cmd < 0.0 and e_q > 0.0)
     d_xi = 0.0 if windup else e_q
 
     # Quasi-steady flow; the relaxation target is bounded by q_p_max so the
     # integrated flow cannot run away when the resistance collapses.
-    q_alg = hydraulics.algebraic_flow(H0, H_static, C_n, p.n, p.eps)
-    q_alg = min(q_alg, p.q_p_max)
-    d_q_p = hydraulics.flow_relaxation_rhs(q_alg, q_p, p.tau_p)
+    q_alg = _algebraic_flow(H0, H_static, C_n, p.n, p.eps)
+    q_alg = q_p_max if q_alg > q_p_max else q_alg
+    d_q_p = _relaxation(q_alg, q_p, p.tau_p)
 
     # Transport flows and inventory balances. f_in / f_fl are volumetric and
     # enter via rho_fl; f_liq is already a mass flow.
-    f_s = min(hydraulics.fiber_flow(rho_mix, C, q_p),
-              M_s / TRANSPORT_DEPLETION_TIME)
-    f_liq = min(hydraulics.liquor_flow(u.k_ch, u.gamma_K, C, rho_mix, q_p),
-                M_fl / TRANSPORT_DEPLETION_TIME)
+    f_s = fiber_flow(rho_mix, C, q_p)
+    cap = M_s / TRANSPORT_DEPLETION_TIME
+    f_s = cap if f_s > cap else f_s
+    f_liq = liquor_flow(u.k_ch, u.gamma_K, C, rho_mix, q_p)
+    cap = M_fl / TRANSPORT_DEPLETION_TIME
+    f_liq = cap if f_liq > cap else f_liq
     d_M_s = -f_s
     d_M_fl = p.rho_fl * u.f_in - p.rho_fl * u.f_fl - f_liq
 
     # Energy quadratures.
-    P_h = energetics.hydraulic_power(H0, q_p)
-    P_useful = energetics.useful_power(H_static, q_p)
-    P_elec = energetics.electrical_power(P_h, p.eta_pm)
+    P_h = _head_power(H0, q_p)
+    P_useful = _head_power(H_static, q_p)
+    P_elec = _electrical_power(P_h, p.eta_pm)
+
+    checked = (C, rho_mix, C_n, H_static, q_alg, H_eq, H0s, d_M_s, d_M_fl,
+               d_q_p, d_H0, P_h, P_elec)
+    if not math.isfinite(sum(checked) + sum(states)):
+        _raise_non_finite(checked, states)
 
     derivs = (d_M_s, d_M_fl, d_q_p, d_xi, d_H0, d_q_cmd, P_h, P_useful, P_elec)
-    for name, v in (("C", C), ("rho_mix", rho_mix), ("C_n", C_n),
-                    ("H_static", H_static), ("q_p_alg", q_alg),
-                    ("H_eq", H_eq), ("H0s", H0s),
-                    ("dM_s/dt", d_M_s), ("dM_fl/dt", d_M_fl),
-                    ("dq_p/dt", d_q_p), ("dH0/dt", d_H0),
-                    ("P_h", P_h), ("P_elec", P_elec)):
-        if not math.isfinite(v):
-            raise IntegrationError(f"non-finite quantity {name!r} in RHS")
-
     if not full:
         return derivs, None
 
-    _, _, V, _ = phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)
-    gamma_dot = rheology.shear_rate(q_p, p.D_pipe)
-    tau = rheology.hb_stress(gamma_dot, p.tau_y, p.K_HB, p.n)
-    Phi_v = rheology.viscous_dissipation(tau, gamma_dot) if q_p > 0 else 0.0
+    # The check above bounds every argument below: q_p lies in
+    # [0, q_p_max] and the masses are finite.
+    gamma_dot = _shear_rate(q_p, p.D_pipe)
+    tau = _hb_stress(gamma_dot, p.tau_y, p.K_HB, p.n)
     snap = dict(
-        C=C, V=V, rho_mix=rho_mix, C_n=C_n, H_static=H_static, q_p_alg=q_alg,
+        C=C, V=_phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)[2],
+        rho_mix=rho_mix, C_n=C_n, H_static=H_static, q_p_alg=q_alg,
         sigma_C=sigma_C, e_q=e_q, s_q=s_q, H_eq=H_eq, H0s=H0s, f_s=f_s,
-        f_liq=f_liq, gamma_dot=gamma_dot, tau=tau, Phi_v=Phi_v, P_h=P_h,
-        P_useful=P_useful, P_elec=P_elec,
-        eta_h=energetics.efficiency(P_useful, P_h, p.eps),
-        V_lyap=0.5 * s_q * s_q)
+        f_liq=f_liq, gamma_dot=gamma_dot, tau=tau,
+        Phi_v=_viscous_dissipation(tau, gamma_dot) if q_p > 0 else 0.0,
+        P_h=P_h, P_useful=P_useful, P_elec=P_elec,
+        eta_h=_efficiency(P_useful, P_h, p.eps),
+        V_lyap=_lyapunov_value(s_q))
     return derivs, snap
+
+
+def _raise_non_finite(checked, states) -> None:
+    """Name the first non-finite quantity, else the first non-finite state.
+
+    Returns when every value is finite (their sum overflowed).
+    """
+    for name, v in zip(_CHECKED, checked):
+        if not math.isfinite(v):
+            raise IntegrationError(f"non-finite quantity {name!r} in RHS")
+    for name, v in zip(_STATE_NAMES, states):
+        if not math.isfinite(v):
+            raise IntegrationError(f"non-finite state {name!r} in RHS")
 
 
 def _protect_array(y: np.ndarray, p: Parameters) -> Tuple[np.ndarray, int]:
@@ -299,8 +349,9 @@ def _log_row(rows: List[Tuple[float, ...]], t: float, y_raw,
     row = evaluate_snapshot(y, p, u)
     dVdt = 0.0
     if rows and t > rows[-1][0]:
-        _, dVdt = smc.lyapunov_diagnostics(
-            row["s_q"], rows[-1][_COLUMN_INDEX["s_q"]], t - rows[-1][0])
+        prev = rows[-1]
+        dVdt = _lyapunov_rate(row["s_q"], prev[_COLUMN_INDEX["s_q"]],
+                              t - prev[0])
     row.update(zip(_STATE_NAMES, y.tolist()), t=t, dVdt=dVdt,
                protection_mask=m | mask)
     row.update(vars(u))

@@ -21,8 +21,9 @@ import yaml
 from . import smc
 from .engine import (TRAJECTORY_COLUMNS, Scenario, Trajectory,
                      evaluate_snapshot)
-from .errors import (InvariantViolation, ParameterError, ScenarioError,
-                     ScenarioSyntaxError, StateValidityError, UnknownKeyError)
+from .errors import (IntegrationError, InvariantViolation, ParameterError,
+                     ScenarioError, ScenarioSyntaxError, StateValidityError,
+                     UnknownKeyError)
 from .state import ExogenousInputs, Parameters, ProcessState, consistency
 
 MANIFOLD_COLUMNS = ["e_q", "xi_eq", "s_q"]
@@ -162,6 +163,10 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
                                                schedule[0][1]).validate(params)
     except StateValidityError as exc:
         raise InvariantViolation("initial_state", str(exc)) from exc
+    except IntegrationError as exc:
+        # Masses that overflow the reconstructions setting the start head.
+        raise InvariantViolation(
+            "initial_state", f"no finite start head: {exc}") from exc
 
     tol_doc = doc.get("tolerances") or {}
     if not isinstance(tol_doc, dict):

@@ -7,6 +7,12 @@ boundary-layer switching, head bounding, and Lyapunov/gain diagnostics.
 Controller evaluation is a pure function of (state, inputs, parameters);
 the only controller memory (xi_eq, q_p_cmd) lives in the integrated state
 vector owned by the engine.
+
+Each law is written once. Where the public helper checks its arguments, the
+arithmetic lives in a private unchecked form that the helper calls; the
+engine validates a scenario once and calls those forms directly. The bounded
+head command belongs to `_control_law`, which also returns the raw command
+that the engine's anti-windup needs.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ParameterError
+from .hydraulics import _relaxation
 from .state import EPS_DEFAULT
 
 
@@ -28,6 +35,10 @@ def consistency_guard(C: float, C_max: float, alpha_sig: float) -> float:
     """
     if alpha_sig <= 0:
         raise ParameterError(f"alpha_sig must be positive, got {alpha_sig}")
+    return _consistency_guard(C, C_max, alpha_sig)
+
+
+def _consistency_guard(C: float, C_max: float, alpha_sig: float) -> float:
     # Stable logistic evaluation for large |exponent|.
     x = alpha_sig * (C_max - C)
     if x >= 0:
@@ -50,7 +61,7 @@ def reference_conditioner_rhs(q_p_cmd: float, q_p_star: float,
     """
     if tau_ref <= 0:
         raise ParameterError(f"tau_ref must be positive, got {tau_ref}")
-    return (q_p_star - q_p_cmd) / tau_ref
+    return _relaxation(q_p_star, q_p_cmd, tau_ref)
 
 
 def sliding_surface(e_q: float, xi_eq: float, lambda_q: float) -> float:
@@ -76,6 +87,11 @@ def equivalent_head(H_static: float, C_n: float, q_p_cmd: float, n: float,
     """
     if q_p_cmd < 0:
         raise ParameterError(f"q_p_cmd must be non-negative, got {q_p_cmd}")
+    return _equivalent_head(H_static, C_n, q_p_cmd, n, eps)
+
+
+def _equivalent_head(H_static: float, C_n: float, q_p_cmd: float, n: float,
+                     eps: float) -> float:
     return H_static + (C_n + eps) * q_p_cmd ** n
 
 
@@ -90,8 +106,19 @@ def control_law(H_eq: float, s_q: float, k_smc: float, phi_q: float,
         raise ParameterError(f"phi_q must be positive, got {phi_q}")
     if H0_max <= 0:
         raise ParameterError(f"H0_max must be positive, got {H0_max}")
+    return _control_law(H_eq, s_q, k_smc, phi_q, H0_max)[1]
+
+
+def _control_law(H_eq: float, s_q: float, k_smc: float, phi_q: float,
+                 H0_max: float) -> Tuple[float, float]:
+    """Raw head command and the command bounded to [0, H0_max], unchecked.
+
+    The bound keeps the semantics of min(max(raw, 0.0), H0_max), NaN and
+    -0.0 included, without the cost of the builtin calls.
+    """
     raw = H_eq - k_smc * saturation(s_q / phi_q)
-    return min(max(raw, 0.0), H0_max)
+    low = 0.0 if raw < 0.0 else raw
+    return raw, H0_max if low > H0_max else low
 
 
 def lyapunov_diagnostics(s_q: float, s_q_prev: float,
@@ -102,9 +129,15 @@ def lyapunov_diagnostics(s_q: float, s_q_prev: float,
     """
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    V = 0.5 * s_q * s_q
-    dVdt = s_q * (s_q - s_q_prev) / dt
-    return V, dVdt
+    return _lyapunov_value(s_q), _lyapunov_rate(s_q, s_q_prev, dt)
+
+
+def _lyapunov_value(s_q: float) -> float:
+    return 0.5 * s_q * s_q
+
+
+def _lyapunov_rate(s_q: float, s_q_prev: float, dt: float) -> float:
+    return s_q * (s_q - s_q_prev) / dt
 
 
 def check_gain_condition(k_smc: float, tau_p: float, delta_max: float) -> bool:
@@ -152,4 +185,4 @@ def manifold_grid(e_range, xi_range, lambda_q: float, steps: int = 41):
     e = np.linspace(e_lo, e_hi, steps)
     xi = np.linspace(x_lo, x_hi, steps)
     e_grid, xi_grid = np.meshgrid(e, xi, indexing="ij")
-    return e_grid, xi_grid, e_grid + lambda_q * xi_grid
+    return e_grid, xi_grid, sliding_surface(e_grid, xi_grid, lambda_q)

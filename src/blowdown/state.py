@@ -4,6 +4,11 @@ The digester is a lumped two-phase inventory (dry fiber + free liquor).
 Everything else in the model -- consistency, phase volumes, mixture density --
 is reconstructed algebraically from the two masses, so these helpers are pure
 functions that the integrator right-hand side can call in any order.
+
+Each equation is written once, in a private unchecked form (`_consistency`,
+`_mixture_density`, `_phase_volumes`). The public helpers check their
+arguments and then call that form. The engine validates a scenario once, in
+`Scenario.validate`, and calls the unchecked forms on its clamped states.
 """
 
 from __future__ import annotations
@@ -176,6 +181,10 @@ def consistency(M_s: float, M_fl: float, eps: float = EPS_DEFAULT) -> float:
         raise StateValidityError("masses must be non-negative")
     if eps <= 0:
         raise ParameterError("eps must be positive")
+    return _consistency(M_s, M_fl, eps)
+
+
+def _consistency(M_s: float, M_fl: float, eps: float) -> float:
     return M_s / (M_s + M_fl + eps)
 
 
@@ -190,6 +199,11 @@ def mixture_density(M_s: float, M_fl: float, rho_s: float, rho_fl: float,
         raise ParameterError("phase densities must be positive")
     if eps <= 0:
         raise ParameterError("eps must be positive")
+    return _mixture_density(M_s, M_fl, rho_s, rho_fl, eps)
+
+
+def _mixture_density(M_s: float, M_fl: float, rho_s: float, rho_fl: float,
+                     eps: float) -> float:
     return (M_s + M_fl) / (M_s / rho_s + M_fl / rho_fl + eps)
 
 
@@ -206,6 +220,11 @@ def phase_volumes(M_s: float, M_fl: float, rho_s: float, rho_fl: float,
         raise ParameterError("phase densities must be positive")
     if not 0 <= w < 1:
         raise ParameterError(f"w must lie in [0, 1), got {w}")
+    return _phase_volumes(M_s, M_fl, rho_s, rho_fl, w)
+
+
+def _phase_volumes(M_s: float, M_fl: float, rho_s: float, rho_fl: float,
+                   w: float):
     V_fl = M_fl / rho_fl
     V_s = M_s / (rho_s * (1.0 - w))
     return V_s, V_fl, V_s + V_fl, M_s + M_fl

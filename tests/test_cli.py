@@ -53,6 +53,17 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "initial_state" in capsys.readouterr().err
 
+    def test_overflowing_initial_masses(self, tmp_path, capsys):
+        # The start head is resolved from the masses while parsing; a
+        # non-finite reconstruction there is a scenario error, not a
+        # numerical failure of the integration.
+        doc = tmp_path / "bad.yaml"
+        doc.write_text("initial_state: {M_s: 1.0e+308, M_fl: 1.0e+308}\n")
+        code = main(["simulate", "--scenario", str(doc),
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        assert "initial_state" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

@@ -1,5 +1,6 @@
 """Closed-loop integration engine: logging grid, events, protections."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,43 @@ class TestRhsConsistency:
         _, traj = short_run
         assert abs(traj.column("s_q")[0]) < 1e-12
         assert abs(traj.column("e_q")[0]) < 1e-12
+
+
+class TestKernelLookup:
+    """Both integrators call the kernel through the `engine` attributes.
+
+    Tracing and profiling wrap `engine.assemble_rhs` and
+    `engine.evaluate_snapshot`; a reference bound elsewhere would leave
+    their counts at zero.
+    """
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name):
+            original = getattr(engine, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(engine, name, wrapper)
+
+        counting("assemble_rhs")
+        counting("evaluate_snapshot")
+        return counts
+
+    def test_adaptive(self, short_run, counts):
+        scenario, _ = short_run
+        traj = integrate(scenario)
+        assert counts["evaluate_snapshot"] == len(traj)
+        assert counts["assemble_rhs"] > 0
+
+    def test_fixed_step(self, short_run, counts):
+        scenario, _ = short_run
+        traj = integrate_fixed_rk4(scenario, dt=1.0)
+        assert counts["evaluate_snapshot"] == len(traj)
+        assert counts["assemble_rhs"] == 4 * 2000
 
 
 class TestLoggingGrid:

@@ -1,0 +1,221 @@
+"""The closed-loop kernel against a reference built from the public helpers.
+
+`engine._evaluate` calls the unchecked form of every equation and checks
+the result once. The reference below composes the checked public helpers
+the way the closed loop is documented (clamps, resistance floor, density
+clamp, bounded head command with anti-windup, depletion caps), so equality
+with `==` shows that the kernel computes the same floats as the helpers.
+Property tests use Hypothesis (MacIver et al., JOSS 2019).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from blowdown import energetics, engine, hydraulics, rheology, smc, state
+from blowdown.engine import assemble_rhs, evaluate_snapshot
+from blowdown.errors import IntegrationError
+from blowdown.state import ExogenousInputs, Parameters, ProcessState
+
+DEFAULT_INPUTS = dict(k_ch=0.5, gamma_K=0.2, f_in=1.0e-4, f_fl=0.0,
+                      q_p_ref=0.003)
+DEFAULT_STATE = dict(M_s=2500.0, M_fl=25000.0, q_p=0.003, xi_eq=0.0,
+                     H0=95.0, q_p_cmd=0.003, E_h=0.0, E_useful=0.0,
+                     E_elec=0.0)
+
+
+def reference(y, p, u):
+    """Derivatives, snapshot and raw head command from the public helpers."""
+    M_s = max(float(y[0]), 0.0)
+    M_fl = max(float(y[1]), 0.0)
+    q_p = min(max(float(y[2]), 0.0), p.q_p_max)
+    xi_eq = float(y[3])
+    H0 = min(max(float(y[4]), 0.0), p.H0_max)
+    q_cmd = min(max(float(y[5]), 0.0), p.q_p_max)
+
+    C = state.consistency(M_s, M_fl, p.eps)
+    rho_mix = state.mixture_density(M_s, M_fl, p.rho_s, p.rho_fl, p.eps)
+    rho_head = min(max(rho_mix, min(p.rho_s, p.rho_fl)),
+                   max(p.rho_s, p.rho_fl))
+    C_n = rheology.hydraulic_resistance(
+        max(C, engine.RESISTANCE_FLOOR_CONSISTENCY),
+        p.K_ref, p.C_ref, p.alpha_C, p.eps)
+    H_static = hydraulics.static_head(rho_head, p.K_static)
+
+    sigma_C = smc.consistency_guard(C, p.C_max, p.alpha_sig)
+    q_star = smc.protected_reference(sigma_C, u.q_p_ref)
+    d_q_cmd = smc.reference_conditioner_rhs(q_cmd, q_star, p.tau_ref)
+
+    e_q = q_p - q_cmd
+    s_q = smc.sliding_surface(e_q, xi_eq, p.lambda_q)
+    H_eq = smc.equivalent_head(H_static, C_n, q_cmd, p.n, p.eps)
+    H0s = smc.control_law(H_eq, s_q, p.k_smc, p.phi_q, p.H0_max)
+    raw_cmd = H_eq - p.k_smc * smc.saturation(s_q / p.phi_q)
+    d_H0 = hydraulics.actuator_rhs(H0s, H0, p.tau_H)
+    windup = ((raw_cmd > p.H0_max and e_q < 0.0)
+              or (raw_cmd < 0.0 and e_q > 0.0))
+    d_xi = 0.0 if windup else e_q
+
+    q_alg = min(hydraulics.algebraic_flow(H0, H_static, C_n, p.n, p.eps),
+                p.q_p_max)
+    d_q_p = hydraulics.flow_relaxation_rhs(q_alg, q_p, p.tau_p)
+
+    limit = engine.TRANSPORT_DEPLETION_TIME
+    f_s = min(hydraulics.fiber_flow(rho_mix, C, q_p), M_s / limit)
+    f_liq = min(hydraulics.liquor_flow(u.k_ch, u.gamma_K, C, rho_mix, q_p),
+                M_fl / limit)
+    d_M_fl = p.rho_fl * u.f_in - p.rho_fl * u.f_fl - f_liq
+
+    P_h = energetics.hydraulic_power(H0, q_p)
+    P_useful = energetics.useful_power(H_static, q_p)
+    P_elec = energetics.electrical_power(P_h, p.eta_pm)
+
+    gamma_dot = rheology.shear_rate(q_p, p.D_pipe)
+    tau = rheology.hb_stress(gamma_dot, p.tau_y, p.K_HB, p.n)
+    V_lyap, _ = smc.lyapunov_diagnostics(s_q, 0.0, 1.0)
+    snap = dict(
+        C=C, V=state.phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)[2],
+        rho_mix=rho_mix, C_n=C_n, H_static=H_static, q_p_alg=q_alg,
+        sigma_C=sigma_C, e_q=e_q, s_q=s_q, H_eq=H_eq, H0s=H0s, f_s=f_s,
+        f_liq=f_liq, gamma_dot=gamma_dot, tau=tau,
+        Phi_v=rheology.viscous_dissipation(tau, gamma_dot) if q_p > 0
+        else 0.0,
+        P_h=P_h, P_useful=P_useful, P_elec=P_elec,
+        eta_h=energetics.efficiency(P_useful, P_h, p.eps), V_lyap=V_lyap)
+    derivs = [-f_s, d_M_fl, d_q_p, d_xi, d_H0, d_q_cmd, P_h, P_useful,
+              P_elec]
+    return derivs, snap, raw_cmd
+
+
+def make_case(y=None, params=None, inputs=None):
+    """(state vector, validated parameters, validated inputs)."""
+    p = Parameters(**(params or {})).validate()
+    u = ExogenousInputs(**{**DEFAULT_INPUTS, **(inputs or {})}).validate(p)
+    return (ProcessState(**{**DEFAULT_STATE, **(y or {})}).as_array(), p, u)
+
+
+#: One state per branch of the closed loop, with the test that it is taken.
+BRANCH_CASES = {
+    "depletion cap": (
+        make_case(dict(M_s=1.0, M_fl=5.0)),
+        lambda y, p, snap, raw: (
+            snap["f_s"] == y[0] / engine.TRANSPORT_DEPLETION_TIME
+            and snap["f_liq"] == y[1] / engine.TRANSPORT_DEPLETION_TIME)),
+    "guard active": (
+        make_case(dict(M_s=6000.0, M_fl=9000.0)),
+        lambda y, p, snap, raw: snap["C"] > p.C_max
+        and snap["sigma_C"] < 0.5),
+    "anti-windup at H0_max": (
+        make_case(dict(M_s=6000.0, M_fl=9000.0, q_p=0.001, q_p_cmd=0.004)),
+        lambda y, p, snap, raw: raw > p.H0_max and snap["e_q"] < 0.0),
+    "anti-windup at 0": (
+        make_case(dict(q_p=0.002, q_p_cmd=0.0), params=dict(K_static=0.0)),
+        lambda y, p, snap, raw: raw < 0.0 and snap["e_q"] > 0.0),
+    "H0 at or below H_static": (
+        make_case(dict(H0=5.0)),
+        lambda y, p, snap, raw: (y[4] <= snap["H_static"]
+                                 and snap["q_p_alg"] == 0.0)),
+    "q_p_cmd at 0": (
+        make_case(dict(q_p_cmd=0.0)),
+        lambda y, p, snap, raw: y[5] == 0.0),
+    "q_p_cmd at q_p_max": (
+        make_case(dict(q_p_cmd=0.004)),
+        lambda y, p, snap, raw: y[5] == p.q_p_max),
+    "clamped states": (
+        make_case(dict(M_s=-1.0, q_p=0.01, H0=500.0, q_p_cmd=-1e-3)),
+        lambda y, p, snap, raw: snap["f_s"] == 0.0
+        and snap["H_eq"] == snap["H_static"]),
+}
+
+
+@st.composite
+def cases(draw):
+    """Admissible parameters and inputs, and states inside and out of bounds.
+
+    Masses span near-empty to full vessels at any consistency; the flow,
+    head and reference states include their bounds and excursions past
+    them; K_static and k_smc reach values where the head command saturates
+    below zero.
+    """
+    mass = st.one_of(st.floats(-1.0, 10.0), st.floats(10.0, 1.0e5))
+    params = dict(
+        k_smc=draw(st.floats(0.0, 50.0)),
+        K_static=draw(st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.05)),
+        phi_q=draw(st.floats(1e-5, 1e-3)),
+        n=draw(st.floats(0.3, 1.5)),
+        rho_s=draw(st.floats(900.0, 1300.0)),
+        alpha_sig=draw(st.floats(10.0, 500.0)))
+    p = Parameters(**params).validate()
+    q_max = p.q_p_max
+    flow = st.sampled_from([0.0, q_max]) | st.floats(-1e-3, 2.0 * q_max)
+    y = dict(M_s=draw(mass), M_fl=draw(mass), q_p=draw(flow),
+             xi_eq=draw(st.floats(-50.0, 50.0)),
+             H0=draw(st.sampled_from([0.0, p.H0_max])
+                     | st.floats(-10.0, 1.2 * p.H0_max)),
+             q_p_cmd=draw(flow))
+    inputs = dict(k_ch=draw(st.floats(0.0, 1.0)),
+                  gamma_K=draw(st.floats(0.0, 1.0)),
+                  f_in=draw(st.floats(0.0, 1e-3)),
+                  f_fl=draw(st.floats(0.0, 1e-3)),
+                  q_p_ref=draw(st.floats(0.0, q_max)))
+    return make_case(y, params, inputs)
+
+
+def with_branch_examples(test):
+    for case, _ in BRANCH_CASES.values():
+        test = example(case)(test)
+    return test
+
+
+class TestKernelMatchesHelpers:
+    @settings(max_examples=300, deadline=None)
+    @with_branch_examples
+    @given(cases())
+    def test_rhs_and_snapshot_equal_reference(self, case):
+        y, p, u = case
+        derivs, snap, _ = reference(y, p, u)
+        assert assemble_rhs(0.0, y, p, u).tolist() == derivs
+        assert assemble_rhs(0.0, np.array(y), p, u).tolist() == derivs
+        assert evaluate_snapshot(y, p, u) == snap
+
+    @pytest.mark.parametrize("name", BRANCH_CASES)
+    def test_branch_cases_take_their_branch(self, name):
+        (y, p, u), taken = BRANCH_CASES[name]
+        _, snap, raw_cmd = reference(y, p, u)
+        assert taken(y, p, snap, raw_cmd)
+
+    def test_windup_pauses_the_integral(self):
+        for name in ("anti-windup at H0_max", "anti-windup at 0"):
+            (y, p, u), _ = BRANCH_CASES[name]
+            assert assemble_rhs(0.0, y, p, u)[3] == 0.0
+
+
+class TestNonFiniteState:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(6),
+                             ids=["M_s", "M_fl", "q_p", "xi_eq", "H0",
+                                  "q_p_cmd"])
+    def test_raises_integration_error(self, index, value):
+        y, p, u = make_case()
+        y[index] = value
+        with pytest.raises(IntegrationError, match="non-finite"):
+            assemble_rhs(0.0, y, p, u)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            evaluate_snapshot(y, p, u)
+
+    def test_quantity_named_before_state(self):
+        # A NaN head reaches the algebraic flow first; the message names
+        # the first non-finite quantity in the kernel's order.
+        y, p, u = make_case(dict(H0=math.nan))
+        with pytest.raises(IntegrationError,
+                           match="non-finite quantity 'q_p_alg' in RHS"):
+            assemble_rhs(0.0, y, p, u)
+
+    def test_overflowing_sum_of_finite_values_passes(self):
+        # The one-pass check adds the values up; a sum that overflows while
+        # every value is finite must not raise.
+        y, p, u = make_case(dict(M_s=1.0e308, xi_eq=1.0e308))
+        assert np.all(np.isfinite(assemble_rhs(0.0, y, p, u)))
