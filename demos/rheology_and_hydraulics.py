@@ -12,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from blowdown import hydraulics, rheology
-from blowdown.state import Parameters
+from blowdown import default_scenario, hydraulics, rheology
 
-p = Parameters()
+p = default_scenario().parameters
 
 print("Herschel-Bulkley flow curve (tau_y = %.0f Pa, K = %.0f, n = %.2f):"
       % (p.tau_y, p.K_HB, p.n))

@@ -3,10 +3,10 @@
 Library layout:
 
 - `state`       domain types and mixture reconstructions
-- `rheology`    Herschel-Bulkley law, shear rate, hydraulic resistance
+- `rheology`    Herschel-Bulkley law, shear rate, resistance, dissipation
 - `hydraulics`  head/flow laws, lags, transport flows
 - `smc`         the sliding-mode control stack and its diagnostics
-- `energetics`  powers, efficiency, dissipation
+- `energetics`  powers, efficiency
 - `engine`      right-hand side assembly and event-aligned integration
 - `scenario_io` scenario documents, trajectory/manifold CSV
 - `acceptance`  the runnable verification suite behind `blowdown check`

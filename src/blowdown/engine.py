@@ -77,10 +77,10 @@ class Scenario:
     initial_state: ProcessState
     schedule: List[Tuple[float, ExogenousInputs]]
     t_end: float
-    log_interval: float = 50.0
-    rtol: float = 1e-6
-    atol: float = 1e-9
-    method: str = "LSODA"
+    log_interval: float
+    rtol: float
+    atol: float
+    method: str
 
     def validate(self) -> "Scenario":
         self.parameters.validate()
@@ -94,6 +94,10 @@ class Scenario:
             raise ScenarioError("breakpoint times must be strictly increasing")
         for t, u in self.schedule:
             u.validate(self.parameters)
+        for name in ("t_end", "log_interval", "rtol", "atol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.t_end < 0:
             raise ScenarioError(f"t_end must be non-negative, got {self.t_end}")
         if self.log_interval <= 0:
@@ -117,6 +121,7 @@ TRAJECTORY_COLUMNS = [
 _COLUMN_INDEX = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
 _ROW_VALUES = operator.itemgetter(*TRAJECTORY_COLUMNS)
 _STATE_NAMES = tuple(f.name for f in fields(ProcessState))
+_TIME = operator.itemgetter(0)  # breakpoint time of a schedule entry
 
 
 class Trajectory:
@@ -141,12 +146,11 @@ class Trajectory:
 def inputs_at(schedule: Sequence[Tuple[float, ExogenousInputs]],
               t: float) -> ExogenousInputs:
     """Piecewise-constant, left-closed hold of the input schedule."""
-    times = [bp[0] for bp in schedule]
-    if t < times[0]:
+    t0 = schedule[0][0]
+    if t < t0:
         raise ScenarioError(
-            f"t = {t} precedes the first schedule breakpoint at {times[0]}")
-    idx = bisect.bisect_right(times, t) - 1
-    return schedule[idx][1]
+            f"t = {t} precedes the first schedule breakpoint at {t0}")
+    return schedule[bisect.bisect_right(schedule, t, key=_TIME) - 1][1]
 
 
 def assemble_rhs(t: float, y: Sequence[float], params: Parameters,
@@ -379,8 +383,7 @@ def integrate(scenario: Scenario) -> Trajectory:
 
     accum = 0
     log_idx = 1  # t = 0 already recorded
-    edges = seg_edges if seg_edges[0] == 0.0 else [0.0] + seg_edges
-    for ta, tb in zip(edges[:-1], edges[1:]):
+    for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
         u = inputs_at(scenario.schedule, ta)
 
         def fun(t, yy, _u=u):
@@ -416,8 +419,7 @@ def integrate(scenario: Scenario) -> Trajectory:
                                         rtol=scenario.rtol, atol=scenario.atol)
                 else:
                     solver.y[:] = y_prot
-        y, m = _protect_array(solver.y, p)
-        accum |= m
+        y = solver.y  # already protected after the segment's last step
 
     return Trajectory(rows)
 
@@ -438,7 +440,6 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
     log_times = _log_grid(scenario)
     seg_edges = sorted({t for t, _ in scenario.schedule
                         if t <= scenario.t_end} | {scenario.t_end})
-    edges = seg_edges if seg_edges and seg_edges[0] == 0.0 else [0.0] + seg_edges
 
     rows: List[Tuple[float, ...]] = []
     _log_row(rows, 0.0, y, scenario, 0)
@@ -447,7 +448,7 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
 
     log_idx = 1
     accum = 0
-    for ta, tb in zip(edges[:-1], edges[1:]):
+    for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
         u = inputs_at(scenario.schedule, ta)
         n_steps = max(1, int(math.ceil((tb - ta) / dt - 1e-12)))
         h = (tb - ta) / n_steps

@@ -1,15 +1,17 @@
 """Scenario document parsing and trajectory/manifold serialization.
 
 Scenario documents are YAML with a strict schema: unknown keys are rejected
-with a path-qualified error, and every absent key falls back to the shipped
-default (reference operating point plus the three-event disturbance script).
-The shipped file `default_scenario.yaml` documents units and marks every
-value that has no published source with a `not-in-paper` tag.
+with a path-qualified error, and every absent key is read from the shipped
+file `default_scenario.yaml` (reference operating point plus the three-event
+disturbance script). That file is the one home of every default value; it
+documents units and marks every value that has no published source with a
+`not-in-paper` tag.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -28,24 +30,22 @@ from .state import ExogenousInputs, Parameters, ProcessState, consistency
 
 MANIFOLD_COLUMNS = ["e_q", "xi_eq", "s_q"]
 
-_INPUT_KEYS = ("k_ch", "gamma_K", "f_in", "f_fl", "q_p_ref")
+_INPUT_KEYS = tuple(f.name for f in fields(ExogenousInputs))
 _STATE_KEYS = tuple(f.name for f in fields(ProcessState))
 _PARAM_KEYS = tuple(f.name for f in fields(Parameters))
-_TOP_KEYS = ("parameters", "initial_state", "schedule", "t_end",
-             "log_interval", "tolerances", "method")
 
-#: Default disturbance script: three step events on top of the t = 0 hold.
-DEFAULT_SCHEDULE = [
-    (0.0, dict(k_ch=0.50, gamma_K=0.20, f_in=1.0e-4, f_fl=0.0, q_p_ref=0.003)),
-    (2.0e4, dict(k_ch=0.80)),
-    (5.0e4, dict(gamma_K=0.50)),
-    (6.0e4, dict(f_in=1.5e-4)),
-]
-DEFAULT_T_END = 1.0e5
-DEFAULT_LOG_INTERVAL = 50.0
-DEFAULT_RTOL = 1e-6
-DEFAULT_ATOL = 1e-9
-DEFAULT_INITIAL_MASSES = dict(M_s=2500.0, M_fl=25000.0)
+
+@functools.lru_cache(maxsize=None)
+def _shipped() -> dict:
+    """The shipped default document, read once per process.
+
+    Every caller lays a document over it and none may mutate it. libyaml's
+    loader, where PyYAML has it, reads the file several times faster than
+    the pure-Python one.
+    """
+    text = Path(__file__).with_name("default_scenario.yaml").read_text()
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                          yaml.SafeLoader))
 
 
 def _reject_unknown(mapping: dict, allowed, path: str) -> None:
@@ -63,20 +63,25 @@ def _as_number(value, path: str) -> float:
     return v
 
 
-def _resolve_initial_state(state_doc: dict, params: Parameters,
+def _section(doc: dict, key: str, allowed) -> dict:
+    """The mapping `doc[key]` laid key by key over the shipped one."""
+    section = doc.get(key) or {}
+    if not isinstance(section, dict):
+        raise InvariantViolation(key, "must be a mapping")
+    _reject_unknown(section, allowed, key)
+    return {**_shipped()[key], **{k: _as_number(v, f"{key}.{k}")
+                                 for k, v in section.items()}}
+
+
+def _resolve_initial_state(vals: dict, params: Parameters,
                            first_inputs: ExogenousInputs) -> ProcessState:
-    """Fill unspecified initial states with on-manifold defaults.
+    """Fill the initial states no document sets with on-manifold values.
 
     The default trajectory starts with the discharge already running at the
     protected reference: q_p_cmd = sigma_C(C0) * q_p_ref, q_p = q_p_cmd and
     H0 at the engine's equivalent head, so the loop begins on the sliding
     surface.
     """
-    vals = dict(DEFAULT_INITIAL_MASSES)
-    vals.update({k: 0.0 for k in ("xi_eq", "E_h", "E_useful", "E_elec")})
-    for key, value in state_doc.items():
-        vals[key] = _as_number(value, f"initial_state.{key}")
-
     if "q_p_cmd" not in vals:
         C0 = consistency(vals["M_s"], vals["M_fl"], params.eps)
         sigma0 = smc.consistency_guard(C0, params.C_max, params.alpha_sig)
@@ -84,30 +89,31 @@ def _resolve_initial_state(state_doc: dict, params: Parameters,
     if "q_p" not in vals:
         vals["q_p"] = vals["q_p_cmd"]
     if "H0" not in vals:
-        y = [vals.get(k, 0.0) for k in _STATE_KEYS]
+        y = [vals.get(k, 0.0) for k in _STATE_KEYS]  # H_eq reads no H0
         H_eq = evaluate_snapshot(y, params, first_inputs)["H_eq"]
         vals["H0"] = min(H_eq, params.H0_max)
     return ProcessState(**{k: vals[k] for k in _STATE_KEYS})
 
 
 def _resolve_schedule(schedule_doc, params: Parameters):
-    """Breakpoint list with piecewise inheritance of unspecified inputs."""
-    if schedule_doc is None:
-        entries = [dict(t=t, **vals) for t, vals in DEFAULT_SCHEDULE]
-    else:
-        if not isinstance(schedule_doc, list) or not schedule_doc:
-            raise InvariantViolation("schedule", "must be a non-empty list")
-        entries = []
-        for i, entry in enumerate(schedule_doc):
-            if not isinstance(entry, dict):
-                raise InvariantViolation(f"schedule[{i}]", "must be a mapping")
-            _reject_unknown(entry, ("t",) + _INPUT_KEYS, f"schedule[{i}]")
-            if "t" not in entry:
-                raise InvariantViolation(f"schedule[{i}]", "missing 't'")
-            entries.append(entry)
+    """Breakpoint list with piecewise inheritance of unspecified inputs.
+
+    A document's schedule replaces the shipped one; its first entry takes
+    every input it leaves unset from the shipped first entry.
+    """
+    shipped = _shipped()["schedule"]
+    entries = shipped if schedule_doc is None else schedule_doc
+    if not isinstance(entries, list) or not entries:
+        raise InvariantViolation("schedule", "must be a non-empty list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InvariantViolation(f"schedule[{i}]", "must be a mapping")
+        _reject_unknown(entry, ("t",) + _INPUT_KEYS, f"schedule[{i}]")
+        if "t" not in entry:
+            raise InvariantViolation(f"schedule[{i}]", "missing 't'")
 
     schedule = []
-    current = dict(DEFAULT_SCHEDULE[0][1])  # first-entry fallback values
+    current = {key: shipped[0][key] for key in _INPUT_KEYS}
     for i, entry in enumerate(entries):
         t = _as_number(entry["t"], f"schedule[{i}].t")
         for key in _INPUT_KEYS:
@@ -139,14 +145,10 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioSyntaxError(
             f"scenario document must be a mapping, got {type(doc).__name__}")
-    _reject_unknown(doc, _TOP_KEYS, "")
+    shipped = _shipped()
+    _reject_unknown(doc, shipped, "")
 
-    params_doc = doc.get("parameters") or {}
-    if not isinstance(params_doc, dict):
-        raise InvariantViolation("parameters", "must be a mapping")
-    _reject_unknown(params_doc, _PARAM_KEYS, "parameters")
-    params = Parameters(**{k: _as_number(v, f"parameters.{k}")
-                           for k, v in params_doc.items()})
+    params = Parameters(**_section(doc, "parameters", _PARAM_KEYS))
     try:
         params.validate()
     except ParameterError as exc:
@@ -154,12 +156,9 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
 
     schedule = _resolve_schedule(doc.get("schedule"), params)
 
-    state_doc = doc.get("initial_state") or {}
-    if not isinstance(state_doc, dict):
-        raise InvariantViolation("initial_state", "must be a mapping")
-    _reject_unknown(state_doc, _STATE_KEYS, "initial_state")
+    state_vals = _section(doc, "initial_state", _STATE_KEYS)
     try:
-        initial_state = _resolve_initial_state(state_doc, params,
+        initial_state = _resolve_initial_state(state_vals, params,
                                                schedule[0][1]).validate(params)
     except StateValidityError as exc:
         raise InvariantViolation("initial_state", str(exc)) from exc
@@ -168,21 +167,18 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
         raise InvariantViolation(
             "initial_state", f"no finite start head: {exc}") from exc
 
-    tol_doc = doc.get("tolerances") or {}
-    if not isinstance(tol_doc, dict):
-        raise InvariantViolation("tolerances", "must be a mapping")
-    _reject_unknown(tol_doc, ("rtol", "atol"), "tolerances")
-
+    tolerances = _section(doc, "tolerances", shipped["tolerances"])
     scenario = Scenario(
         parameters=params,
         initial_state=initial_state,
         schedule=schedule,
-        t_end=_as_number(doc.get("t_end", DEFAULT_T_END), "t_end"),
-        log_interval=_as_number(doc.get("log_interval", DEFAULT_LOG_INTERVAL),
+        t_end=_as_number(doc.get("t_end", shipped["t_end"]), "t_end"),
+        log_interval=_as_number(doc.get("log_interval",
+                                        shipped["log_interval"]),
                                 "log_interval"),
-        rtol=_as_number(tol_doc.get("rtol", DEFAULT_RTOL), "tolerances.rtol"),
-        atol=_as_number(tol_doc.get("atol", DEFAULT_ATOL), "tolerances.atol"),
-        method=str(doc.get("method", "LSODA")),
+        rtol=tolerances["rtol"],
+        atol=tolerances["atol"],
+        method=str(doc.get("method", shipped["method"])),
     )
     try:
         scenario.validate()

@@ -32,34 +32,34 @@ def _require_finite(name: str, value: float) -> float:
 class Parameters:
     """Physical, rheological, hydraulic, controller and numerical constants.
 
-    Defaults reproduce the reference operating point of the model; values
-    that have no published source are marked "not-in-paper" in the shipped
-    scenario file and are freely configurable here.
+    The reference values are in the shipped `default_scenario.yaml` (read
+    them as `default_scenario().parameters`), which marks those with no
+    published source "not-in-paper".
     """
 
-    rho_s: float = 1050.0      # dry-fiber density [kg/m^3]
-    rho_fl: float = 1100.0     # free-liquor density [kg/m^3]
-    w: float = 0.0             # solid moisture/void fraction [-]
-    n: float = 0.75            # Herschel-Bulkley flow index [-]
-    K_ref: float = 8.0e3       # reference hydraulic resistance
-    C_ref: float = 0.10        # reference consistency [-]
-    alpha_C: float = 2.0       # consistency-resistance exponent [-]
-    tau_y: float = 50.0        # yield stress [Pa]
-    K_HB: float = 75.0         # HB consistency index [Pa s^n]
-    D_pipe: float = 0.20       # blow-line diameter [m]
-    K_static: float = 0.01     # head-per-density coefficient [m m^3/kg]
-    tau_p: float = 120.0       # hydraulic relaxation time [s]
-    tau_H: float = 300.0       # pump actuator time constant [s]
-    tau_ref: float = 500.0     # reference-conditioning time constant [s]
-    H0_max: float = 120.0      # maximum hydraulic head [m]
-    q_p_max: float = 0.004     # maximum discharge flow [m^3/s]
-    lambda_q: float = 1.0e-4   # sliding-manifold gain [1/s]
-    k_smc: float = 3.0         # switching gain [m]
-    phi_q: float = 5.0e-4      # boundary-layer thickness [m^3/s]
-    C_max: float = 0.30        # supervisory consistency limit [-]
-    alpha_sig: float = 200.0   # supervisory sigmoid steepness [-]
-    eps: float = EPS_DEFAULT   # shared regularization [-]
-    eta_pm: float = 0.65       # combined pump-motor efficiency [-]
+    rho_s: float               # dry-fiber density [kg/m^3]
+    rho_fl: float              # free-liquor density [kg/m^3]
+    w: float                   # solid moisture/void fraction [-]
+    n: float                   # Herschel-Bulkley flow index [-]
+    K_ref: float               # reference hydraulic resistance
+    C_ref: float               # reference consistency [-]
+    alpha_C: float             # consistency-resistance exponent [-]
+    tau_y: float               # yield stress [Pa]
+    K_HB: float                # HB consistency index [Pa s^n]
+    D_pipe: float              # blow-line diameter [m]
+    K_static: float            # head-per-density coefficient [m m^3/kg]
+    tau_p: float               # hydraulic relaxation time [s]
+    tau_H: float               # pump actuator time constant [s]
+    tau_ref: float             # reference-conditioning time constant [s]
+    H0_max: float              # maximum hydraulic head [m]
+    q_p_max: float             # maximum discharge flow [m^3/s]
+    lambda_q: float            # sliding-manifold gain [1/s]
+    k_smc: float               # switching gain [m]
+    phi_q: float               # boundary-layer thickness [m^3/s]
+    C_max: float               # supervisory consistency limit [-]
+    alpha_sig: float           # supervisory sigmoid steepness [-]
+    eps: float                 # shared regularization [-]
+    eta_pm: float              # combined pump-motor efficiency [-]
 
     def validate(self) -> "Parameters":
         """Check every declared invariant; raise ParameterError on violation."""

@@ -64,6 +64,14 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "initial_state" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--t-end", "nan"), ("--t-end", "inf"), ("--log-every", "nan"),
+        ("--rtol", "nan"), ("--atol", "inf")])
+    def test_non_finite_override(self, tmp_path, capsys, flag, value):
+        code = main(["simulate", "--out", str(tmp_path / "run"), flag, value])
+        assert code == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

@@ -1,7 +1,9 @@
 """Closed-loop integration engine: logging grid, events, protections."""
 
+import math
 from collections import Counter
-from dataclasses import replace
+from collections.abc import Sequence
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from blowdown.engine import (inputs_at, integrate, integrate_fixed_rk4,
                              assemble_rhs, evaluate_snapshot)
 from blowdown.errors import ScenarioError
 from blowdown.scenario_io import default_scenario, parse_scenario
-from blowdown.state import ExogenousInputs
+from blowdown.state import ExogenousInputs, Parameters
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,53 @@ class TestInputsAt:
         assert inputs_at(schedule, 99.999).k_ch == 0.5
         assert inputs_at(schedule, 100.0).k_ch == 0.8
         assert inputs_at(schedule, 1e9).k_ch == 0.8
+
+    def test_before_first_breakpoint_raises(self):
+        schedule = [(10.0, ExogenousInputs(k_ch=0.5))]
+        with pytest.raises(ScenarioError, match="precedes"):
+            inputs_at(schedule, 5.0)
+
+    def test_lookup_reads_logarithmically_many_breakpoints(self):
+        n = 10_000
+        schedule = CountingSequence(
+            [(float(i), ExogenousInputs(k_ch=i / n)) for i in range(n)])
+        bound = 2 * math.ceil(math.log2(n)) + 2
+        for t in (0.0, 0.5, 4321.0, 4321.5, n - 1.0, 1e9):
+            schedule.reads = 0
+            assert inputs_at(schedule, t).k_ch == min(math.floor(t), n - 1) / n
+            assert schedule.reads <= bound
+
+
+class CountingSequence(Sequence):
+    """A read-only sequence that counts the elements read from it."""
+
+    def __init__(self, items):
+        self.items = items
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+
+class TestScenarioValidate:
+    @pytest.mark.parametrize("field,value", [
+        ("t_end", math.nan), ("t_end", math.inf), ("log_interval", math.nan),
+        ("log_interval", math.inf), ("rtol", math.nan), ("atol", math.inf)])
+    def test_non_finite_scalar_rejected(self, field, value):
+        scenario = replace(default_scenario(), **{field: value})
+        with pytest.raises(ScenarioError, match=f"{field} must be finite"):
+            scenario.validate()
+
+    def test_no_field_has_a_default(self):
+        # Every default lives in the shipped default_scenario.yaml.
+        for cls in (Parameters, engine.Scenario):
+            for f in fields(cls):
+                assert f.default is MISSING, f.name
+                assert f.default_factory is MISSING, f.name
 
 
 class TestRhsConsistency:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from blowdown import energetics, engine, hydraulics, rheology, smc, state
 from blowdown.engine import assemble_rhs, evaluate_snapshot
 from blowdown.errors import IntegrationError
-from blowdown.state import ExogenousInputs, Parameters, ProcessState
+from blowdown.state import ExogenousInputs, ProcessState
+from defaults import parameters
 
 DEFAULT_INPUTS = dict(k_ch=0.5, gamma_K=0.2, f_in=1.0e-4, f_fl=0.0,
                       q_p_ref=0.003)
@@ -92,7 +93,7 @@ def reference(y, p, u):
 
 def make_case(y=None, params=None, inputs=None):
     """(state vector, validated parameters, validated inputs)."""
-    p = Parameters(**(params or {})).validate()
+    p = parameters(**(params or {})).validate()
     u = ExogenousInputs(**{**DEFAULT_INPUTS, **(inputs or {})}).validate(p)
     return (ProcessState(**{**DEFAULT_STATE, **(y or {})}).as_array(), p, u)
 
@@ -148,7 +149,7 @@ def cases(draw):
         n=draw(st.floats(0.3, 1.5)),
         rho_s=draw(st.floats(900.0, 1300.0)),
         alpha_sig=draw(st.floats(10.0, 500.0)))
-    p = Parameters(**params).validate()
+    p = parameters(**params).validate()
     q_max = p.q_p_max
     flow = st.sampled_from([0.0, q_max]) | st.floats(-1e-3, 2.0 * q_max)
     y = dict(M_s=draw(mass), M_fl=draw(mass), q_p=draw(flow),

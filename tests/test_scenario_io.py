@@ -1,13 +1,16 @@
 """Scenario documents, CSV serialization, determinism."""
 
+import copy
 from dataclasses import fields, replace
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowdown import scenario_io
 from blowdown.engine import (PROT_MS_FLOOR, evaluate_snapshot, integrate,
                              integrate_fixed_rk4)
 from blowdown.errors import (InvariantViolation, ScenarioSyntaxError,
@@ -17,7 +20,7 @@ from blowdown.scenario_io import (MANIFOLD_COLUMNS, TRAJECTORY_COLUMNS,
                                   load_scenario, parse_scenario,
                                   read_trajectory, trajectory_csv,
                                   write_manifold, write_trajectory)
-from blowdown.state import ExogenousInputs, ProcessState
+from blowdown.state import ExogenousInputs, Parameters, ProcessState
 
 
 def per_cell_csv(columns, rows) -> str:
@@ -80,6 +83,68 @@ class TestParsing:
         scenario = load_scenario(doc)
         assert scenario.t_end == 1234.0
         assert scenario.parameters.k_smc == 2.5
+
+
+class TestShippedDefaults:
+    """`default_scenario.yaml` is the one home of every default value."""
+
+    def test_shipped_document_names_every_default(self):
+        shipped = scenario_io._shipped()
+        assert list(shipped["parameters"]) == [f.name for f in
+                                               fields(Parameters)]
+        first = shipped["schedule"][0]
+        assert set(first) == {"t"} | {f.name for f in
+                                      fields(ExogenousInputs)}
+
+    def test_defaults_are_read_from_the_shipped_document(self, monkeypatch):
+        edited = copy.deepcopy(scenario_io._shipped())
+        edited["parameters"]["k_smc"] = 4.5
+        edited["initial_state"]["M_s"] = 1234.0
+        edited["schedule"][0]["k_ch"] = 0.25
+        edited["t_end"] = 777.0
+        edited["tolerances"]["rtol"] = 1e-5
+        monkeypatch.setattr(scenario_io, "_shipped", lambda: edited)
+        scenario = parse_scenario({})
+        assert scenario.parameters.k_smc == 4.5
+        assert scenario.initial_state.M_s == 1234.0
+        assert scenario.schedule[0][1].k_ch == 0.25
+        assert scenario.t_end == 777.0 and scenario.rtol == 1e-5
+
+    def test_overrides_leave_the_defaults_unchanged(self):
+        before = parse_scenario({})
+        shipped = copy.deepcopy(scenario_io._shipped())
+        scenario = parse_scenario({
+            "parameters": {"k_smc": 2.0},
+            "initial_state": {"M_s": 100.0, "q_p": 0.001},
+            "schedule": [{"t": 0.0, "k_ch": 0.9}, {"t": 10.0, "f_in": 0.0}],
+            "tolerances": {"atol": 1e-8}})
+        # The first entry takes the inputs it leaves unset from the
+        # shipped first entry; the shipped later entries are dropped.
+        default_first = before.schedule[0][1]
+        assert scenario.schedule == [
+            (0.0, replace(default_first, k_ch=0.9)),
+            (10.0, replace(default_first, k_ch=0.9, f_in=0.0))]
+        assert scenario.parameters == replace(before.parameters, k_smc=2.0)
+        assert scenario.initial_state.M_fl == before.initial_state.M_fl
+        assert (scenario.rtol, scenario.atol) == (before.rtol, 1e-8)
+        assert scenario_io._shipped() == shipped
+        assert parse_scenario({}) == before
+
+    def test_file_read_at_most_once(self, monkeypatch):
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            if path.name == "default_scenario.yaml":
+                reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        scenario_io._shipped.cache_clear()
+        for _ in range(3):
+            parse_scenario({})
+        parse_scenario("t_end: 10.0\n")
+        assert len(reads) == 1
 
 
 class TestSchedule:

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from blowdown.errors import ParameterError, StateValidityError
-from blowdown.state import (ExogenousInputs, Parameters, ProcessState,
-                            consistency, mixture_density, phase_volumes)
+from blowdown.state import (ExogenousInputs, ProcessState, consistency,
+                            mixture_density, phase_volumes)
+from defaults import parameters
 
 
 class TestConsistency:
@@ -81,7 +82,7 @@ class TestPhaseVolumes:
 
 class TestParameters:
     def test_defaults_validate(self):
-        Parameters().validate()
+        parameters().validate()
 
     @pytest.mark.parametrize("field,value", [
         ("n", -1.0), ("n", 0.0), ("rho_s", 0.0), ("eps", 0.0),
@@ -90,16 +91,16 @@ class TestParameters:
         ("D_pipe", 0.0), ("alpha_sig", 0.0), ("w", 1.0),
     ])
     def test_bad_value_rejected(self, field, value):
-        params = Parameters(**{field: value})
+        params = parameters(**{field: value})
         with pytest.raises(ParameterError):
             params.validate()
 
     def test_zero_switching_gain_is_allowed(self):
-        Parameters(k_smc=0.0).validate()
+        parameters(k_smc=0.0).validate()
 
     def test_nonfinite_rejected_by_name(self):
         with pytest.raises(ParameterError, match="tau_y"):
-            Parameters(tau_y=math.inf).validate()
+            parameters(tau_y=math.inf).validate()
 
 
 class TestProcessState:
@@ -111,31 +112,31 @@ class TestProcessState:
 
     def test_rejects_negative_mass(self):
         with pytest.raises(StateValidityError):
-            ProcessState(M_s=-1.0, M_fl=0.0).validate(Parameters())
+            ProcessState(M_s=-1.0, M_fl=0.0).validate(parameters())
 
     def test_rejects_flow_above_bound(self):
         with pytest.raises(StateValidityError):
-            ProcessState(M_s=1.0, M_fl=1.0, q_p=0.005).validate(Parameters())
+            ProcessState(M_s=1.0, M_fl=1.0, q_p=0.005).validate(parameters())
 
     def test_rejects_head_above_bound(self):
         with pytest.raises(StateValidityError):
-            ProcessState(M_s=1.0, M_fl=1.0, H0=121.0).validate(Parameters())
+            ProcessState(M_s=1.0, M_fl=1.0, H0=121.0).validate(parameters())
 
     @pytest.mark.parametrize("q_p_cmd", [-1e-4, 0.005])
     def test_rejects_reference_outside_flow_bounds(self, q_p_cmd):
         with pytest.raises(StateValidityError, match="q_p_cmd"):
             ProcessState(M_s=1.0, M_fl=1.0,
-                         q_p_cmd=q_p_cmd).validate(Parameters())
+                         q_p_cmd=q_p_cmd).validate(parameters())
 
 
 class TestExogenousInputs:
     def test_defaults_validate(self):
-        ExogenousInputs().validate(Parameters())
+        ExogenousInputs().validate(parameters())
 
     def test_rejects_channeling_above_one(self):
         with pytest.raises(StateValidityError):
-            ExogenousInputs(k_ch=1.1).validate(Parameters())
+            ExogenousInputs(k_ch=1.1).validate(parameters())
 
     def test_rejects_reference_above_flow_bound(self):
         with pytest.raises(StateValidityError):
-            ExogenousInputs(q_p_ref=0.005).validate(Parameters())
+            ExogenousInputs(q_p_ref=0.005).validate(parameters())
