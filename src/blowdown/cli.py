@@ -156,8 +156,8 @@ def _cmd_sweep(args) -> int:
         runs.append((value, scenario))
 
     out_root = Path(args.out)
-    # Processes, not threads: scipy's lsoda carries global Fortran state and
-    # can only integrate one problem at a time per process.
+    # Processes, not threads: DOPRI5 steps in pure Python, holding the GIL,
+    # and scipy's lsoda keeps global Fortran state, one problem per process.
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(len(runs), 8)) as pool:
         futures = {

@@ -5,16 +5,20 @@ memory and energy quadratures):
 
     y = [M_s, M_fl, q_p, xi_eq, H0, q_p_cmd, E_h, E_useful, E_elec]
 
-Disturbance breakpoints are handled by stopping and restarting the solver
+Disturbance breakpoints are handled by stopping and restarting the stepper
 exactly at each breakpoint, so no step ever straddles an input discontinuity.
 Numerical protections (mass floors, flow/head bounds, bounded relaxation
-target) are applied after every accepted step; a bitmask of the protections
-that fired is logged with each trajectory row.
+target) are applied after every accepted step, and a clamped state restarts
+the stepper; a bitmask of the protections that fired is logged with each
+trajectory row. Every integrator runs in this one loop, `_drive`. `DOPRI5` is
+an owned Dormand-Prince 5(4) pair on Python floats; its step cap makes a
+stiff scenario fail fast and name `LSODA` (the shipped method) and `BDF`,
+scipy's solvers, which `integrate` imports only when a scenario uses them.
 
 A run is one table with a row per logged instant and a column per name in
 `TRAJECTORY_COLUMNS`: the differential states, the held inputs, the
 algebraic reconstructions of `evaluate_snapshot`, dV/dt and the protection
-mask. Both integrators log through the same row builder.
+mask. Every integrator logs through the same row builder.
 
 The right-hand side and the logged reconstructions come from one kernel,
 `_evaluate`, which calls the unchecked form of each physics equation. The
@@ -26,13 +30,13 @@ only that its results are finite.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import BDF, LSODA, RK45
 
 from .energetics import _efficiency, _electrical_power, _head_power
 from .errors import IntegrationError, ParameterError, ScenarioError
@@ -53,7 +57,8 @@ PROT_QP_BOUND = 0x04      # discharge flow clamped to [0, q_p_max]
 PROT_H0_BOUND = 0x08      # applied head clamped to [0, H0_max]
 PROT_QCMD_BOUND = 0x10    # conditioned reference clamped to [0, q_p_max]
 
-_SOLVERS = {"LSODA": LSODA, "BDF": BDF, "RK45": RK45}
+_METHODS = ("DOPRI5", "LSODA", "BDF")
+MAX_LOG_ROWS = 1_000_000  # checked before any row is built
 
 #: Bounded-hydraulic-resistance protection: the resistance used by the
 #: closed loop is evaluated at no less than this consistency, so a drained
@@ -104,8 +109,13 @@ class Scenario:
             raise ScenarioError("log_interval must be positive")
         if self.rtol <= 0 or self.atol <= 0:
             raise ScenarioError("tolerances must be positive")
-        if self.method not in _SOLVERS:
+        if self.method not in _METHODS:
             raise ScenarioError(f"unknown integration method {self.method!r}")
+        rows = self.t_end // self.log_interval + 1 + len(self.schedule)
+        if rows > MAX_LOG_ROWS:
+            raise ScenarioError(f"t_end // log_interval + 1 + breakpoints "
+                                f"gives {rows:,.0f} log rows, above "
+                                f"{MAX_LOG_ROWS:,}")
         return self
 
 
@@ -190,8 +200,8 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     `max(x, lo)` and `hi if x > hi else x` is `min(x, hi)`, NaN and -0.0
     included.
     """
-    M_s, M_fl, q_p, xi_eq, H0, q_cmd, _, _, _ = np.asarray(
-        y, dtype=float).tolist()
+    y = y if type(y) is list else np.asarray(y, dtype=float).tolist()
+    M_s, M_fl, q_p, xi_eq, H0, q_cmd, _, _, _ = y
     states = (M_s, M_fl, q_p, xi_eq, H0, q_cmd)
     q_p_max, H0_max = p.q_p_max, p.H0_max
     M_s = 0.0 if M_s < 0.0 else M_s
@@ -297,15 +307,14 @@ def _raise_non_finite(checked, states) -> None:
             raise IntegrationError(f"non-finite state {name!r} in RHS")
 
 
-def _protect_array(y: np.ndarray, p: Parameters) -> Tuple[np.ndarray, int]:
+def _protect(y: List[float], p: Parameters) -> Tuple[List[float], int]:
     """The state with every crossed hard bound clamped, and the bits crossed.
 
     Returns `y` itself when no bound is crossed, else a clamped copy.
     """
-    vals = y.tolist()
-    if not all(map(math.isfinite, vals)):
+    if not all(map(math.isfinite, y)):
         raise IntegrationError("protection cannot repair a non-finite state")
-    M_s, M_fl, q_p, _, H0, q_cmd = vals[:6]
+    M_s, M_fl, q_p, _, H0, q_cmd = y[:6]
     mask = ((M_s < 0.0) * PROT_MS_FLOOR
             | (M_fl < 0.0) * PROT_MFL_FLOOR
             | (not 0.0 <= q_p <= p.q_p_max) * PROT_QP_BOUND
@@ -313,7 +322,7 @@ def _protect_array(y: np.ndarray, p: Parameters) -> Tuple[np.ndarray, int]:
             | (not 0.0 <= q_cmd <= p.q_p_max) * PROT_QCMD_BOUND)
     if not mask:
         return y, 0
-    out = np.array(y, dtype=float)
+    out = list(y)
     out[0] = max(M_s, 0.0)
     out[1] = max(M_fl, 0.0)
     out[2] = min(max(q_p, 0.0), p.q_p_max)
@@ -324,22 +333,13 @@ def _protect_array(y: np.ndarray, p: Parameters) -> Tuple[np.ndarray, int]:
 
 def _log_grid(scenario: Scenario) -> List[float]:
     """Multiples of log_interval plus every breakpoint plus t_end."""
-    t_end = scenario.t_end
-    pts = {0.0, t_end}
-    k = 0
-    while True:
-        t = k * scenario.log_interval
-        if t > t_end:
-            break
-        pts.add(t)
-        k += 1
-    for t, _ in scenario.schedule:
-        if 0.0 <= t <= t_end:
-            pts.add(t)
-    return sorted(pts)
+    t_end, step = scenario.t_end, scenario.log_interval
+    pts = {k * step for k in range(int(t_end // step) + 2) if k * step <= t_end}
+    pts.update(t for t, _ in scenario.schedule if 0.0 <= t <= t_end)
+    return sorted(pts | {0.0, t_end})
 
 
-def _log_row(rows: List[Tuple[float, ...]], t: float, y_raw,
+def _log_row(rows: List[Tuple[float, ...]], t: float, y_raw: Sequence[float],
              scenario: Scenario, mask: int) -> None:
     """Append the trajectory row logged at `t`.
 
@@ -348,7 +348,7 @@ def _log_row(rows: List[Tuple[float, ...]], t: float, y_raw,
     and `mask` together with the protections this state itself needs.
     """
     p = scenario.parameters
-    y, m = _protect_array(y_raw, p)
+    y, m = _protect(y_raw if type(y_raw) is list else y_raw.tolist(), p)
     u = inputs_at(scenario.schedule, t)
     row = evaluate_snapshot(y, p, u)
     dVdt = 0.0
@@ -356,10 +356,50 @@ def _log_row(rows: List[Tuple[float, ...]], t: float, y_raw,
         prev = rows[-1]
         dVdt = _lyapunov_rate(row["s_q"], prev[_COLUMN_INDEX["s_q"]],
                               t - prev[0])
-    row.update(zip(_STATE_NAMES, y.tolist()), t=t, dVdt=dVdt,
-               protection_mask=m | mask)
+    row.update(zip(_STATE_NAMES, y), t=t, dVdt=dVdt, protection_mask=m | mask)
     row.update(vars(u))
     rows.append(_ROW_VALUES(row))
+
+
+def _drive(scenario: Scenario, segment) -> Trajectory:
+    """The segment, logging and protection loop shared by every integrator.
+
+    `segment(ta, tb, y, u)` yields `(t, y, dense, fired)` after each step:
+    `dense()` interpolates inside it, and `fired` holds the protections the
+    stepper has already applied to `y`. Rows due by `t` are logged, then a
+    clamped state is sent back as a restart."""
+    p = scenario.parameters
+    y = scenario.initial_state.as_array()
+    log_times = _log_grid(scenario)
+    seg_edges = sorted({t for t, _ in scenario.schedule
+                        if t <= scenario.t_end} | {scenario.t_end})
+    rows: List[Tuple[float, ...]] = []
+    _log_row(rows, 0.0, y, scenario, 0)
+    accum, log_idx = 0, 1  # t = 0 already recorded
+    for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
+        steps, sent = segment(ta, tb, y, inputs_at(scenario.schedule, ta)), None
+        while True:
+            try:
+                t, y, dense, fired = steps.send(sent)
+            except StopIteration:
+                break
+            accum |= fired
+            sol = None  # built only for a log time inside the step
+            t_due = min(tb, t + 1e-12 * max(1.0, t))
+            while log_idx < len(log_times) and log_times[log_idx] <= t_due:
+                t_log = log_times[log_idx]
+                if t_log < t and dense is not None:
+                    sol = sol or dense()
+                    y_log = sol(t_log)
+                else:
+                    y_log = y
+                _log_row(rows, t_log, y_log, scenario, accum)
+                accum = 0
+                log_idx += 1
+            y, m = _protect(y, p)
+            accum |= m
+            sent = y if m else None
+    return Trajectory(rows)
 
 
 def integrate(scenario: Scenario) -> Trajectory:
@@ -368,103 +408,163 @@ def integrate(scenario: Scenario) -> Trajectory:
     Deterministic: an identical scenario produces a bit-identical trajectory.
     """
     scenario.validate()
-    p = scenario.parameters
-    solver_cls = _SOLVERS[scenario.method]
+    if scenario.method == "DOPRI5":
+        return _drive(scenario, _dopri5(scenario))
+    import scipy.integrate  # a scipy OdeSolver, rebuilt on every restart
+    solver_cls = getattr(scipy.integrate, scenario.method)
+    p, rtol, atol = scenario.parameters, scenario.rtol, scenario.atol
 
-    y = np.array(scenario.initial_state.as_array(), dtype=float)
-    log_times = _log_grid(scenario)
-    breakpoints = [t for t, _ in scenario.schedule if t <= scenario.t_end]
-    seg_edges = sorted(set(breakpoints) | {scenario.t_end})
-
-    rows: List[Tuple[float, ...]] = []
-    _log_row(rows, 0.0, y, scenario, 0)
-    if scenario.t_end == 0.0:
-        return Trajectory(rows)
-
-    accum = 0
-    log_idx = 1  # t = 0 already recorded
-    for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
-        u = inputs_at(scenario.schedule, ta)
-
-        def fun(t, yy, _u=u):
-            return assemble_rhs(t, yy, p, _u)
-
-        solver = solver_cls(fun, ta, y, tb, rtol=scenario.rtol,
-                            atol=scenario.atol)
+    def segment(ta, tb, y, u):
+        def fun(t, y):  # scipy's y is a float array: the kernel takes a list
+            return assemble_rhs(t, y.tolist(), p, u)
+        solver = solver_cls(fun, ta, y, tb, rtol=rtol, atol=atol)
         while solver.status == "running":
             msg = solver.step()
             if solver.status == "failed":
                 raise IntegrationError(
                     f"integration step failed: {msg}", t=solver.t,
                     state=ProcessState.from_array(solver.y))
-            sol = None  # built only for a log time inside the step
-            while (log_idx < len(log_times)
-                   and log_times[log_idx] <= solver.t + 1e-12 * max(1.0, solver.t)
-                   and log_times[log_idx] <= tb):
-                t_log = log_times[log_idx]
-                if t_log < solver.t:
-                    if sol is None:
-                        sol = solver.dense_output()
-                    y_log = sol(t_log)
-                else:
-                    y_log = np.array(solver.y)
-                _log_row(rows, t_log, y_log, scenario, accum)
-                accum = 0
-                log_idx += 1
-            y_prot, m = _protect_array(solver.y, p)
-            if m:
-                accum |= m
-                if solver.status == "running":
-                    solver = solver_cls(fun, solver.t, y_prot, tb,
-                                        rtol=scenario.rtol, atol=scenario.atol)
-                else:
-                    solver.y[:] = y_prot
-        y = solver.y  # already protected after the segment's last step
+            y = yield solver.t, solver.y.tolist(), solver.dense_output, 0
+            if y is not None and solver.status == "running":
+                solver = solver_cls(fun, solver.t, y, tb, rtol=rtol, atol=atol)
+    return _drive(scenario, segment)
 
-    return Trajectory(rows)
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6):
+# stage nodes and weights, the last row the 5th-order solution (FSAL).
+_DOPRI5_STAGES = (
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)))
+_DOPRI5_ERROR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                 22 / 525, -1 / 40)
+#: Step attempts a DOPRI5 run may make before it is declared stiff.
+DOPRI5_MAX_STEPS = 100_000
+
+
+@functools.lru_cache(maxsize=None)
+def _dopri5_attempt(n: int = len(_STATE_NAMES)):
+    """`attempt(rhs, p, u, t, h, y, k1, atol, rtol)` -> (y_new, err, stages),
+    one sum per state component on local floats: on 100 ensemble members, zip
+    comprehensions take 1.3 times as long, a loop over the tableau 2.2 times."""
+    def unpack(s):
+        return ", ".join(f"k{s}_{i}" for i in range(n)) + f" = k{s}"
+
+    def weighted(weights, i):
+        return " + ".join(f"{w!r} * k{j}_{i}"
+                          for j, w in enumerate(weights, 1) if w)
+
+    lines = ["def attempt(rhs, p, u, t, h, y, k1, atol, rtol):",
+             ", ".join(f"y_{i}" for i in range(n)) + " = y", unpack(1)]
+    for s, (c, row) in enumerate(_DOPRI5_STAGES, 2):
+        z = ", ".join(f"y_{i} + h * ({weighted(row, i)})" for i in range(n))
+        lines += [f"z = [{z}]", f"k{s} = rhs(t + {c!r} * h, z, p, u).tolist()",
+                  unpack(s)]
+    err = ", ".join(f"({weighted(_DOPRI5_ERROR, i)}) / "
+                    f"(atol + rtol * max(abs(y_{i}), abs(z[{i}])))"
+                    for i in range(n))
+    lines += [f"err = h / {math.sqrt(n)!r} * hypot({err})",
+              "return z, err, (k1, k2, k3, k4, k5, k6, k7)"]
+    exec("\n    ".join(lines), namespace := {"hypot": math.hypot})
+    return namespace["attempt"]
+
+
+def _dopri5(scenario: Scenario):
+    """Segments stepped by DOPRI5 with the standard step controller (safety
+    0.9, factor in [0.2, 10], at most 1 right after a rejection)."""
+    p, rtol, atol = scenario.parameters, scenario.rtol, scenario.atol
+    attempt, cap, attempts = _dopri5_attempt(), DOPRI5_MAX_STEPS, 0
+
+    def start(rhs, t, y, tb, u):  # scipy's initial step (Hairer et al. II.4)
+        f0 = rhs(t, y, p, u).tolist()
+        scale = [(atol + abs(v) * rtol) * math.sqrt(len(y)) for v in y]
+        d0, d1 = (math.hypot(*[v / s for v, s in zip(w, scale)])
+                  for w in (y, f0))  # RMS norms
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tb - t)
+        f1 = rhs(t + h0, [v + h0 * a for v, a in zip(y, f0)], p, u).tolist()
+        d2 = math.hypot(*[(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
+              else (0.01 / max(d1, d2)) ** 0.2)
+        return f0, min(100.0 * h0, h1, tb - t)
+
+    def segment(ta, tb, y, u):
+        nonlocal attempts
+        rhs, t = assemble_rhs, ta
+        f, h_next = start(rhs, t, y, tb, u)
+        while t < tb:
+            min_step = 10.0 * math.ulp(t)
+            h_next, rejected = max(h_next, min_step), False
+            while True:
+                attempts += 1
+                if attempts > cap or h_next < min_step:
+                    raise IntegrationError(
+                        f"DOPRI5 needs more than {cap} step attempts or a step"
+                        " below 10 ulp of t; for a stiff scenario use method:"
+                        " LSODA or BDF", t=t, state=ProcessState.from_array(y))
+                t_new = min(t + h_next, tb)
+                h = t_new - t
+                y_new, err, ks = attempt(rhs, p, u, t, h, y, f, atol, rtol)
+                if err < 1.0:
+                    factor = min(10.0, 0.9 * err ** -0.2) if err else 10.0
+                    h_next = h * (min(1.0, factor) if rejected else factor)
+                    break
+                h_next, rejected = h * max(0.2, 0.9 * err ** -0.2), True
+            sent = yield t_new, y_new, functools.partial(
+                _dopri5_dense, t, h, y, y_new, ks), 0
+            t, y, f = t_new, y_new, ks[6]
+            if sent is not None and t < tb:  # restart from the clamped state
+                y = sent
+                f, h_next = start(rhs, t, y, tb, u)
+    return segment
+
+
+def _dopri5_dense(t0, h, y0, y1, ks):
+    """Hairer's free 4th-order continuous extension of one DOPRI5 step."""
+    d1, d3, d4, d5, d6, d7 = (
+        -12715105075 / 11282082432, 87487479700 / 32700410799,
+        -10690763975 / 1880347072, 701980252875 / 199316789632,
+        -1453857185 / 822651844, 69997945 / 29380423)
+    rc = [(v, w - v, h * a - (w - v), (w - v) - h * k - (h * a - (w - v)),
+           h * (d1 * a + d3 * c + d4 * d + d5 * e + d6 * g + d7 * k))
+          for v, w, a, _, c, d, e, g, k in zip(y0, y1, *ks)]
+    def at(t):
+        s = (t - t0) / h
+        return [r1 + s * (r2 + (1.0 - s) * (r3 + s * (r4 + (1.0 - s) * r5)))
+                for r1, r2, r3, r4, r5 in rc]
+    return at
 
 
 def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
     """Independent fixed-step 4th-order reference integrator.
 
     Shares the right-hand side, the log grid, the post-step protections and
-    the row builder with `integrate`; its stepping and event alignment are
-    implemented from scratch so the two paths can cross-check each other.
-    Steps never straddle an input breakpoint.
+    the row builder with `integrate`; its stepping is implemented from
+    scratch so the two paths can cross-check each other. A step end is
+    protected, then logged for every log time it reaches, and the first of
+    those rows carries its protections.
     """
     scenario.validate()
     if dt <= 0:
         raise ParameterError("dt must be positive")
     p = scenario.parameters
-    y = np.array(scenario.initial_state.as_array(), dtype=float)
-    log_times = _log_grid(scenario)
-    seg_edges = sorted({t for t, _ in scenario.schedule
-                        if t <= scenario.t_end} | {scenario.t_end})
 
-    rows: List[Tuple[float, ...]] = []
-    _log_row(rows, 0.0, y, scenario, 0)
-    if scenario.t_end == 0.0:
-        return Trajectory(rows)
-
-    log_idx = 1
-    accum = 0
-    for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
-        u = inputs_at(scenario.schedule, ta)
+    def segment(ta, tb, y, u):
         n_steps = max(1, int(math.ceil((tb - ta) / dt - 1e-12)))
         h = (tb - ta) / n_steps
-        t = ta
-        for _ in range(n_steps):
-            k1 = assemble_rhs(t, y, p, u)
-            k2 = assemble_rhs(t + 0.5 * h, y + 0.5 * h * k1, p, u)
-            k3 = assemble_rhs(t + 0.5 * h, y + 0.5 * h * k2, p, u)
-            k4 = assemble_rhs(t + h, y + h * k3, p, u)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            y, m = _protect_array(y, p)
-            accum |= m
-            while (log_idx < len(log_times)
-                   and log_times[log_idx] <= t + 1e-9):
-                _log_row(rows, log_times[log_idx], y, scenario, accum)
-                accum = 0
-                log_idx += 1
-    return Trajectory(rows)
+        h2, h6 = 0.5 * h, h / 6.0
+        def f(t, z):
+            return assemble_rhs(t, z, p, u).tolist()
+        for i in range(1, n_steps + 1):
+            t = ta + (i - 1) * h
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k1)])
+            k3 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k2)])
+            k4 = f(t + h, [v + h * a for v, a in zip(y, k3)])
+            y, fired = _protect([v + h6 * (a + 2.0 * b + 2.0 * c + d)
+                                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)],
+                                p)
+            yield (tb if i == n_steps else ta + i * h), y, None, fired
+    return _drive(scenario, segment)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from blowdown import engine
 from blowdown.cli import (EXIT_OK, EXIT_USAGE, main)
 from blowdown.scenario_io import TRAJECTORY_COLUMNS, read_trajectory
 
@@ -71,6 +72,18 @@ class TestSimulate:
         code = main(["simulate", "--out", str(tmp_path / "run"), flag, value])
         assert code == EXIT_USAGE
         assert "must be finite" in capsys.readouterr().err
+
+    def test_too_many_log_rows(self, tmp_path, capsys, monkeypatch):
+        def no_grid(scenario):
+            raise AssertionError("the log grid was built")
+        monkeypatch.setattr(engine, "_log_grid", no_grid)
+        doc = tmp_path / "huge.yaml"
+        doc.write_text("t_end: 1.0e+12\nlog_interval: 1.0e-3\n")
+        for source in (["--scenario", str(doc)],
+                       ["--t-end", "1e12", "--log-every", "1e-3"]):
+            code = main(["simulate", "--out", str(tmp_path / "run")] + source)
+            assert code == EXIT_USAGE
+            assert "above 1,000,000" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -1,17 +1,24 @@
 """Closed-loop integration engine: logging grid, events, protections."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import MISSING, fields, replace
+from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blowdown
 from blowdown import engine
+from blowdown.cli import EXIT_NUMERICAL, main
 from blowdown.engine import (inputs_at, integrate, integrate_fixed_rk4,
                              assemble_rhs, evaluate_snapshot)
-from blowdown.errors import ScenarioError
+from blowdown.errors import IntegrationError, ScenarioError
 from blowdown.scenario_io import default_scenario, parse_scenario
 from blowdown.state import ExogenousInputs, Parameters
 
@@ -71,12 +78,33 @@ class TestScenarioValidate:
         with pytest.raises(ScenarioError, match=f"{field} must be finite"):
             scenario.validate()
 
+    @pytest.mark.parametrize("t_end,log_interval,rows", [
+        (1e12, 1e-3, "1,000,000,000,000,004"), (1e308, 5e-324, "inf"),
+        (999_996.0, 1.0, "1,000,001")])
+    def test_log_rows_bounded_before_the_grid_is_built(
+            self, monkeypatch, t_end, log_interval, rows):
+        monkeypatch.setattr(engine, "_log_grid", _grid_must_not_be_built)
+        scenario = replace(default_scenario(), t_end=t_end,
+                           log_interval=log_interval)
+        with pytest.raises(ScenarioError, match=f"gives {rows} log rows, "
+                           "above 1,000,000"):
+            scenario.validate()
+
+    def test_log_rows_at_the_bound_accepted(self):
+        # 999,995 intervals + the row at t = 0 + 4 breakpoints
+        replace(default_scenario(), t_end=999_995.0,
+                log_interval=1.0).validate()
+
     def test_no_field_has_a_default(self):
         # Every default lives in the shipped default_scenario.yaml.
         for cls in (Parameters, engine.Scenario):
             for f in fields(cls):
                 assert f.default is MISSING, f.name
                 assert f.default_factory is MISSING, f.name
+
+
+def _grid_must_not_be_built(scenario):
+    raise AssertionError("the log grid was built")
 
 
 class TestRhsConsistency:
@@ -242,7 +270,7 @@ class TestBounds:
 
 
 class TestSolverChoices:
-    @pytest.mark.parametrize("method", ["BDF", "RK45"])
+    @pytest.mark.parametrize("method", ["BDF", "DOPRI5"])
     def test_alternative_methods_agree_with_default(self, method, short_run):
         scenario, reference = short_run
         traj = integrate(replace(scenario, method=method))
@@ -252,9 +280,30 @@ class TestSolverChoices:
             assert np.max(np.abs(a - b) / denom) < 1e-3
 
     def test_unknown_method_rejected(self):
-        scenario = replace(default_scenario(), method="EULER")
-        with pytest.raises(ScenarioError):
-            scenario.validate()
+        for method in ("EULER", "RK45"):
+            scenario = replace(default_scenario(), method=method)
+            with pytest.raises(ScenarioError):
+                scenario.validate()
+
+    @pytest.mark.parametrize("t_end,dt", [(5.0e4, 6.1), (3.0e4, 0.7)])
+    def test_fixed_step_logs_every_grid_time(self, t_end, dt):
+        # 8,197 steps of 6.1 s, or 28,572 of 0.7 s in the first segment:
+        # their summed times drift further from the grid than an absolute
+        # 1e-9 s, which used to drop the row at t_end.
+        scenario = parse_scenario({"t_end": t_end, "log_interval": 1000.0})
+        traj = integrate_fixed_rk4(scenario, dt=dt)
+        assert traj.times.tolist() == engine._log_grid(scenario)
+
+    def test_fixed_step_reports_a_clamp_once(self):
+        # The first 280 s step overshoots q_p below 0 and logs the rows at
+        # 100 and 200 s: only the first of them carries the clamp.
+        scenario = parse_scenario({
+            "initial_state": {"M_s": 1.0, "M_fl": 5.0}, "t_end": 3.0e4,
+            "log_interval": 100.0})
+        traj = integrate_fixed_rk4(scenario, dt=280.0)
+        mask = traj.column("protection_mask")
+        assert traj.times[mask != 0].tolist() == [100.0]
+        assert mask[1] == engine.PROT_QP_BOUND
 
     def test_fixed_step_reference_tracks_adaptive(self, short_run):
         scenario, reference = short_run
@@ -262,3 +311,114 @@ class TestSolverChoices:
         np.testing.assert_allclose(traj.times, reference.times)
         np.testing.assert_allclose(traj.column("q_p"),
                                    reference.column("q_p"), rtol=1e-4)
+
+
+class TestDopri5:
+    """The owned Dormand-Prince 5(4) stepper, `method: DOPRI5`."""
+
+    @pytest.mark.parametrize("start,behaviour", [
+        ({}, "tracks"), ({"M_s": 300.0, "M_fl": 3000.0}, "drains"),
+        ({"M_s": 4000.0, "M_fl": 6000.0}, "guards")])
+    def test_matches_tight_lsoda(self, start, behaviour):
+        doc = {"initial_state": start, "t_end": 2.0e4}
+        traj = integrate(parse_scenario({**doc, "method": "DOPRI5"}))
+        reference = integrate(parse_scenario(
+            {**doc, "method": "LSODA",
+             "tolerances": {"rtol": 1e-11, "atol": 1e-14}}))
+        q, q_ref = traj.column("q_p"), reference.column("q_p")
+        assert abs(q[-1] - q_ref[-1]) <= 1e-4 * max(abs(q_ref[-1]), 1e-3)
+        assert abs(traj.column("C")[-1] - reference.column("C")[-1]) <= 1e-5
+        if behaviour == "tracks":  # every 50 s row: the continuous extension
+            assert np.all(np.abs(q - q_ref)
+                          <= 1e-4 * np.maximum(np.abs(q_ref), 1e-3))
+        elif behaviour == "drains":
+            total = traj.column("M_s") + traj.column("M_fl")
+            assert total.min() < 100.0
+        else:  # C(0) = 0.4 > C_max
+            assert traj.column("sigma_C").min() < 0.5
+
+    def test_generated_attempt_matches_a_loop_over_the_tableau(self):
+        # Dormand & Prince (1980), written out here as exact fractions.
+        a = [[], [F(1, 5)], [F(3, 40), F(9, 40)],
+             [F(44, 45), F(-56, 15), F(32, 9)],
+             [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+             [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176),
+              F(-5103, 18656)],
+             [F(35, 384), 0, F(500, 1113), F(125, 192), F(-2187, 6784),
+              F(11, 84)]]
+        c = [0, F(1, 5), F(3, 10), F(4, 5), F(8, 9), 1, 1]
+        b4 = [F(5179, 57600), 0, F(7571, 16695), F(393, 640),
+              F(-92097, 339200), F(187, 2100), F(1, 40)]
+        scenario = default_scenario()
+        p, u = scenario.parameters, scenario.schedule[0][1]
+        y = scenario.initial_state.as_array()
+        t, h, rtol, atol = 10.0, 37.0, 1e-6, 1e-9
+        k = [assemble_rhs(t, y, p, u).tolist()]
+        for i in range(1, 7):
+            z = [v + h * sum(float(w) * kj[n] for w, kj in zip(a[i], k))
+                 for n, v in enumerate(y)]
+            k.append(assemble_rhs(t + float(c[i]) * h, z, p, u).tolist())
+        y4 = [v + h * sum(float(w) * kj[n] for w, kj in zip(b4, k))
+              for n, v in enumerate(y)]
+        err = math.sqrt(sum(((zn - y4n) / (atol + rtol * max(abs(v), abs(zn))))
+                            ** 2 for v, zn, y4n in zip(y, z, y4)) / len(y))
+        y_new, err_new, ks = engine._dopri5_attempt()(
+            assemble_rhs, p, u, t, h, y, k[0], atol, rtol)
+        np.testing.assert_allclose(y_new, z, rtol=1e-14)
+        np.testing.assert_allclose(ks, k, rtol=1e-14)
+        assert err_new == pytest.approx(err, rel=1e-6)
+        assert 0.01 < err < 100.0  # a step that the controller weighs
+
+    def test_step_cap_points_to_stiff_methods(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(engine, "DOPRI5_MAX_STEPS", 2000)
+        stiff = {"parameters": {"tau_p": 1.0e-3}}
+        with pytest.raises(IntegrationError, match="more than 2000 step "
+                           "attempts.*method: LSODA or BDF"):
+            integrate(parse_scenario({**stiff, "method": "DOPRI5"}))
+        doc = tmp_path / "stiff.yaml"
+        doc.write_text("parameters:\n  tau_p: 1.0e-3\nmethod: DOPRI5\n")
+        assert main(["simulate", "--scenario", str(doc),
+                     "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
+        traj = integrate(parse_scenario({**stiff, "method": "LSODA"}))
+        assert traj.times[-1] == 1.0e5
+
+    def test_clamp_on_a_segment_end(self):
+        # C(0) = 0.4 > C_max: the guard drives q_p below 0 in every step,
+        # the last one of the run included.
+        traj = integrate(parse_scenario({
+            "initial_state": {"M_s": 4000.0, "M_fl": 6000.0},
+            "t_end": 1000.0, "method": "DOPRI5"}))
+        mask = traj.column("protection_mask").astype(int)
+        assert mask[-1] & engine.PROT_QP_BOUND
+        assert np.all(traj.column("q_p") >= 0.0)
+
+
+class TestScipyImport:
+    """Only the LSODA and BDF methods import scipy; DOPRI5 never does."""
+
+    @staticmethod
+    def imported_modules(method_key: str):
+        script = ("import blowdown, blowdown.cli\n"
+                  "from blowdown import integrate, parse_scenario\n"
+                  "traj = integrate(parse_scenario({'t_end': 2000.0"
+                  f"{method_key}}}))\n"
+                  "assert traj.times[-1] == 2000.0\n")
+        src = str(Path(blowdown.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", script],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    def test_dopri5_never_imports_scipy(self):
+        modules = self.imported_modules(", 'method': 'DOPRI5'")
+        assert "blowdown.cli" in modules
+        assert not {m for m in modules if m.split(".")[0] == "scipy"}
+
+    def test_lsoda_imports_scipy(self):
+        assert "scipy.integrate" in self.imported_modules(
+            ", 'method': 'LSODA'")
