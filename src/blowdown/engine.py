@@ -13,18 +13,21 @@ the stepper; a bitmask of the protections that fired is logged with each
 trajectory row. Every integrator runs in this one loop, `_drive`. `DOPRI5` is
 an owned Dormand-Prince 5(4) pair on Python floats; its step cap makes a
 stiff scenario fail fast and name `LSODA` (the shipped method) and `BDF`,
-scipy's solvers, which `integrate` imports only when a scenario uses them.
+scipy's solvers, which `Scenario.solver_class` imports only when a scenario
+uses them.
 
-A run is one table with a row per logged instant and a column per name in
+A run is one float table, allocated from the log grid before the first
+step, with a row per logged instant and a column per name in
 `TRAJECTORY_COLUMNS`: the differential states, the held inputs, the
 algebraic reconstructions of `evaluate_snapshot`, dV/dt and the protection
 mask. Every integrator logs through the same row builder.
 
 The right-hand side and the logged reconstructions come from one kernel,
-`_evaluate`, which calls the unchecked form of each physics equation. The
-scenario's parameters, initial state and inputs are validated once, by
-`Scenario.validate`; the kernel then clamps the states it reads and checks
-only that its results are finite.
+`_evaluate`, which calls the one public function of each physics law in
+`state`, `rheology`, `hydraulics`, `smc` and `energetics`; none of them
+checks its arguments. The scenario's parameters, initial state and inputs are
+validated once, by `Scenario.validate`; the kernel then clamps the states it
+reads and checks only that its results are finite.
 """
 
 from __future__ import annotations
@@ -38,17 +41,17 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .energetics import _efficiency, _electrical_power, _head_power
+from .energetics import efficiency, electrical_power, head_power
 from .errors import IntegrationError, ParameterError, ScenarioError
-from .hydraulics import (_algebraic_flow, _relaxation, _static_head,
-                         fiber_flow, liquor_flow)
-from .rheology import (_hb_stress, _hydraulic_resistance, _shear_rate,
-                       _viscous_dissipation)
-from .smc import (_consistency_guard, _control_law, _equivalent_head,
-                  _lyapunov_rate, _lyapunov_value, protected_reference,
+from .hydraulics import (algebraic_flow, fiber_flow, liquor_flow, relaxation,
+                         static_head)
+from .rheology import (hb_stress, hydraulic_resistance, shear_rate,
+                       viscous_dissipation)
+from .smc import (consistency_guard, control_law, equivalent_head,
+                  lyapunov_rate, lyapunov_value, protected_reference,
                   sliding_surface)
-from .state import (ExogenousInputs, Parameters, ProcessState, _consistency,
-                    _mixture_density, _phase_volumes)
+from .state import (ExogenousInputs, Parameters, ProcessState, consistency,
+                    mixture_density, phase_volumes)
 
 # Protection bitmask flags.
 PROT_MS_FLOOR = 0x01      # dry-fiber mass clamped to 0
@@ -118,6 +121,17 @@ class Scenario:
                                 f"{MAX_LOG_ROWS:,}")
         return self
 
+    def solver_class(self):
+        """The scipy OdeSolver class that steps `method`; None for DOPRI5.
+
+        scipy is imported here, on first use, so a DOPRI5 run never loads
+        it. A LSODA or BDF solver is rebuilt on every restart.
+        """
+        if self.method == "DOPRI5":
+            return None
+        import scipy.integrate
+        return getattr(scipy.integrate, self.method)
+
 
 #: Fixed trajectory column order (one flat table; every figure panel of
 #: interest is a column selection of it).
@@ -130,6 +144,7 @@ TRAJECTORY_COLUMNS = [
 ]
 _COLUMN_INDEX = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
 _ROW_VALUES = operator.itemgetter(*TRAJECTORY_COLUMNS)
+_S_Q = _COLUMN_INDEX["s_q"]
 _STATE_NAMES = tuple(f.name for f in fields(ProcessState))
 _TIME = operator.itemgetter(0)  # breakpoint time of a schedule entry
 
@@ -137,8 +152,8 @@ _TIME = operator.itemgetter(0)  # breakpoint time of a schedule entry
 class Trajectory:
     """Logged instants as one read-only float table (rows x columns)."""
 
-    def __init__(self, rows: List[Tuple[float, ...]]):
-        self.data = np.array(rows, dtype=float)
+    def __init__(self, data: np.ndarray):
+        self.data = data  # wrapped, not copied
         self.data.setflags(write=False)
 
     def __len__(self) -> int:
@@ -194,11 +209,11 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     Clamped local copies of the states are used for the algebraic
     reconstructions so that small solver excursions outside the admissible
     region cannot produce invalid algebra mid-step. Every equation is the
-    unchecked form of its physics module; the parameters and inputs were
-    validated once with the scenario, and the result is checked for
-    finiteness here in one pass. A clamp `lo if x < lo else x` is
-    `max(x, lo)` and `hi if x > hi else x` is `min(x, hi)`, NaN and -0.0
-    included.
+    public function of its physics module, which checks nothing; the
+    parameters and inputs were validated once with the scenario, and the
+    result is checked for finiteness here in one pass. A clamp
+    `lo if x < lo else x` is `max(x, lo)` and `hi if x > hi else x` is
+    `min(x, hi)`, NaN and -0.0 included.
     """
     y = y if type(y) is list else np.asarray(y, dtype=float).tolist()
     M_s, M_fl, q_p, xi_eq, H0, q_cmd, _, _, _ = y
@@ -214,8 +229,8 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     q_cmd = q_p_max if q_cmd > q_p_max else q_cmd
 
     # Mixture reconstructions.
-    C = _consistency(M_s, M_fl, p.eps)
-    rho_mix = _mixture_density(M_s, M_fl, p.rho_s, p.rho_fl, p.eps)
+    C = consistency(M_s, M_fl, p.eps)
+    rho_mix = mixture_density(M_s, M_fl, p.rho_s, p.rho_fl, p.eps)
     # Density limitation: head generation sees a density clamped into the
     # physical phase bracket, so a drained vessel (reconstruction -> 0
     # through the regularizer) cannot produce a static-head cliff faster
@@ -227,20 +242,20 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     rho_head = rho_hi if rho_head > rho_hi else rho_head
     C_floor = (RESISTANCE_FLOOR_CONSISTENCY
                if C < RESISTANCE_FLOOR_CONSISTENCY else C)
-    C_n = _hydraulic_resistance(C_floor, p.K_ref, p.C_ref, p.alpha_C, p.eps)
-    H_static = _static_head(rho_head, p.K_static)
+    C_n = hydraulic_resistance(C_floor, p.K_ref, p.C_ref, p.alpha_C, p.eps)
+    H_static = static_head(rho_head, p.K_static)
 
     # Supervisory layer and reference conditioning.
-    sigma_C = _consistency_guard(C, p.C_max, p.alpha_sig)
+    sigma_C = consistency_guard(C, p.C_max, p.alpha_sig)
     q_star = protected_reference(sigma_C, u.q_p_ref)
-    d_q_cmd = _relaxation(q_star, q_cmd, p.tau_ref)
+    d_q_cmd = relaxation(q_star, q_cmd, p.tau_ref)
 
     # Sliding-mode head command.
     e_q = q_p - q_cmd
     s_q = sliding_surface(e_q, xi_eq, p.lambda_q)
-    H_eq = _equivalent_head(H_static, C_n, q_cmd, p.n, p.eps)
-    raw_cmd, H0s = _control_law(H_eq, s_q, p.k_smc, p.phi_q, H0_max)
-    d_H0 = _relaxation(H0s, H0, p.tau_H)
+    H_eq = equivalent_head(H_static, C_n, q_cmd, p.n, p.eps)
+    raw_cmd, H0s = control_law(H_eq, s_q, p.k_smc, p.phi_q, H0_max)
+    d_H0 = relaxation(H0s, H0, p.tau_H)
 
     # Conditional anti-windup: pause the error integral while the head bound
     # is active and integrating would push further into the bound.
@@ -249,9 +264,9 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
 
     # Quasi-steady flow; the relaxation target is bounded by q_p_max so the
     # integrated flow cannot run away when the resistance collapses.
-    q_alg = _algebraic_flow(H0, H_static, C_n, p.n, p.eps)
+    q_alg = algebraic_flow(H0, H_static, C_n, p.n, p.eps)
     q_alg = q_p_max if q_alg > q_p_max else q_alg
-    d_q_p = _relaxation(q_alg, q_p, p.tau_p)
+    d_q_p = relaxation(q_alg, q_p, p.tau_p)
 
     # Transport flows and inventory balances. f_in / f_fl are volumetric and
     # enter via rho_fl; f_liq is already a mass flow.
@@ -265,9 +280,9 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     d_M_fl = p.rho_fl * u.f_in - p.rho_fl * u.f_fl - f_liq
 
     # Energy quadratures.
-    P_h = _head_power(H0, q_p)
-    P_useful = _head_power(H_static, q_p)
-    P_elec = _electrical_power(P_h, p.eta_pm)
+    P_h = head_power(H0, q_p)
+    P_useful = head_power(H_static, q_p)
+    P_elec = electrical_power(P_h, p.eta_pm)
 
     checked = (C, rho_mix, C_n, H_static, q_alg, H_eq, H0s, d_M_s, d_M_fl,
                d_q_p, d_H0, P_h, P_elec)
@@ -280,17 +295,17 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
 
     # The check above bounds every argument below: q_p lies in
     # [0, q_p_max] and the masses are finite.
-    gamma_dot = _shear_rate(q_p, p.D_pipe)
-    tau = _hb_stress(gamma_dot, p.tau_y, p.K_HB, p.n)
+    gamma_dot = shear_rate(q_p, p.D_pipe)
+    tau = hb_stress(gamma_dot, p.tau_y, p.K_HB, p.n)
     snap = dict(
-        C=C, V=_phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)[2],
+        C=C, V=phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)[2],
         rho_mix=rho_mix, C_n=C_n, H_static=H_static, q_p_alg=q_alg,
         sigma_C=sigma_C, e_q=e_q, s_q=s_q, H_eq=H_eq, H0s=H0s, f_s=f_s,
         f_liq=f_liq, gamma_dot=gamma_dot, tau=tau,
-        Phi_v=_viscous_dissipation(tau, gamma_dot) if q_p > 0 else 0.0,
+        Phi_v=viscous_dissipation(tau, gamma_dot) if q_p > 0 else 0.0,
         P_h=P_h, P_useful=P_useful, P_elec=P_elec,
-        eta_h=_efficiency(P_useful, P_h, p.eps),
-        V_lyap=_lyapunov_value(s_q))
+        eta_h=efficiency(P_useful, P_h, p.eps),
+        V_lyap=lyapunov_value(s_q))
     return derivs, snap
 
 
@@ -339,26 +354,24 @@ def _log_grid(scenario: Scenario) -> List[float]:
     return sorted(pts | {0.0, t_end})
 
 
-def _log_row(rows: List[Tuple[float, ...]], t: float, y_raw: Sequence[float],
+def _log_row(table: np.ndarray, i: int, t: float, y_raw: Sequence[float],
              scenario: Scenario, mask: int) -> None:
-    """Append the trajectory row logged at `t`.
+    """Write row `i` of the trajectory table, the row logged at `t`.
 
     The row holds the protected state, the inputs held at `t`, the
-    reconstructions of `evaluate_snapshot`, dV/dt against the previous row,
-    and `mask` together with the protections this state itself needs.
+    reconstructions of `evaluate_snapshot`, dV/dt against row `i - 1`, and
+    `mask` together with the protections this state itself needs.
     """
     p = scenario.parameters
     y, m = _protect(y_raw if type(y_raw) is list else y_raw.tolist(), p)
     u = inputs_at(scenario.schedule, t)
     row = evaluate_snapshot(y, p, u)
     dVdt = 0.0
-    if rows and t > rows[-1][0]:
-        prev = rows[-1]
-        dVdt = _lyapunov_rate(row["s_q"], prev[_COLUMN_INDEX["s_q"]],
-                              t - prev[0])
+    if i and t > (t_prev := table.item(i - 1, 0)):
+        dVdt = lyapunov_rate(row["s_q"], table.item(i - 1, _S_Q), t - t_prev)
     row.update(zip(_STATE_NAMES, y), t=t, dVdt=dVdt, protection_mask=m | mask)
     row.update(vars(u))
-    rows.append(_ROW_VALUES(row))
+    table[i] = _ROW_VALUES(row)
 
 
 def _drive(scenario: Scenario, segment) -> Trajectory:
@@ -366,15 +379,16 @@ def _drive(scenario: Scenario, segment) -> Trajectory:
 
     `segment(ta, tb, y, u)` yields `(t, y, dense, fired)` after each step:
     `dense()` interpolates inside it, and `fired` holds the protections the
-    stepper has already applied to `y`. Rows due by `t` are logged, then a
-    clamped state is sent back as a restart."""
+    stepper has already applied to `y`. Rows due by `t` are logged into a
+    table sized by the log grid, then a clamped state is sent back as a
+    restart."""
     p = scenario.parameters
     y = scenario.initial_state.as_array()
     log_times = _log_grid(scenario)
     seg_edges = sorted({t for t, _ in scenario.schedule
                         if t <= scenario.t_end} | {scenario.t_end})
-    rows: List[Tuple[float, ...]] = []
-    _log_row(rows, 0.0, y, scenario, 0)
+    table = np.empty((len(log_times), len(TRAJECTORY_COLUMNS)))
+    _log_row(table, 0, 0.0, y, scenario, 0)
     accum, log_idx = 0, 1  # t = 0 already recorded
     for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
         steps, sent = segment(ta, tb, y, inputs_at(scenario.schedule, ta)), None
@@ -393,13 +407,13 @@ def _drive(scenario: Scenario, segment) -> Trajectory:
                     y_log = sol(t_log)
                 else:
                     y_log = y
-                _log_row(rows, t_log, y_log, scenario, accum)
+                _log_row(table, log_idx, t_log, y_log, scenario, accum)
                 accum = 0
                 log_idx += 1
             y, m = _protect(y, p)
             accum |= m
             sent = y if m else None
-    return Trajectory(rows)
+    return Trajectory(table[:log_idx])
 
 
 def integrate(scenario: Scenario) -> Trajectory:
@@ -408,10 +422,9 @@ def integrate(scenario: Scenario) -> Trajectory:
     Deterministic: an identical scenario produces a bit-identical trajectory.
     """
     scenario.validate()
-    if scenario.method == "DOPRI5":
+    solver_cls = scenario.solver_class()
+    if solver_cls is None:
         return _drive(scenario, _dopri5(scenario))
-    import scipy.integrate  # a scipy OdeSolver, rebuilt on every restart
-    solver_cls = getattr(scipy.integrate, scenario.method)
     p, rtol, atol = scenario.parameters, scenario.rtol, scenario.atol
 
     def segment(ta, tb, y, u):

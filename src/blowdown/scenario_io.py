@@ -75,24 +75,27 @@ def _section(doc: dict, key: str, allowed) -> dict:
 
 def _resolve_initial_state(vals: dict, params: Parameters,
                            first_inputs: ExogenousInputs) -> ProcessState:
-    """Fill the initial states no document sets with on-manifold values.
+    """The validated initial state, with on-manifold values for the states
+    no document sets.
 
     The default trajectory starts with the discharge already running at the
     protected reference: q_p_cmd = sigma_C(C0) * q_p_ref, q_p = q_p_cmd and
     H0 at the engine's equivalent head, so the loop begins on the sliding
-    surface.
+    surface. The document's values are validated first (the unset states
+    as 0), because the laws deriving the others check nothing.
     """
+    state = ProcessState(**{k: vals.get(k, 0.0)
+                            for k in _STATE_KEYS}).validate(params)
     if "q_p_cmd" not in vals:
-        C0 = consistency(vals["M_s"], vals["M_fl"], params.eps)
+        C0 = consistency(state.M_s, state.M_fl, params.eps)
         sigma0 = smc.consistency_guard(C0, params.C_max, params.alpha_sig)
-        vals["q_p_cmd"] = smc.protected_reference(sigma0, first_inputs.q_p_ref)
+        state.q_p_cmd = smc.protected_reference(sigma0, first_inputs.q_p_ref)
     if "q_p" not in vals:
-        vals["q_p"] = vals["q_p_cmd"]
-    if "H0" not in vals:
-        y = [vals.get(k, 0.0) for k in _STATE_KEYS]  # H_eq reads no H0
-        H_eq = evaluate_snapshot(y, params, first_inputs)["H_eq"]
-        vals["H0"] = min(H_eq, params.H0_max)
-    return ProcessState(**{k: vals[k] for k in _STATE_KEYS})
+        state.q_p = state.q_p_cmd
+    if "H0" not in vals:  # H_eq reads no H0
+        snapshot = evaluate_snapshot(state.as_array(), params, first_inputs)
+        state.H0 = min(snapshot["H_eq"], params.H0_max)
+    return state
 
 
 def _resolve_schedule(schedule_doc, params: Parameters):
@@ -159,7 +162,7 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
     state_vals = _section(doc, "initial_state", _STATE_KEYS)
     try:
         initial_state = _resolve_initial_state(state_vals, params,
-                                               schedule[0][1]).validate(params)
+                                               schedule[0][1])
     except StateValidityError as exc:
         raise InvariantViolation("initial_state", str(exc)) from exc
     except IntegrationError as exc:

@@ -1,18 +1,18 @@
 """Sliding-mode discharge-flow control stack.
 
-Supervisory sigmoid protection of the raw flow reference, first-order
-reference conditioning, integral sliding manifold, equivalent head plus
-boundary-layer switching, head bounding, and Lyapunov/gain diagnostics.
+Supervisory sigmoid protection of the raw flow reference, integral sliding
+manifold, equivalent head plus boundary-layer switching, head bounding, and
+Lyapunov/gain diagnostics. The reference conditioner is the first-order lag
+`hydraulics.relaxation` with time constant tau_ref.
 
 Controller evaluation is a pure function of (state, inputs, parameters);
 the only controller memory (xi_eq, q_p_cmd) lives in the integrated state
 vector owned by the engine.
 
-Each law is written once. Where the public helper checks its arguments, the
-arithmetic lives in a private unchecked form that the helper calls; the
-engine validates a scenario once and calls those forms directly. The bounded
-head command belongs to `_control_law`, which also returns the raw command
-that the engine's anti-windup needs.
+Each law is one public function that checks nothing; the parameters and
+states it reads are validated once, with the scenario, and the engine's
+kernel calls these functions directly. `control_law` returns the raw head
+command beside the bounded one, because the engine's anti-windup needs it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .hydraulics import _relaxation
-from .state import EPS_DEFAULT
 
 
 def consistency_guard(C: float, C_max: float, alpha_sig: float) -> float:
@@ -33,12 +31,6 @@ def consistency_guard(C: float, C_max: float, alpha_sig: float) -> float:
     Monotone decreasing in C; the steepness alpha_sig sets how sharply the
     reference is throttled around the supervisory limit.
     """
-    if alpha_sig <= 0:
-        raise ParameterError(f"alpha_sig must be positive, got {alpha_sig}")
-    return _consistency_guard(C, C_max, alpha_sig)
-
-
-def _consistency_guard(C: float, C_max: float, alpha_sig: float) -> float:
     # Stable logistic evaluation for large |exponent|.
     x = alpha_sig * (C_max - C)
     if x >= 0:
@@ -50,18 +42,6 @@ def _consistency_guard(C: float, C_max: float, alpha_sig: float) -> float:
 def protected_reference(sigma_C: float, q_p_ref: float) -> float:
     """Protected discharge reference sigma_C * q_p_ref."""
     return sigma_C * q_p_ref
-
-
-def reference_conditioner_rhs(q_p_cmd: float, q_p_star: float,
-                              tau_ref: float) -> float:
-    """First-order lag of the conditioned reference toward the protected one.
-
-    Keeps the commanded flow slowly varying at sliding timescales, which the
-    equivalent-control derivation assumes.
-    """
-    if tau_ref <= 0:
-        raise ParameterError(f"tau_ref must be positive, got {tau_ref}")
-    return _relaxation(q_p_star, q_p_cmd, tau_ref)
 
 
 def sliding_surface(e_q: float, xi_eq: float, lambda_q: float) -> float:
@@ -79,64 +59,36 @@ def saturation(x: float) -> float:
 
 
 def equivalent_head(H_static: float, C_n: float, q_p_cmd: float, n: float,
-                    eps: float = EPS_DEFAULT) -> float:
+                    eps: float) -> float:
     """Nominal head keeping the flow on the commanded trajectory.
 
     Exact algebraic inverse of the pressure-flow law: feeding the result back
     through `hydraulics.algebraic_flow` recovers q_p_cmd (both use C_n + eps).
     """
-    if q_p_cmd < 0:
-        raise ParameterError(f"q_p_cmd must be non-negative, got {q_p_cmd}")
-    return _equivalent_head(H_static, C_n, q_p_cmd, n, eps)
-
-
-def _equivalent_head(H_static: float, C_n: float, q_p_cmd: float, n: float,
-                     eps: float) -> float:
     return H_static + (C_n + eps) * q_p_cmd ** n
 
 
 def control_law(H_eq: float, s_q: float, k_smc: float, phi_q: float,
-                H0_max: float) -> float:
-    """Complete bounded SMC head command.
+                H0_max: float) -> Tuple[float, float]:
+    """Raw SMC head command and the command bounded to [0, H0_max].
 
-    clamp(H_eq - k_smc * sat(s_q / phi_q), 0, H0_max). Lipschitz in s_q with
-    constant k_smc / phi_q inside the boundary layer.
-    """
-    if phi_q <= 0:
-        raise ParameterError(f"phi_q must be positive, got {phi_q}")
-    if H0_max <= 0:
-        raise ParameterError(f"H0_max must be positive, got {H0_max}")
-    return _control_law(H_eq, s_q, k_smc, phi_q, H0_max)[1]
-
-
-def _control_law(H_eq: float, s_q: float, k_smc: float, phi_q: float,
-                 H0_max: float) -> Tuple[float, float]:
-    """Raw head command and the command bounded to [0, H0_max], unchecked.
-
-    The bound keeps the semantics of min(max(raw, 0.0), H0_max), NaN and
-    -0.0 included, without the cost of the builtin calls.
+    raw = H_eq - k_smc * sat(s_q / phi_q), Lipschitz in s_q with constant
+    k_smc / phi_q inside the boundary layer. The bound keeps the semantics
+    of min(max(raw, 0.0), H0_max), NaN and -0.0 included, without the cost
+    of the builtin calls.
     """
     raw = H_eq - k_smc * saturation(s_q / phi_q)
     low = 0.0 if raw < 0.0 else raw
     return raw, H0_max if low > H0_max else low
 
 
-def lyapunov_diagnostics(s_q: float, s_q_prev: float,
-                         dt: float) -> Tuple[float, float]:
-    """Lyapunov value V = 0.5 s_q^2 and its backward-difference derivative.
-
-    Logged for attractivity monitoring only; never used inside the control law.
-    """
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    return _lyapunov_value(s_q), _lyapunov_rate(s_q, s_q_prev, dt)
-
-
-def _lyapunov_value(s_q: float) -> float:
+def lyapunov_value(s_q: float) -> float:
+    """Lyapunov function V = 0.5 s_q^2, logged for attractivity monitoring."""
     return 0.5 * s_q * s_q
 
 
-def _lyapunov_rate(s_q: float, s_q_prev: float, dt: float) -> float:
+def lyapunov_rate(s_q: float, s_q_prev: float, dt: float) -> float:
+    """Backward-difference dV/dt = s_q (s_q - s_q_prev) / dt between rows."""
     return s_q * (s_q - s_q_prev) / dt
 
 

@@ -2,13 +2,12 @@
 
 The digester is a lumped two-phase inventory (dry fiber + free liquor).
 Everything else in the model -- consistency, phase volumes, mixture density --
-is reconstructed algebraically from the two masses, so these helpers are pure
+is reconstructed algebraically from the two masses, so these laws are pure
 functions that the integrator right-hand side can call in any order.
 
-Each equation is written once, in a private unchecked form (`_consistency`,
-`_mixture_density`, `_phase_volumes`). The public helpers check their
-arguments and then call that form. The engine validates a scenario once, in
-`Scenario.validate`, and calls the unchecked forms on its clamped states.
+Each law is one public function that checks nothing: the domain types below
+validate parameters, states and inputs once, at the boundary, and the
+engine's kernel calls the laws on its clamped states.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError, StateValidityError
-
-#: Shared numerical regularization constant (configurable via Parameters.eps).
-EPS_DEFAULT = 1e-9
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -170,61 +166,31 @@ class ExogenousInputs:
         return self
 
 
-def consistency(M_s: float, M_fl: float, eps: float = EPS_DEFAULT) -> float:
-    """Mass fraction of dry fiber in the slurry, regularized against 0/0.
+def consistency(M_s: float, M_fl: float, eps: float) -> float:
+    """Mass fraction of dry fiber in the slurry, M_s / (M_s + M_fl + eps).
 
-    Guaranteed in [0, 1) for non-negative masses and positive eps.
+    The regularizer eps keeps an empty vessel at 0 instead of 0/0; the
+    result lies in [0, 1) for non-negative masses.
     """
-    _require_finite("M_s", M_s)
-    _require_finite("M_fl", M_fl)
-    if M_s < 0 or M_fl < 0:
-        raise StateValidityError("masses must be non-negative")
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    return _consistency(M_s, M_fl, eps)
-
-
-def _consistency(M_s: float, M_fl: float, eps: float) -> float:
     return M_s / (M_s + M_fl + eps)
 
 
 def mixture_density(M_s: float, M_fl: float, rho_s: float, rho_fl: float,
-                    eps: float = EPS_DEFAULT) -> float:
-    """Effective slurry density from the phase distribution."""
-    _require_finite("M_s", M_s)
-    _require_finite("M_fl", M_fl)
-    if M_s < 0 or M_fl < 0:
-        raise StateValidityError("masses must be non-negative")
-    if rho_s <= 0 or rho_fl <= 0:
-        raise ParameterError("phase densities must be positive")
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    return _mixture_density(M_s, M_fl, rho_s, rho_fl, eps)
+                    eps: float) -> float:
+    """Effective slurry density from the phase distribution.
 
-
-def _mixture_density(M_s: float, M_fl: float, rho_s: float, rho_fl: float,
-                     eps: float) -> float:
+    (M_s + M_fl) / (M_s / rho_s + M_fl / rho_fl + eps) [kg/m^3].
+    """
     return (M_s + M_fl) / (M_s / rho_s + M_fl / rho_fl + eps)
 
 
 def phase_volumes(M_s: float, M_fl: float, rho_s: float, rho_fl: float,
-                  w: float = 0.0):
+                  w: float):
     """Phase volumes, total volume and total mass.
 
     Returns (V_s, V_fl, V, M_total). The solid volume includes the
     moisture/void correction 1/(1 - w).
     """
-    _require_finite("M_s", M_s)
-    _require_finite("M_fl", M_fl)
-    if rho_s <= 0 or rho_fl <= 0:
-        raise ParameterError("phase densities must be positive")
-    if not 0 <= w < 1:
-        raise ParameterError(f"w must lie in [0, 1), got {w}")
-    return _phase_volumes(M_s, M_fl, rho_s, rho_fl, w)
-
-
-def _phase_volumes(M_s: float, M_fl: float, rho_s: float, rho_fl: float,
-                   w: float):
     V_fl = M_fl / rho_fl
     V_s = M_s / (rho_s * (1.0 - w))
     return V_s, V_fl, V_s + V_fl, M_s + M_fl

@@ -1,10 +1,11 @@
-"""The closed-loop kernel against a reference built from the public helpers.
+"""The closed-loop kernel against the model written out as formulas.
 
-`engine._evaluate` calls the unchecked form of every equation and checks
-the result once. The reference below composes the checked public helpers
-the way the closed loop is documented (clamps, resistance floor, density
-clamp, bounded head command with anti-windup, depletion caps), so equality
-with `==` shows that the kernel computes the same floats as the helpers.
+`engine._evaluate` calls the public function of every physics law and checks
+the result once. The reference below does not call the package: it writes
+each law out as a formula in the same order of operations, and composes the
+laws the way the closed loop is documented (clamps, resistance floor,
+density clamp, bounded head command with anti-windup, depletion caps), so
+equality with `==` shows that the kernel computes the model's floats.
 Property tests use Hypothesis (MacIver et al., JOSS 2019).
 """
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blowdown import energetics, engine, hydraulics, rheology, smc, state
+from blowdown import engine
 from blowdown.engine import assemble_rhs, evaluate_snapshot
 from blowdown.errors import IntegrationError
 from blowdown.state import ExogenousInputs, ProcessState
@@ -29,7 +30,7 @@ DEFAULT_STATE = dict(M_s=2500.0, M_fl=25000.0, q_p=0.003, xi_eq=0.0,
 
 
 def reference(y, p, u):
-    """Derivatives, snapshot and raw head command from the public helpers."""
+    """Derivatives, snapshot and raw head command, formula by formula."""
     M_s = max(float(y[0]), 0.0)
     M_fl = max(float(y[1]), 0.0)
     q_p = min(max(float(y[2]), 0.0), p.q_p_max)
@@ -37,55 +38,62 @@ def reference(y, p, u):
     H0 = min(max(float(y[4]), 0.0), p.H0_max)
     q_cmd = min(max(float(y[5]), 0.0), p.q_p_max)
 
-    C = state.consistency(M_s, M_fl, p.eps)
-    rho_mix = state.mixture_density(M_s, M_fl, p.rho_s, p.rho_fl, p.eps)
+    # Mixture: C = M_s / (M_s + M_fl + eps), harmonic density.
+    C = M_s / (M_s + M_fl + p.eps)
+    rho_mix = (M_s + M_fl) / (M_s / p.rho_s + M_fl / p.rho_fl + p.eps)
     rho_head = min(max(rho_mix, min(p.rho_s, p.rho_fl)),
                    max(p.rho_s, p.rho_fl))
-    C_n = rheology.hydraulic_resistance(
-        max(C, engine.RESISTANCE_FLOOR_CONSISTENCY),
-        p.K_ref, p.C_ref, p.alpha_C, p.eps)
-    H_static = hydraulics.static_head(rho_head, p.K_static)
+    C_res = max(C, engine.RESISTANCE_FLOOR_CONSISTENCY)
+    C_n = p.K_ref * ((C_res + p.eps) / p.C_ref) ** p.alpha_C
+    H_static = p.K_static * rho_head
 
-    sigma_C = smc.consistency_guard(C, p.C_max, p.alpha_sig)
-    q_star = smc.protected_reference(sigma_C, u.q_p_ref)
-    d_q_cmd = smc.reference_conditioner_rhs(q_cmd, q_star, p.tau_ref)
+    # Guard: the logistic 1 / (1 + exp(-x)), x = alpha_sig (C_max - C),
+    # evaluated as exp(x) / (1 + exp(x)) where x < 0 so it cannot overflow.
+    x = p.alpha_sig * (p.C_max - C)
+    sigma_C = (1.0 / (1.0 + math.exp(-x)) if x >= 0
+               else math.exp(x) / (1.0 + math.exp(x)))
+    q_star = sigma_C * u.q_p_ref
+    d_q_cmd = (q_star - q_cmd) / p.tau_ref
 
+    # Sliding mode: s = e + lambda xi, H_eq inverts the pressure-flow law,
+    # the command switches with sat(s / phi) and is bounded to [0, H0_max].
     e_q = q_p - q_cmd
-    s_q = smc.sliding_surface(e_q, xi_eq, p.lambda_q)
-    H_eq = smc.equivalent_head(H_static, C_n, q_cmd, p.n, p.eps)
-    H0s = smc.control_law(H_eq, s_q, p.k_smc, p.phi_q, p.H0_max)
-    raw_cmd = H_eq - p.k_smc * smc.saturation(s_q / p.phi_q)
-    d_H0 = hydraulics.actuator_rhs(H0s, H0, p.tau_H)
+    s_q = e_q + p.lambda_q * xi_eq
+    H_eq = H_static + (C_n + p.eps) * q_cmd ** p.n
+    raw_cmd = H_eq - p.k_smc * min(max(s_q / p.phi_q, -1.0), 1.0)
+    H0s = min(max(raw_cmd, 0.0), p.H0_max)
+    d_H0 = (H0s - H0) / p.tau_H
     windup = ((raw_cmd > p.H0_max and e_q < 0.0)
               or (raw_cmd < 0.0 and e_q > 0.0))
     d_xi = 0.0 if windup else e_q
 
-    q_alg = min(hydraulics.algebraic_flow(H0, H_static, C_n, p.n, p.eps),
-                p.q_p_max)
-    d_q_p = hydraulics.flow_relaxation_rhs(q_alg, q_p, p.tau_p)
+    # Pressure-flow law q = (max(H0 - H_static, 0) / (C_n + eps))**(1/n).
+    dH = H0 - H_static
+    q_alg = 0.0 if dH <= 0.0 else (dH / (C_n + p.eps)) ** (1.0 / p.n)
+    q_alg = min(q_alg, p.q_p_max)
+    d_q_p = (q_alg - q_p) / p.tau_p
 
     limit = engine.TRANSPORT_DEPLETION_TIME
-    f_s = min(hydraulics.fiber_flow(rho_mix, C, q_p), M_s / limit)
-    f_liq = min(hydraulics.liquor_flow(u.k_ch, u.gamma_K, C, rho_mix, q_p),
-                M_fl / limit)
+    f_s = min(rho_mix * C * q_p, M_s / limit)
+    f_liq = min((1.0 - u.k_ch) * (1.0 - u.gamma_K * C) * rho_mix
+                * (1.0 - C) * q_p, M_fl / limit)
     d_M_fl = p.rho_fl * u.f_in - p.rho_fl * u.f_fl - f_liq
 
-    P_h = energetics.hydraulic_power(H0, q_p)
-    P_useful = energetics.useful_power(H_static, q_p)
-    P_elec = energetics.electrical_power(P_h, p.eta_pm)
+    P_h = H0 * q_p
+    P_useful = H_static * q_p
+    P_elec = P_h / p.eta_pm
 
-    gamma_dot = rheology.shear_rate(q_p, p.D_pipe)
-    tau = rheology.hb_stress(gamma_dot, p.tau_y, p.K_HB, p.n)
-    V_lyap, _ = smc.lyapunov_diagnostics(s_q, 0.0, 1.0)
+    gamma_dot = 32.0 * q_p / (math.pi * p.D_pipe ** 3)
+    tau = p.tau_y + p.K_HB * gamma_dot ** p.n
+    V_s = M_s / (p.rho_s * (1.0 - p.w))
     snap = dict(
-        C=C, V=state.phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)[2],
-        rho_mix=rho_mix, C_n=C_n, H_static=H_static, q_p_alg=q_alg,
-        sigma_C=sigma_C, e_q=e_q, s_q=s_q, H_eq=H_eq, H0s=H0s, f_s=f_s,
-        f_liq=f_liq, gamma_dot=gamma_dot, tau=tau,
-        Phi_v=rheology.viscous_dissipation(tau, gamma_dot) if q_p > 0
-        else 0.0,
+        C=C, V=V_s + M_fl / p.rho_fl, rho_mix=rho_mix, C_n=C_n,
+        H_static=H_static, q_p_alg=q_alg, sigma_C=sigma_C, e_q=e_q, s_q=s_q,
+        H_eq=H_eq, H0s=H0s, f_s=f_s, f_liq=f_liq, gamma_dot=gamma_dot,
+        tau=tau, Phi_v=tau * gamma_dot if q_p > 0 else 0.0,
         P_h=P_h, P_useful=P_useful, P_elec=P_elec,
-        eta_h=energetics.efficiency(P_useful, P_h, p.eps), V_lyap=V_lyap)
+        eta_h=min(max(P_useful / (P_h + p.eps), 0.0), 1.0),
+        V_lyap=0.5 * s_q * s_q)
     derivs = [-f_s, d_M_fl, d_q_p, d_xi, d_H0, d_q_cmd, P_h, P_useful,
               P_elec]
     return derivs, snap, raw_cmd

@@ -7,6 +7,9 @@ import pytest
 
 from blowdown import hydraulics, smc
 from blowdown.errors import ParameterError
+from defaults import refused
+
+EPS = 1e-9  # the shipped Parameters.eps
 
 
 class TestConsistencyGuard:
@@ -42,20 +45,21 @@ class TestConsistencyGuard:
         assert smc.consistency_guard(0.0, 0.30, 5000.0) == pytest.approx(1.0)
 
     def test_rejects_nonpositive_steepness(self):
-        with pytest.raises(ParameterError):
-            smc.consistency_guard(0.1, 0.3, 0.0)
+        refused({"parameters": {"alpha_sig": 0.0}},
+                "parameters: alpha_sig must be positive")
 
 
 class TestReference:
     def test_protected_reference_product(self):
         assert smc.protected_reference(0.5, 0.003) == 0.0015
 
+    # The conditioner is the lag of q_p_cmd toward sigma_C * q_p_ref.
     def test_conditioner_fixed_point(self):
-        assert smc.reference_conditioner_rhs(0.0015, 0.0015, 500.0) == 0.0
+        assert hydraulics.relaxation(0.0015, 0.0015, 500.0) == 0.0
 
     def test_conditioner_sign(self):
-        assert smc.reference_conditioner_rhs(0.0, 0.003, 500.0) > 0
-        assert smc.reference_conditioner_rhs(0.003, 0.0, 500.0) < 0
+        assert hydraulics.relaxation(0.003, 0.0, 500.0) > 0
+        assert hydraulics.relaxation(0.0, 0.003, 500.0) < 0
 
 
 class TestSlidingSurface:
@@ -77,7 +81,7 @@ class TestSlidingSurface:
 
 class TestEquivalentHead:
     def test_reference_command(self):
-        H_eq = smc.equivalent_head(10.9526, 8000.0, 0.003, 0.75)
+        H_eq = smc.equivalent_head(10.9526, 8000.0, 0.003, 0.75, EPS)
         assert H_eq == pytest.approx(113.50, abs=0.05)
 
     def test_inverts_flow_law(self):
@@ -87,48 +91,49 @@ class TestEquivalentHead:
             C_n = rng.uniform(1.0, 1e6)
             n = rng.uniform(0.3, 1.5)
             q_cmd = rng.uniform(1e-9, 0.004)
-            H_eq = smc.equivalent_head(H_static, C_n, q_cmd, n)
-            q = hydraulics.algebraic_flow(H_eq, H_static, C_n, n)
+            H_eq = smc.equivalent_head(H_static, C_n, q_cmd, n, EPS)
+            q = hydraulics.algebraic_flow(H_eq, H_static, C_n, n, EPS)
             assert q == pytest.approx(q_cmd, rel=1e-12)
 
     def test_zero_command_gives_static_head(self):
-        assert smc.equivalent_head(10.9526, 6611.57, 0.0, 0.75) == 10.9526
+        assert smc.equivalent_head(10.9526, 6611.57, 0.0, 0.75,
+                                   EPS) == 10.9526
 
     def test_rejects_negative_command(self):
-        with pytest.raises(ParameterError):
-            smc.equivalent_head(10.0, 8000.0, -1e-4, 0.75)
+        refused({"initial_state": {"q_p_cmd": -1e-4}},
+                "initial_state: q_p_cmd must lie in [0, 0.004], got -0.0001")
 
 
 class TestControlLaw:
+    """`control_law` returns (raw command, command bounded to [0, H0_max])."""
+
     def test_on_manifold_equals_equivalent_head(self):
-        assert smc.control_law(60.0, 0.0, 3.0, 5e-4, 120.0) == 60.0
+        assert smc.control_law(60.0, 0.0, 3.0, 5e-4, 120.0) == (60.0, 60.0)
 
     def test_switching_direction(self):
         # Positive s (flow too high) must lower the head and vice versa.
-        assert smc.control_law(60.0, 1e-3, 3.0, 5e-4, 120.0) == 57.0
-        assert smc.control_law(60.0, -1e-3, 3.0, 5e-4, 120.0) == 63.0
+        assert smc.control_law(60.0, 1e-3, 3.0, 5e-4, 120.0) == (57.0, 57.0)
+        assert smc.control_law(60.0, -1e-3, 3.0, 5e-4, 120.0) == (63.0, 63.0)
 
     def test_linear_inside_boundary_layer(self):
-        assert smc.control_law(60.0, 2.5e-4, 3.0, 5e-4, 120.0) == \
+        assert smc.control_law(60.0, 2.5e-4, 3.0, 5e-4, 120.0)[1] == \
             pytest.approx(58.5, rel=1e-12)
 
     def test_clamped_to_actuator_range(self):
-        assert smc.control_law(125.0, 0.0, 3.0, 5e-4, 120.0) == 120.0
-        assert smc.control_law(1.0, 1e-3, 3.0, 5e-4, 120.0) == 0.0
+        assert smc.control_law(125.0, 0.0, 3.0, 5e-4, 120.0) == (125.0, 120.0)
+        assert smc.control_law(1.0, 1e-3, 3.0, 5e-4, 120.0) == (-2.0, 0.0)
 
     def test_rejects_nonpositive_layer(self):
-        with pytest.raises(ParameterError):
-            smc.control_law(60.0, 0.0, 3.0, 0.0, 120.0)
+        refused({"parameters": {"phi_q": 0.0}},
+                "parameters: phi_q must be positive")
 
 
 class TestDiagnostics:
     def test_lyapunov_value(self):
-        V, _ = smc.lyapunov_diagnostics(1e-3, 1e-3, 1.0)
-        assert V == pytest.approx(5e-7, rel=1e-12)
+        assert smc.lyapunov_value(1e-3) == pytest.approx(5e-7, rel=1e-12)
 
     def test_lyapunov_decrease_sign(self):
-        _, dVdt = smc.lyapunov_diagnostics(1e-3, 2e-3, 1.0)
-        assert dVdt < 0
+        assert smc.lyapunov_rate(1e-3, 2e-3, 1.0) < 0
 
     def test_gain_condition(self):
         assert smc.check_gain_condition(3.0, 120.0, 1e-3)

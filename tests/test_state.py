@@ -7,7 +7,9 @@ import pytest
 from blowdown.errors import ParameterError, StateValidityError
 from blowdown.state import (ExogenousInputs, ProcessState, consistency,
                             mixture_density, phase_volumes)
-from defaults import parameters
+from defaults import parameters, refused
+
+EPS = 1e-9  # the shipped Parameters.eps
 
 
 class TestConsistency:
@@ -16,55 +18,58 @@ class TestConsistency:
             0.0909090909, abs=1e-9)
 
     def test_empty_vessel_is_regularized(self):
-        assert consistency(0.0, 0.0) == 0.0
+        assert consistency(0.0, 0.0, EPS) == 0.0
 
     def test_pure_fiber_tends_to_one(self):
-        assert consistency(1000.0, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert consistency(1000.0, 0.0, EPS) == pytest.approx(1.0, abs=1e-9)
 
     def test_bounded_on_grid(self):
         for M_s in (0.0, 1.0, 500.0, 2500.0):
             for M_fl in (0.0, 1.0, 500.0, 25000.0):
-                C = consistency(M_s, M_fl)
+                C = consistency(M_s, M_fl, EPS)
                 assert 0.0 <= C < 1.0
 
     def test_rejects_negative_mass(self):
-        with pytest.raises(StateValidityError):
-            consistency(-1.0, 100.0)
+        # consistency(-1e-9, 0.0, 1e-9) would divide by zero: the document's
+        # masses are validated before the start state is derived from them.
+        refused({"initial_state": {"M_s": -1.0e-9, "M_fl": 0.0}},
+                "initial_state: masses must be non-negative")
 
     def test_rejects_nonfinite_mass(self):
-        with pytest.raises(StateValidityError):
-            consistency(math.nan, 100.0)
+        refused({"initial_state": {"M_s": math.nan}},
+                "initial_state.M_s: must be finite, got nan")
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(ParameterError):
-            consistency(1.0, 1.0, eps=0.0)
+        refused({"parameters": {"eps": 0.0}},
+                "parameters: eps must be positive")
 
 
 class TestMixtureDensity:
     def test_reference_masses(self):
-        rho = mixture_density(2500.0, 25000.0, 1050.0, 1100.0)
+        rho = mixture_density(2500.0, 25000.0, 1050.0, 1100.0, EPS)
         assert rho == pytest.approx(1095.26, abs=0.01)
 
     def test_harmonic_mean_bound(self):
         for M_s in (1.0, 100.0, 2500.0):
             for M_fl in (1.0, 100.0, 25000.0):
-                rho = mixture_density(M_s, M_fl, 1050.0, 1100.0)
+                rho = mixture_density(M_s, M_fl, 1050.0, 1100.0, EPS)
                 assert 1050.0 <= rho <= 1100.0
 
     def test_single_phase_limits(self):
-        assert mixture_density(1000.0, 0.0, 1050.0, 1100.0) == pytest.approx(
-            1050.0, rel=1e-8)
-        assert mixture_density(0.0, 1000.0, 1050.0, 1100.0) == pytest.approx(
-            1100.0, rel=1e-8)
+        assert mixture_density(1000.0, 0.0, 1050.0, 1100.0,
+                               EPS) == pytest.approx(1050.0, rel=1e-8)
+        assert mixture_density(0.0, 1000.0, 1050.0, 1100.0,
+                               EPS) == pytest.approx(1100.0, rel=1e-8)
 
     def test_rejects_nonpositive_density(self):
-        with pytest.raises(ParameterError):
-            mixture_density(1.0, 1.0, 0.0, 1100.0)
+        refused({"parameters": {"rho_s": 0.0}},
+                "parameters: phase densities must be positive")
 
 
 class TestPhaseVolumes:
     def test_reference_masses(self):
-        V_s, V_fl, V, M_total = phase_volumes(2500.0, 25000.0, 1050.0, 1100.0)
+        V_s, V_fl, V, M_total = phase_volumes(2500.0, 25000.0, 1050.0,
+                                              1100.0, 0.0)
         assert V_s == pytest.approx(2.380952, abs=1e-5)
         assert V_fl == pytest.approx(22.727273, abs=1e-5)
         assert V == pytest.approx(25.108225, abs=1e-5)
@@ -76,8 +81,8 @@ class TestPhaseVolumes:
         assert V_s_wet == pytest.approx(2.0 * V_s_dry, rel=1e-12)
 
     def test_rejects_w_of_one(self):
-        with pytest.raises(ParameterError):
-            phase_volumes(1.0, 1.0, 1050.0, 1100.0, w=1.0)
+        refused({"parameters": {"w": 1.0}},
+                "parameters: w must lie in [0, 1), got 1.0")
 
 
 class TestParameters:
