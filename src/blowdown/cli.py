@@ -8,18 +8,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import copy
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-import yaml
+import yaml  # noqa: F401 -- perfbench/tracing.py patches `cli.yaml`
 
 from . import acceptance, smc
 from .engine import integrate
 from .errors import IntegrationError, ScenarioError
-from .scenario_io import (default_scenario, parse_scenario, trajectory_csv,
-                          write_manifold)
+from .scenario_io import (default_scenario, load_scenario, load_yaml,
+                          parse_scenario, write_manifold, write_trajectory)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,26 +74,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_document(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    doc = yaml.safe_load(Path(path).read_text())
-    return doc if doc is not None else {}
-
-
-def _scenario_from(path: Optional[str]):
-    return parse_scenario(_load_document(path))
-
-
 def _run_to_csv(scenario, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "trajectory.csv"
-    target.write_text(trajectory_csv(integrate(scenario)))
+    write_trajectory(integrate(scenario), target)
     return target
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _scenario_from(args.scenario)
+    scenario = (load_scenario(args.scenario) if args.scenario
+                else default_scenario())
     overrides = {}
     if args.t_end is not None:
         overrides["t_end"] = args.t_end
@@ -111,7 +102,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    scenario = _scenario_from(args.scenario) if args.scenario else None
+    scenario = load_scenario(args.scenario) if args.scenario else None
     results = acceptance.run_all(scenario)
     for result in results:
         print(result.line)
@@ -146,11 +137,11 @@ def _cmd_sweep(args) -> int:
         raise ScenarioError(f"bad --values list: {exc}")
     if not values:
         raise ScenarioError("--values must name at least one value")
-    base = _load_document(args.scenario)
+    base = load_yaml(Path(args.scenario).read_text()) if args.scenario else {}
 
     runs = []
     for value in values:
-        doc = yaml.safe_load(yaml.safe_dump(base)) or {}
+        doc = copy.deepcopy(base)
         _set_path(doc, args.param, value)
         scenario = parse_scenario(doc)  # validate before launching anything
         runs.append((value, scenario))
@@ -175,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                "manifold": _cmd_manifold, "sweep": _cmd_sweep}[args.command]
     try:
         return handler(args)
-    except (ScenarioError, FileNotFoundError, yaml.YAMLError) as exc:
+    except (ScenarioError, FileNotFoundError) as exc:
         print(f"blowdown: scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrationError as exc:

@@ -7,14 +7,16 @@ memory and energy quadratures):
 
 Disturbance breakpoints are handled by stopping and restarting the stepper
 exactly at each breakpoint, so no step ever straddles an input discontinuity.
-Numerical protections (mass floors, flow/head bounds, bounded relaxation
-target) are applied after every accepted step, and a clamped state restarts
-the stepper; a bitmask of the protections that fired is logged with each
-trajectory row. Every integrator runs in this one loop, `_drive`. `DOPRI5` is
-an owned Dormand-Prince 5(4) pair on Python floats; its step cap makes a
-stiff scenario fail fast and name `LSODA` (the shipped method) and `BDF`,
-scipy's solvers, which `Scenario.solver_class` imports only when a scenario
-uses them.
+Every integrator runs in one loop, `_drive`, the only code that applies the
+numerical protections (mass floors, flow, head and reference bounds) to a
+step end; a clamped state restarts the stepper. A row's protection mask
+holds the bits fired since the previous row, and a row at a step end also
+that end's own, so each firing is reported once; a row read from a step's
+interpolant adds the clamps its own state needs. `DOPRI5` is an owned
+Dormand-Prince 5(4) pair on Python floats; its step cap makes a stiff
+scenario fail fast and name `LSODA` (the shipped method) and `BDF`, scipy's
+solvers, which `Scenario.solver_class` imports only when a scenario uses
+them.
 
 A run is one float table, allocated from the log grid before the first
 step, with a row per logged instant and a column per name in
@@ -377,11 +379,13 @@ def _log_row(table: np.ndarray, i: int, t: float, y_raw: Sequence[float],
 def _drive(scenario: Scenario, segment) -> Trajectory:
     """The segment, logging and protection loop shared by every integrator.
 
-    `segment(ta, tb, y, u)` yields `(t, y, dense, fired)` after each step:
-    `dense()` interpolates inside it, and `fired` holds the protections the
-    stepper has already applied to `y`. Rows due by `t` are logged into a
-    table sized by the log grid, then a clamped state is sent back as a
-    restart."""
+    `segment(ta, tb, y, u)` yields `(t, y, dense)` after each step, where
+    `dense()` interpolates inside it, and is sent back a clamped state to
+    restart from. Rows strictly inside a step are logged from the
+    interpolant with the protections fired since the previous row (and, by
+    `_log_row`, those their own state needs); the step end is then
+    protected, and rows at it carry those bits and its own. Nothing is
+    carried to a later row. Rows go into a table sized by the log grid."""
     p = scenario.parameters
     y = scenario.initial_state.as_array()
     log_times = _log_grid(scenario)
@@ -389,29 +393,28 @@ def _drive(scenario: Scenario, segment) -> Trajectory:
                         if t <= scenario.t_end} | {scenario.t_end})
     table = np.empty((len(log_times), len(TRAJECTORY_COLUMNS)))
     _log_row(table, 0, 0.0, y, scenario, 0)
-    accum, log_idx = 0, 1  # t = 0 already recorded
+    accum, log_idx, n_log = 0, 1, len(log_times)  # t = 0 already recorded
     for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
         steps, sent = segment(ta, tb, y, inputs_at(scenario.schedule, ta)), None
         while True:
             try:
-                t, y, dense, fired = steps.send(sent)
+                t, y, dense = steps.send(sent)
             except StopIteration:
                 break
-            accum |= fired
-            sol = None  # built only for a log time inside the step
-            t_due = min(tb, t + 1e-12 * max(1.0, t))
-            while log_idx < len(log_times) and log_times[log_idx] <= t_due:
-                t_log = log_times[log_idx]
-                if t_log < t and dense is not None:
+            if dense is not None:
+                sol = None  # built only for a log time inside the step
+                while log_idx < n_log and log_times[log_idx] < t:
                     sol = sol or dense()
-                    y_log = sol(t_log)
-                else:
-                    y_log = y
-                _log_row(table, log_idx, t_log, y_log, scenario, accum)
-                accum = 0
-                log_idx += 1
+                    _log_row(table, log_idx, log_times[log_idx],
+                             sol(log_times[log_idx]), scenario, accum)
+                    accum, log_idx = 0, log_idx + 1
             y, m = _protect(y, p)
             accum |= m
+            t_due = min(tb, t + 1e-12 * max(1.0, t))
+            while log_idx < n_log and log_times[log_idx] <= t_due:
+                _log_row(table, log_idx, log_times[log_idx], y, scenario,
+                         accum)
+                accum, log_idx = 0, log_idx + 1
             sent = y if m else None
     return Trajectory(table[:log_idx])
 
@@ -437,7 +440,7 @@ def integrate(scenario: Scenario) -> Trajectory:
                 raise IntegrationError(
                     f"integration step failed: {msg}", t=solver.t,
                     state=ProcessState.from_array(solver.y))
-            y = yield solver.t, solver.y.tolist(), solver.dense_output, 0
+            y = yield solver.t, solver.y.tolist(), solver.dense_output
             if y is not None and solver.status == "running":
                 solver = solver_cls(fun, solver.t, y, tb, rtol=rtol, atol=atol)
     return _drive(scenario, segment)
@@ -526,7 +529,7 @@ def _dopri5(scenario: Scenario):
                     break
                 h_next, rejected = h * max(0.2, 0.9 * err ** -0.2), True
             sent = yield t_new, y_new, functools.partial(
-                _dopri5_dense, t, h, y, y_new, ks), 0
+                _dopri5_dense, t, h, y, y_new, ks)
             t, y, f = t_new, y_new, ks[6]
             if sent is not None and t < tb:  # restart from the clamped state
                 y = sent
@@ -553,11 +556,11 @@ def _dopri5_dense(t0, h, y0, y1, ks):
 def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
     """Independent fixed-step 4th-order reference integrator.
 
-    Shares the right-hand side, the log grid, the post-step protections and
-    the row builder with `integrate`; its stepping is implemented from
-    scratch so the two paths can cross-check each other. A step end is
-    protected, then logged for every log time it reaches, and the first of
-    those rows carries its protections.
+    Shares the right-hand side, the log grid, the post-step protections, the
+    mask rule and the row builder with `integrate` through `_drive`; its
+    stepping is implemented from scratch so the two paths can cross-check
+    each other. With no interpolant, every log time a step reaches is logged
+    at its protected end.
     """
     scenario.validate()
     if dt <= 0:
@@ -576,8 +579,7 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
             k2 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k1)])
             k3 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k2)])
             k4 = f(t + h, [v + h * a for v, a in zip(y, k3)])
-            y, fired = _protect([v + h6 * (a + 2.0 * b + 2.0 * c + d)
-                                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)],
-                                p)
-            yield (tb if i == n_steps else ta + i * h), y, None, fired
+            y = [v + h6 * (a + 2.0 * b + 2.0 * c + d)
+                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+            y = (yield (tb if i == n_steps else ta + i * h), y, None) or y
     return _drive(scenario, segment)

@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Iterator, Union
 
 import numpy as np
 import yaml
@@ -35,17 +35,26 @@ _STATE_KEYS = tuple(f.name for f in fields(ProcessState))
 _PARAM_KEYS = tuple(f.name for f in fields(Parameters))
 
 
+def load_yaml(text: str):
+    """The value a YAML scenario document holds, `{}` for an empty one;
+    malformed text raises ScenarioSyntaxError. libyaml's safe loader, where
+    PyYAML has it, reads several times faster than the pure-Python one."""
+    try:
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                             yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ScenarioSyntaxError(f"malformed scenario document: {exc}")
+    return {} if doc is None else doc
+
+
 @functools.lru_cache(maxsize=None)
 def _shipped() -> dict:
     """The shipped default document, read once per process.
 
-    Every caller lays a document over it and none may mutate it. libyaml's
-    loader, where PyYAML has it, reads the file several times faster than
-    the pure-Python one.
+    Every caller lays a document over it and none may mutate it.
     """
-    text = Path(__file__).with_name("default_scenario.yaml").read_text()
-    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
-                                          yaml.SafeLoader))
+    return load_yaml(Path(__file__).with_name("default_scenario.yaml")
+                     .read_text())
 
 
 def _reject_unknown(mapping: dict, allowed, path: str) -> None:
@@ -136,13 +145,7 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
 
     An empty document yields the full shipped default scenario.
     """
-    if isinstance(document, str):
-        try:
-            doc = yaml.safe_load(document)
-        except yaml.YAMLError as exc:
-            raise ScenarioSyntaxError(f"malformed scenario document: {exc}")
-    else:
-        doc = document
+    doc = load_yaml(document) if isinstance(document, str) else document
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -250,11 +253,12 @@ def _decimals(v: np.ndarray):
     return np.maximum(k.astype(np.int64) - carry - zeros, 0), deferred
 
 
-def _csv_text(columns, table: np.ndarray) -> str:
-    """CSV text: a header line, then each cell as `format_value` prints it."""
+def _csv_text(columns, table: np.ndarray) -> Iterator[str]:
+    """CSV text in pieces: a header line, then blocks of `_BLOCK_ROWS` rows
+    with each cell as `format_value` prints it."""
     table = np.asarray(table, dtype=float)
     row_format = ",".join(["%.*f"] * len(columns)) + "\n"
-    parts = [",".join(columns) + "\n"]
+    yield ",".join(columns) + "\n"
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start:start + _BLOCK_ROWS] + 0.0  # -0.0 prints as 0
         places, deferred = _decimals(block)
@@ -270,19 +274,20 @@ def _csv_text(columns, table: np.ndarray) -> str:
                 cells[i] = ".*s" + cells[i][3:]
                 args[2 * i:2 * i + 2] = len(text), text
             block_format = "%" + "%".join(cells)
-        parts.append(block_format % tuple(args))
-    return "".join(parts)
+        yield block_format % tuple(args)
 
 
 def trajectory_csv(trajectory: Trajectory) -> str:
     """Serialize a trajectory to the fixed-column CSV contract."""
-    return _csv_text(TRAJECTORY_COLUMNS, trajectory.data)
+    return "".join(_csv_text(TRAJECTORY_COLUMNS, trajectory.data))
 
 
 def write_trajectory(trajectory: Trajectory,
                      destination: Union[str, Path]) -> None:
-    """Write the trajectory CSV (header + one row per logged instant)."""
-    Path(destination).write_text(trajectory_csv(trajectory))
+    """Write the trajectory CSV (header + one row per logged instant), one
+    block at a time, so its whole text is never held in memory."""
+    with open(destination, "w") as fh:
+        fh.writelines(_csv_text(TRAJECTORY_COLUMNS, trajectory.data))
 
 
 def read_trajectory(path: Union[str, Path]) -> Dict[str, np.ndarray]:
@@ -301,4 +306,5 @@ def write_manifold(e_grid, xi_grid, s_grid,
                    destination: Union[str, Path]) -> None:
     """Write the sliding-manifold grid as a flat (e_q, xi_eq, s_q) CSV."""
     table = np.column_stack([np.ravel(g) for g in (e_grid, xi_grid, s_grid)])
-    Path(destination).write_text(_csv_text(MANIFOLD_COLUMNS, table))
+    with open(destination, "w") as fh:
+        fh.writelines(_csv_text(MANIFOLD_COLUMNS, table))

@@ -46,6 +46,17 @@ class TestSimulate:
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["sweep", "--param", "parameters.k_smc", "--values", "1,3"]])
+    def test_malformed_scenario_file(self, tmp_path, capsys, command):
+        doc = tmp_path / "bad.yaml"
+        doc.write_text("parameters: [unclosed\n")
+        code = main(command + ["--scenario", str(doc),
+                               "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        assert "malformed scenario document" in capsys.readouterr().err
+
     def test_negative_initial_mass(self, tmp_path, capsys):
         doc = tmp_path / "bad.yaml"
         doc.write_text("initial_state:\n  M_s: -1.0\n")

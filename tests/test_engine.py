@@ -269,6 +269,50 @@ class TestBounds:
                       <= traj.column("M_fl") / limit + 1e-12)
 
 
+#: LSODA clamps the head on the step that ends at the 14,505.747 s
+#: breakpoint, and on no step after it.
+BREAKPOINT_CLAMP = {
+    "initial_state": {"M_s": 4375.443, "M_fl": 8926.212},
+    "schedule": [
+        {"t": 0.0, "f_fl": 0.0, "f_in": 7.692400807150187e-05,
+         "gamma_K": 0.0784840991932206, "k_ch": 0.44227541974548534,
+         "q_p_ref": 0.0033057890010668996},
+        {"t": 3409.094, "k_ch": 0.903854690559217},
+        {"t": 5245.781, "gamma_K": 0.2593799982173345},
+        {"t": 14505.747, "gamma_K": 0.702372433040936}],
+    "t_end": 20000.0}
+
+
+class TestProtectionMask:
+    """A row carries the protections fired since the previous row, once."""
+
+    @pytest.mark.parametrize("method,log_interval,masked", [
+        ("LSODA", 2.0e4, [(14505.747, engine.PROT_H0_BOUND)]),
+        ("LSODA", 100.0, [(14500.0, engine.PROT_H0_BOUND),
+                          (14505.747, engine.PROT_H0_BOUND)]),
+        ("DOPRI5", 2.0e4, []), ("DOPRI5", 100.0, [])])
+    def test_clamp_at_a_breakpoint_is_reported_once(self, method,
+                                                    log_interval, masked):
+        traj = integrate(parse_scenario({**BREAKPOINT_CLAMP, "method": method,
+                                         "log_interval": log_interval}))
+        rows = zip(traj.times.tolist(),
+                   traj.column("protection_mask").astype(int).tolist())
+        assert [(t, m) for t, m in rows if m] == masked
+
+    @pytest.mark.xfail(strict=True, raises=IntegrationError, reason=(
+        "extraction is not limited by the liquor left (CHANGES.md FOUND)"))
+    def test_extraction_from_a_dry_vessel(self, monkeypatch):
+        # Once the vessel is dry, f_fl drives M_fl below 0 on every step:
+        # the floor clamps it, and the stepper restarts from a small first
+        # step each time, so the run crawls into the step cap.
+        monkeypatch.setattr(engine, "DOPRI5_MAX_STEPS", 2000)
+        traj = integrate(parse_scenario({
+            "initial_state": {"M_s": 0.0, "M_fl": 0.0},
+            "schedule": [{"t": 0.0, "f_fl": 4.0e-4}], "t_end": 1000.0,
+            "method": "DOPRI5"}))
+        assert traj.times[-1] == 1000.0
+
+
 class TestSolverChoices:
     @pytest.mark.parametrize("method", ["BDF", "DOPRI5"])
     def test_alternative_methods_agree_with_default(self, method, short_run):

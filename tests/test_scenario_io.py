@@ -235,7 +235,8 @@ class TestFormatValue:
                     min_size=1, max_size=64))
     def test_block_formatter_matches_format_value(self, row):
         columns = [f"c{i}" for i in range(len(row))]
-        assert _csv_text(columns, [row]) == per_cell_csv(columns, [row])
+        assert ("".join(_csv_text(columns, [row]))
+                == per_cell_csv(columns, [row]))
 
     def test_block_formatter_edge_cases(self):
         powers = 10.0 ** np.arange(-300, 9)
@@ -249,8 +250,8 @@ class TestFormatValue:
         cells = np.concatenate([cells, -cells])
         table = cells.reshape(-1, 2)  # rows span several blocks
         columns = ["a", "b"]
-        assert _csv_text(columns, table) == per_cell_csv(columns,
-                                                         table.tolist())
+        assert ("".join(_csv_text(columns, table))
+                == per_cell_csv(columns, table.tolist()))
         assert format_value(-0.0) == "0"
 
 
@@ -287,6 +288,14 @@ class TestTrajectoryCsv:
         rows = zip(*(cols[name] for name in TRAJECTORY_COLUMNS))
         assert per_cell_csv(TRAJECTORY_COLUMNS, rows) == \
             trajectory_csv(short_traj)
+
+    def test_written_one_block_at_a_time(self, default_traj, tmp_path):
+        blocks = list(_csv_text(TRAJECTORY_COLUMNS, default_traj.data))
+        assert len(blocks) == 1 + -(-len(default_traj) // 256) > 2
+        target = tmp_path / "traj.csv"
+        write_trajectory(default_traj, target)
+        assert target.read_text() == "".join(blocks) == trajectory_csv(
+            default_traj)
 
     def test_row_schema_partitions_columns(self, short_traj):
         scenario = default_scenario()

@@ -6,6 +6,9 @@ unchecked `_` copy and no default regularizer that could differ from
 `Parameters.eps`. The kernel calls those public functions, so the criteria,
 the tests and the bench's per-module call counts see the equations that are
 integrated.
+
+One loop, `engine._drive`, protects every integrator's step ends: steppers
+yield `(t, y, dense)` and clamp nothing themselves.
 """
 
 import ast
@@ -69,3 +72,23 @@ def test_kernel_calls_the_public_laws():
         module = getattr(getattr(engine, name, None), "__module__", "")
         if module.removeprefix("blowdown.") in PHYSICS:
             assert not name.startswith("_"), name
+
+
+def test_only_the_driver_protects():
+    callers = set()
+    for fn in ast.walk(tree("engine")):
+        if isinstance(fn, ast.FunctionDef):
+            callers.update(fn.name for node in ast.walk(fn)
+                           if isinstance(node, ast.Call)
+                           and getattr(node.func, "id", None) == "_protect")
+    assert callers == {"_drive", "_log_row"}
+
+
+def test_steppers_yield_time_state_and_interpolant():
+    yields = [node for node in ast.walk(tree("engine"))
+              if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert len(yields) == 3  # LSODA/BDF, DOPRI5 and RK4
+    for node in yields:
+        assert isinstance(node, ast.Yield), node.lineno
+        assert isinstance(node.value, ast.Tuple), node.lineno
+        assert len(node.value.elts) == 3, node.lineno
