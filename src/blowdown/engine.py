@@ -21,8 +21,8 @@ them.
 A run is one float table, allocated from the log grid before the first
 step, with a row per logged instant and a column per name in
 `TRAJECTORY_COLUMNS`: the differential states, the held inputs, the
-algebraic reconstructions of `evaluate_snapshot`, dV/dt and the protection
-mask. Every integrator logs through the same row builder.
+`SNAPSHOT_COLUMNS` of `evaluate_snapshot`, dV/dt and the protection mask.
+Every integrator logs through the same row builder.
 
 The right-hand side and the logged reconstructions come from one kernel,
 `_evaluate`, which calls the one public function of each physics law in
@@ -39,7 +39,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -145,9 +145,17 @@ TRAJECTORY_COLUMNS = [
     "E_h", "E_useful", "E_elec", "V_lyap", "dVdt", "protection_mask",
 ]
 _COLUMN_INDEX = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
-_ROW_VALUES = operator.itemgetter(*TRAJECTORY_COLUMNS)
-_S_Q = _COLUMN_INDEX["s_q"]
 _STATE_NAMES = tuple(f.name for f in fields(ProcessState))
+_INPUT_NAMES = tuple(f.name for f in fields(ExogenousInputs))
+_INPUTS = operator.attrgetter(*_INPUT_NAMES)
+_ROW_HEAD = ("t", *_STATE_NAMES, *_INPUT_NAMES, "dVdt", "protection_mask")
+#: The other columns, in column order: those `evaluate_snapshot` returns.
+SNAPSHOT_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS if c not in _ROW_HEAD)
+#: Permutes `(*_ROW_HEAD, *SNAPSHOT_COLUMNS)` values into column order.
+_ROW = operator.itemgetter(*map((*_ROW_HEAD, *SNAPSHOT_COLUMNS).index,
+                                TRAJECTORY_COLUMNS))
+_S_Q = _COLUMN_INDEX["s_q"]
+_SNAP_S_Q = SNAPSHOT_COLUMNS.index("s_q")
 _TIME = operator.itemgetter(0)  # breakpoint time of a schedule entry
 
 
@@ -192,8 +200,8 @@ def assemble_rhs(t: float, y: Sequence[float], params: Parameters,
 
 
 def evaluate_snapshot(y: Sequence[float], params: Parameters,
-                      inputs: ExogenousInputs) -> Dict[str, float]:
-    """The logged algebraic reconstructions and diagnostics at one instant.
+                      inputs: ExogenousInputs) -> Tuple[float, ...]:
+    """The logged reconstructions at one instant, in `SNAPSHOT_COLUMNS` order.
 
     Same contract as `assemble_rhs`.
     """
@@ -299,16 +307,12 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     # [0, q_p_max] and the masses are finite.
     gamma_dot = shear_rate(q_p, p.D_pipe)
     tau = hb_stress(gamma_dot, p.tau_y, p.K_HB, p.n)
-    snap = dict(
-        C=C, V=phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)[2],
-        rho_mix=rho_mix, C_n=C_n, H_static=H_static, q_p_alg=q_alg,
-        sigma_C=sigma_C, e_q=e_q, s_q=s_q, H_eq=H_eq, H0s=H0s, f_s=f_s,
-        f_liq=f_liq, gamma_dot=gamma_dot, tau=tau,
-        Phi_v=viscous_dissipation(tau, gamma_dot) if q_p > 0 else 0.0,
-        P_h=P_h, P_useful=P_useful, P_elec=P_elec,
-        eta_h=efficiency(P_useful, P_h, p.eps),
-        V_lyap=lyapunov_value(s_q))
-    return derivs, snap
+    return derivs, (  # SNAPSHOT_COLUMNS order
+        C, rho_mix, phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)[2], C_n,
+        H_static, q_alg, e_q, s_q, sigma_C, H_eq, H0s, f_s, f_liq, gamma_dot,
+        tau, viscous_dissipation(tau, gamma_dot) if q_p > 0 else 0.0, P_h,
+        P_useful, P_elec, efficiency(P_useful, P_h, p.eps),
+        lyapunov_value(s_q))
 
 
 def _raise_non_finite(checked, states) -> None:
@@ -362,18 +366,17 @@ def _log_row(table: np.ndarray, i: int, t: float, y_raw: Sequence[float],
 
     The row holds the protected state, the inputs held at `t`, the
     reconstructions of `evaluate_snapshot`, dV/dt against row `i - 1`, and
-    `mask` together with the protections this state itself needs.
+    `mask` with the protections this state itself needs, permuted by `_ROW`.
     """
     p = scenario.parameters
     y, m = _protect(y_raw if type(y_raw) is list else y_raw.tolist(), p)
     u = inputs_at(scenario.schedule, t)
-    row = evaluate_snapshot(y, p, u)
+    snap = evaluate_snapshot(y, p, u)
     dVdt = 0.0
     if i and t > (t_prev := table.item(i - 1, 0)):
-        dVdt = lyapunov_rate(row["s_q"], table.item(i - 1, _S_Q), t - t_prev)
-    row.update(zip(_STATE_NAMES, y), t=t, dVdt=dVdt, protection_mask=m | mask)
-    row.update(vars(u))
-    table[i] = _ROW_VALUES(row)
+        dVdt = lyapunov_rate(snap[_SNAP_S_Q], table.item(i - 1, _S_Q),
+                             t - t_prev)
+    table[i] = _ROW((t, *y, *_INPUTS(u), dVdt, m | mask, *snap))
 
 
 def _drive(scenario: Scenario, segment) -> Trajectory:

@@ -21,8 +21,8 @@ import numpy as np
 import yaml
 
 from . import smc
-from .engine import (TRAJECTORY_COLUMNS, Scenario, Trajectory,
-                     evaluate_snapshot)
+from .engine import (SNAPSHOT_COLUMNS, TRAJECTORY_COLUMNS, Scenario,
+                     Trajectory, evaluate_snapshot)
 from .errors import (IntegrationError, InvariantViolation, ParameterError,
                      ScenarioError, ScenarioSyntaxError, StateValidityError,
                      UnknownKeyError)
@@ -35,16 +35,24 @@ _STATE_KEYS = tuple(f.name for f in fields(ProcessState))
 _PARAM_KEYS = tuple(f.name for f in fields(Parameters))
 
 
-def load_yaml(text: str):
-    """The value a YAML scenario document holds, `{}` for an empty one;
-    malformed text raises ScenarioSyntaxError. libyaml's safe loader, where
-    PyYAML has it, reads several times faster than the pure-Python one."""
+def load_yaml(text: str) -> dict:
+    """The mapping a YAML scenario document holds, `{}` for an empty one;
+    malformed text or any other value raises ScenarioSyntaxError. libyaml's
+    safe loader, where PyYAML has it, reads several times faster."""
     try:
         doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
                                              yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ScenarioSyntaxError(f"malformed scenario document: {exc}")
-    return {} if doc is None else doc
+    return _as_mapping(doc)
+
+
+def _as_mapping(doc) -> dict:
+    """The scenario mapping `doc`, `{}` for None; else ScenarioSyntaxError."""
+    if doc is None or isinstance(doc, dict):
+        return doc or {}
+    raise ScenarioSyntaxError(
+        f"scenario document must be a mapping, got {type(doc).__name__}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,7 +111,7 @@ def _resolve_initial_state(vals: dict, params: Parameters,
         state.q_p = state.q_p_cmd
     if "H0" not in vals:  # H_eq reads no H0
         snapshot = evaluate_snapshot(state.as_array(), params, first_inputs)
-        state.H0 = min(snapshot["H_eq"], params.H0_max)
+        state.H0 = min(snapshot[SNAPSHOT_COLUMNS.index("H_eq")], params.H0_max)
     return state
 
 
@@ -145,12 +153,8 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
 
     An empty document yields the full shipped default scenario.
     """
-    doc = load_yaml(document) if isinstance(document, str) else document
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ScenarioSyntaxError(
-            f"scenario document must be a mapping, got {type(doc).__name__}")
+    doc = (load_yaml(document) if isinstance(document, str)
+           else _as_mapping(document))
     shipped = _shipped()
     _reject_unknown(doc, shipped, "")
 

@@ -4,7 +4,9 @@ import pytest
 
 from blowdown import engine
 from blowdown.cli import (EXIT_OK, EXIT_USAGE, main)
-from blowdown.scenario_io import TRAJECTORY_COLUMNS, read_trajectory
+from blowdown.errors import ScenarioSyntaxError
+from blowdown.scenario_io import (TRAJECTORY_COLUMNS, parse_scenario,
+                                  read_trajectory)
 
 
 class TestSimulate:
@@ -155,3 +157,19 @@ class TestSweep:
         code = main(["sweep", "--param", "parameters.k_smc", "--values", ",",
                      "--out", str(tmp_path / "sweep")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["- 1\n", "3\n", '"x"\n'],
+                             ids=["list", "int", "str"])
+    def test_scenario_not_a_mapping(self, tmp_path, capsys, text):
+        # The same refusal as `simulate` and `check`, from parse_scenario.
+        with pytest.raises(ScenarioSyntaxError) as refused:
+            parse_scenario(text)
+        doc = tmp_path / "scn.yaml"
+        doc.write_text(text)
+        code = main(["sweep", "--scenario", str(doc),
+                     "--param", "parameters.k_smc", "--values", "1",
+                     "--out", str(tmp_path / "sweep")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"blowdown: scenario error: {refused.value}\n")
+        assert not (tmp_path / "sweep").exists()

@@ -16,10 +16,12 @@ import pytest
 import blowdown
 from blowdown import engine
 from blowdown.cli import EXIT_NUMERICAL, main
-from blowdown.engine import (inputs_at, integrate, integrate_fixed_rk4,
-                             assemble_rhs, evaluate_snapshot)
+from blowdown.engine import (SNAPSHOT_COLUMNS, inputs_at, integrate,
+                             integrate_fixed_rk4, assemble_rhs,
+                             evaluate_snapshot)
 from blowdown.errors import IntegrationError, ScenarioError
 from blowdown.scenario_io import default_scenario, parse_scenario
+from blowdown.smc import lyapunov_rate
 from blowdown.state import ExogenousInputs, Parameters
 
 
@@ -113,7 +115,8 @@ class TestRhsConsistency:
         y = scenario.initial_state.as_array()
         u = scenario.schedule[0][1]
         dy = assemble_rhs(0.0, y, scenario.parameters, u)
-        snap = evaluate_snapshot(y, scenario.parameters, u)
+        snap = dict(zip(SNAPSHOT_COLUMNS,
+                        evaluate_snapshot(y, scenario.parameters, u)))
         assert dy[0] == pytest.approx(-snap["f_s"], rel=1e-12)
         rho_fl = scenario.parameters.rho_fl
         expected = rho_fl * u.f_in - rho_fl * u.f_fl - snap["f_liq"]
@@ -124,7 +127,8 @@ class TestRhsConsistency:
         y = scenario.initial_state.as_array()
         u = scenario.schedule[0][1]
         dy = assemble_rhs(0.0, y, scenario.parameters, u)
-        snap = evaluate_snapshot(y, scenario.parameters, u)
+        snap = dict(zip(SNAPSHOT_COLUMNS,
+                        evaluate_snapshot(y, scenario.parameters, u)))
         assert dy[6] == pytest.approx(snap["P_h"], rel=1e-12)
         assert dy[7] == pytest.approx(snap["P_useful"], rel=1e-12)
         assert dy[8] == pytest.approx(snap["P_elec"], rel=1e-12)
@@ -239,6 +243,33 @@ class TestTrajectoryColumns:
     def test_first_record_has_zero_dVdt(self, short_run):
         _, traj = short_run
         assert traj.column("dVdt")[0] == 0.0
+
+    @pytest.mark.parametrize("run", [
+        lambda: integrate(parse_scenario({"log_interval": 20.0})),
+        lambda: integrate(parse_scenario({"method": "DOPRI5"})),
+        lambda: integrate_fixed_rk4(parse_scenario({"t_end": 5000.0}))],
+        ids=["LSODA", "DOPRI5", "RK4"])
+    def test_every_row_rebuilds_from_its_logged_state(self, run):
+        # Each row's reconstructions are `evaluate_snapshot` of the row's
+        # own protected state and held inputs, column by column, so a
+        # reconstruction written under another column's name fails here.
+        traj, scenario = run(), default_scenario()
+        p, schedule = scenario.parameters, scenario.schedule
+        assert len(traj) > 1
+        names = [f.name for f in fields(ExogenousInputs)]
+        prev = None
+        for values in traj.data.tolist():
+            row = dict(zip(engine.TRAJECTORY_COLUMNS, values))
+            states = [row[name] for name in engine._STATE_NAMES]
+            inputs = ExogenousInputs(**{name: row[name] for name in names})
+            assert engine._protect(states, p)[1] == 0
+            assert inputs == inputs_at(schedule, row["t"])
+            snap = dict(zip(SNAPSHOT_COLUMNS,
+                            evaluate_snapshot(states, p, inputs)))
+            assert {name: row[name] for name in SNAPSHOT_COLUMNS} == snap
+            assert row["dVdt"] == (0.0 if prev is None else lyapunov_rate(
+                row["s_q"], prev["s_q"], row["t"] - prev["t"]))
+            prev = row
 
 
 class TestBounds:

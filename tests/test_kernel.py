@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowdown import engine
-from blowdown.engine import assemble_rhs, evaluate_snapshot
+from blowdown.engine import SNAPSHOT_COLUMNS, assemble_rhs, evaluate_snapshot
 from blowdown.errors import IntegrationError
 from blowdown.state import ExogenousInputs, ProcessState
 from defaults import parameters
@@ -188,7 +188,9 @@ class TestKernelMatchesHelpers:
         derivs, snap, _ = reference(y, p, u)
         assert assemble_rhs(0.0, y, p, u).tolist() == derivs
         assert assemble_rhs(0.0, np.array(y), p, u).tolist() == derivs
-        assert evaluate_snapshot(y, p, u) == snap
+        got = evaluate_snapshot(y, p, u)
+        assert type(got) is tuple and len(got) == len(SNAPSHOT_COLUMNS)
+        assert dict(zip(SNAPSHOT_COLUMNS, got)) == snap
 
     @pytest.mark.parametrize("name", BRANCH_CASES)
     def test_branch_cases_take_their_branch(self, name):

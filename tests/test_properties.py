@@ -3,15 +3,21 @@
 A document that parses integrates to finite rows inside the hard bounds,
 and the protections that fire are reported on the same log intervals
 whatever the log grid; any other document is refused with a
-`ScenarioError`.
+`ScenarioError`, and by the CLI with exit 1.
 """
 
+import contextlib
+import io
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from blowdown.cli import EXIT_USAGE, main
 from blowdown.engine import (PROT_H0_BOUND, PROT_MFL_FLOOR, PROT_MS_FLOOR,
                              PROT_QCMD_BOUND, PROT_QP_BOUND, integrate)
 from blowdown.errors import ScenarioError
@@ -87,3 +93,30 @@ def test_bounded_documents(doc):
         for bit, rows in bound.items():
             if reported & ~m & bit:
                 assert np.any(rows[a:b] & (mask[a:b] & bit != 0))
+
+
+#: YAML values that are not a mapping at the top level: scalars, lists and
+#: nested lists, whose items may be mappings.
+NOT_MAPPINGS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda items: st.lists(items, max_size=3)
+    | st.dictionaries(st.text(max_size=5), items, max_size=2),
+    max_leaves=6).filter(lambda v: v is not None and not isinstance(v, dict))
+
+
+@settings(max_examples=60, deadline=None)
+@given(NOT_MAPPINGS, st.sampled_from(["simulate", "check", "sweep"]))
+def test_cli_refuses_a_document_that_is_not_a_mapping(value, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, out = Path(tmp) / "scenario.yaml", str(Path(tmp) / "out")
+        doc.write_text(yaml.safe_dump(value))
+        args = {"simulate": ["--out", out], "check": [],
+                "sweep": ["--param", "parameters.k_smc", "--values", "1",
+                          "--out", out]}[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--scenario", str(doc), *args])
+        assert code == EXIT_USAGE
+        assert err.getvalue().startswith("blowdown: scenario error: ")
+        assert "Traceback" not in err.getvalue()
+        assert list(Path(tmp).iterdir()) == [doc]

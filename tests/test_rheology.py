@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blowdown import rheology
-from blowdown.engine import evaluate_snapshot
+from blowdown.engine import SNAPSHOT_COLUMNS, evaluate_snapshot
 from blowdown.scenario_io import default_scenario
 from defaults import refused
 
@@ -54,8 +54,8 @@ class TestHBStress:
         scenario = default_scenario()
         y = scenario.initial_state.as_array()
         y[2] = -1e-6
-        snap = evaluate_snapshot(y, scenario.parameters,
-                                 scenario.schedule[0][1])
+        snap = dict(zip(SNAPSHOT_COLUMNS, evaluate_snapshot(
+            y, scenario.parameters, scenario.schedule[0][1])))
         assert snap["gamma_dot"] == 0.0
         assert snap["tau"] == scenario.parameters.tau_y
 

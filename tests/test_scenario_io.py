@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowdown import scenario_io
-from blowdown.engine import (PROT_MS_FLOOR, evaluate_snapshot, integrate,
+from blowdown.engine import (PROT_MS_FLOOR, SNAPSHOT_COLUMNS,
+                             evaluate_snapshot, integrate,
                              integrate_fixed_rk4)
 from blowdown.errors import (InvariantViolation, ScenarioSyntaxError,
                              UnknownKeyError)
@@ -208,7 +209,8 @@ class TestInitialStateResolution:
         # nearly empty vessel starts at the head the controller commands.
         scenario = parse_scenario({"initial_state": masses})
         p, state = scenario.parameters, scenario.initial_state
-        snap = evaluate_snapshot(state.as_array(), p, scenario.schedule[0][1])
+        snap = dict(zip(SNAPSHOT_COLUMNS, evaluate_snapshot(
+            state.as_array(), p, scenario.schedule[0][1])))
         assert state.H0 == min(snap["H_eq"], p.H0_max)
 
     def test_default_head(self):
@@ -303,8 +305,10 @@ class TestTrajectoryCsv:
                                  scenario.parameters, scenario.schedule[0][1])
         states = {f.name for f in fields(ProcessState)}
         inputs = {f.name for f in fields(ExogenousInputs)}
-        groups = [set(snap), states, inputs, {"t", "dVdt", "protection_mask"}]
+        groups = [set(SNAPSHOT_COLUMNS), states, inputs,
+                  {"t", "dVdt", "protection_mask"}]
         assert len(states) == 9 and len(inputs) == 5
+        assert len(snap) == len(SNAPSHOT_COLUMNS) == 21
         assert sum(map(len, groups)) == len(set().union(*groups))
         assert set().union(*groups) == set(TRAJECTORY_COLUMNS)
         assert short_traj.data.shape == (len(short_traj),
