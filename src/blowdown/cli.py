@@ -1,6 +1,7 @@
 """Command-line surface: simulate, check, manifold, sweep.
 
-Exit codes: 0 success, 1 usage or scenario-document error, 2 numerical
+Exit codes: 0 success, 1 refused input (usage, scenario document, a file
+that cannot be read or written, or any other input error), 2 numerical
 failure during integration, 3 acceptance-criterion failure.
 """
 
@@ -10,7 +11,6 @@ import argparse
 import concurrent.futures
 import copy
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -18,7 +18,7 @@ import yaml  # noqa: F401 -- perfbench/tracing.py patches `cli.yaml`
 
 from . import acceptance, smc
 from .engine import integrate
-from .errors import IntegrationError, ScenarioError
+from .errors import BlowdownError, IntegrationError, ScenarioError
 from .scenario_io import (default_scenario, load_scenario, load_yaml,
                           parse_scenario, write_manifold, write_trajectory)
 
@@ -37,6 +37,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+#: `simulate` flags, each setting the scenario document key it names.
+_SIMULATE_KEYS = (("--t-end", "t_end", "S"),
+                  ("--rtol", "tolerances.rtol", "R"),
+                  ("--atol", "tolerances.atol", "A"),
+                  ("--log-every", "log_interval", "S"))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blowdown",
                      description="Batch-digester blowdown simulator with "
@@ -48,10 +55,9 @@ def _build_parser() -> _Parser:
                      help="scenario YAML (omit for the shipped default)")
     sim.add_argument("--out", metavar="DIR", required=True,
                      help="output directory for trajectory.csv")
-    sim.add_argument("--t-end", type=float, metavar="S")
-    sim.add_argument("--rtol", type=float, metavar="R")
-    sim.add_argument("--atol", type=float, metavar="A")
-    sim.add_argument("--log-every", type=float, metavar="S")
+    for flag, key, var in _SIMULATE_KEYS:
+        sim.add_argument(flag, dest=key, type=float, metavar=var,
+                         help=f"sets the scenario key {key}")
 
     chk = sub.add_parser("check", help="run the acceptance suite")
     chk.add_argument("--scenario", metavar="FILE",
@@ -82,21 +88,11 @@ def _run_to_csv(scenario, out_dir: Path) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = (load_scenario(args.scenario) if args.scenario
-                else default_scenario())
-    overrides = {}
-    if args.t_end is not None:
-        overrides["t_end"] = args.t_end
-    if args.rtol is not None:
-        overrides["rtol"] = args.rtol
-    if args.atol is not None:
-        overrides["atol"] = args.atol
-    if args.log_every is not None:
-        overrides["log_interval"] = args.log_every
-    if overrides:
-        scenario = replace(scenario, **overrides)
-        scenario.validate()
-    target = _run_to_csv(scenario, Path(args.out))
+    doc = load_yaml(Path(args.scenario).read_text()) if args.scenario else {}
+    for _, key, _ in _SIMULATE_KEYS:
+        if (value := getattr(args, key)) is not None:
+            _set_path(doc, key, value)
+    target = _run_to_csv(parse_scenario(doc), Path(args.out))
     print(f"wrote {target}")
     return EXIT_OK
 
@@ -124,7 +120,8 @@ def _set_path(doc: dict, dotted: str, value: float) -> None:
     keys = dotted.split(".")
     node = doc
     for key in keys[:-1]:
-        node = node.setdefault(key, {})
+        node[key] = node.get(key) or {}  # empty, like an unset section
+        node = node[key]
         if not isinstance(node, dict):
             raise ScenarioError(f"cannot descend into {key!r} in {dotted!r}")
     node[keys[-1]] = value
@@ -166,12 +163,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                "manifold": _cmd_manifold, "sweep": _cmd_sweep}[args.command]
     try:
         return handler(args)
-    except (ScenarioError, FileNotFoundError) as exc:
-        print(f"blowdown: scenario error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except IntegrationError as exc:
         print(f"blowdown: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (BlowdownError, OSError) as exc:  # every refused input
+        kind = "scenario error" if isinstance(exc, ScenarioError) else "error"
+        print(f"blowdown: {kind}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

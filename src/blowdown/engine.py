@@ -44,7 +44,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .energetics import efficiency, electrical_power, head_power
-from .errors import IntegrationError, ParameterError, ScenarioError
+from .errors import (IntegrationError, InvariantViolation, ParameterError,
+                     ScenarioError, StateValidityError)
 from .hydraulics import (algebraic_flow, fiber_flow, liquor_flow, relaxation,
                          static_head)
 from .rheology import (hb_stress, hydraulic_resistance, shear_rate,
@@ -93,35 +94,49 @@ class Scenario:
     method: str
 
     def validate(self) -> "Scenario":
-        self.parameters.validate()
-        self.initial_state.validate(self.parameters)
+        """Check the parameters, the initial state, each schedule entry, then
+        the scenario-level fields; a fault raises InvariantViolation whose
+        path names the part: `parameters`, `initial_state`, `schedule[i]` or
+        `scenario`."""
+        p, path = self.parameters, "parameters"
+        try:
+            p.validate()
+            path = "initial_state"
+            self.initial_state.validate(p)
+            for i, (_, u) in enumerate(self.schedule):
+                path = f"schedule[{i}]"
+                u.validate(p)
+        except (ParameterError, StateValidityError) as exc:
+            raise InvariantViolation(path, str(exc)) from exc
+        if fault := self._fault():
+            raise InvariantViolation("scenario", fault)
+        return self
+
+    def _fault(self) -> str:
+        """The first fault of the scenario-level fields, else ''."""
         if not self.schedule:
-            raise ScenarioError("schedule must contain at least one breakpoint")
+            return "schedule must contain at least one breakpoint"
         times = [t for t, _ in self.schedule]
         if times[0] != 0.0:
-            raise ScenarioError("first schedule breakpoint must be at t = 0")
+            return "first schedule breakpoint must be at t = 0"
         if any(b <= a for a, b in zip(times, times[1:])):
-            raise ScenarioError("breakpoint times must be strictly increasing")
-        for t, u in self.schedule:
-            u.validate(self.parameters)
+            return "breakpoint times must be strictly increasing"
         for name in ("t_end", "log_interval", "rtol", "atol"):
             if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(
-                    f"{name} must be finite, got {getattr(self, name)!r}")
+                return f"{name} must be finite, got {getattr(self, name)!r}"
         if self.t_end < 0:
-            raise ScenarioError(f"t_end must be non-negative, got {self.t_end}")
+            return f"t_end must be non-negative, got {self.t_end}"
         if self.log_interval <= 0:
-            raise ScenarioError("log_interval must be positive")
+            return "log_interval must be positive"
         if self.rtol <= 0 or self.atol <= 0:
-            raise ScenarioError("tolerances must be positive")
+            return "tolerances must be positive"
         if self.method not in _METHODS:
-            raise ScenarioError(f"unknown integration method {self.method!r}")
+            return f"unknown integration method {self.method!r}"
         rows = self.t_end // self.log_interval + 1 + len(self.schedule)
         if rows > MAX_LOG_ROWS:
-            raise ScenarioError(f"t_end // log_interval + 1 + breakpoints "
-                                f"gives {rows:,.0f} log rows, above "
-                                f"{MAX_LOG_ROWS:,}")
-        return self
+            return (f"t_end // log_interval + 1 + breakpoints gives "
+                    f"{rows:,.0f} log rows, above {MAX_LOG_ROWS:,}")
+        return ""
 
     def solver_class(self):
         """The scipy OdeSolver class that steps `method`; None for DOPRI5.
@@ -286,8 +301,10 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     f_liq = liquor_flow(u.k_ch, u.gamma_K, C, rho_mix, q_p)
     cap = M_fl / TRANSPORT_DEPLETION_TIME
     f_liq = cap if f_liq > cap else f_liq
+    f_ex = p.rho_fl * u.f_fl  # extraction, an outgoing flow like f_liq
+    f_ex = cap if f_ex > cap else f_ex
     d_M_s = -f_s
-    d_M_fl = p.rho_fl * u.f_in - p.rho_fl * u.f_fl - f_liq
+    d_M_fl = p.rho_fl * u.f_in - f_ex - f_liq
 
     # Energy quadratures.
     P_h = head_power(H0, q_p)
@@ -436,6 +453,9 @@ def integrate(scenario: Scenario) -> Trajectory:
     def segment(ta, tb, y, u):
         def fun(t, y):  # scipy's y is a float array: the kernel takes a list
             return assemble_rhs(t, y.tolist(), p, u)
+        if tb - ta < 10.0 * math.ulp(tb):  # LSODA fails on a step this short
+            yield tb, y, None  # the state holds over a few ulp
+            return
         solver = solver_cls(fun, ta, y, tb, rtol=rtol, atol=atol)
         while solver.status == "running":
             msg = solver.step()

@@ -23,9 +23,8 @@ import yaml
 from . import smc
 from .engine import (SNAPSHOT_COLUMNS, TRAJECTORY_COLUMNS, Scenario,
                      Trajectory, evaluate_snapshot)
-from .errors import (IntegrationError, InvariantViolation, ParameterError,
-                     ScenarioError, ScenarioSyntaxError, StateValidityError,
-                     UnknownKeyError)
+from .errors import (IntegrationError, InvariantViolation,
+                     ScenarioSyntaxError, UnknownKeyError)
 from .state import ExogenousInputs, Parameters, ProcessState, consistency
 
 MANIFOLD_COLUMNS = ["e_q", "xi_eq", "s_q"]
@@ -90,32 +89,34 @@ def _section(doc: dict, key: str, allowed) -> dict:
                                  for k, v in section.items()}}
 
 
-def _resolve_initial_state(vals: dict, params: Parameters,
-                           first_inputs: ExogenousInputs) -> ProcessState:
-    """The validated initial state, with on-manifold values for the states
-    no document sets.
+def _start_on_manifold(scenario: Scenario, document_state: dict) -> None:
+    """Set the start states the document leaves unset onto the manifold.
 
     The default trajectory starts with the discharge already running at the
     protected reference: q_p_cmd = sigma_C(C0) * q_p_ref, q_p = q_p_cmd and
     H0 at the engine's equivalent head, so the loop begins on the sliding
-    surface. The document's values are validated first (the unset states
-    as 0), because the laws deriving the others check nothing.
+    surface. The scenario has been validated with those states at 0, as the
+    laws deriving them check nothing; the derived values lie within their
+    bounds by construction.
     """
-    state = ProcessState(**{k: vals.get(k, 0.0)
-                            for k in _STATE_KEYS}).validate(params)
-    if "q_p_cmd" not in vals:
-        C0 = consistency(state.M_s, state.M_fl, params.eps)
-        sigma0 = smc.consistency_guard(C0, params.C_max, params.alpha_sig)
-        state.q_p_cmd = smc.protected_reference(sigma0, first_inputs.q_p_ref)
-    if "q_p" not in vals:
+    state, p, u0 = (scenario.initial_state, scenario.parameters,
+                    scenario.schedule[0][1])
+    if "q_p_cmd" not in document_state:
+        C0 = consistency(state.M_s, state.M_fl, p.eps)
+        sigma0 = smc.consistency_guard(C0, p.C_max, p.alpha_sig)
+        state.q_p_cmd = smc.protected_reference(sigma0, u0.q_p_ref)
+    if "q_p" not in document_state:
         state.q_p = state.q_p_cmd
-    if "H0" not in vals:  # H_eq reads no H0
-        snapshot = evaluate_snapshot(state.as_array(), params, first_inputs)
-        state.H0 = min(snapshot[SNAPSHOT_COLUMNS.index("H_eq")], params.H0_max)
-    return state
+    if "H0" not in document_state:  # H_eq reads no H0
+        try:
+            snapshot = evaluate_snapshot(state.as_array(), p, u0)
+        except IntegrationError as exc:  # masses that overflow the laws
+            raise InvariantViolation(
+                "initial_state", f"no finite start head: {exc}") from exc
+        state.H0 = min(snapshot[SNAPSHOT_COLUMNS.index("H_eq")], p.H0_max)
 
 
-def _resolve_schedule(schedule_doc, params: Parameters):
+def _resolve_schedule(schedule_doc):
     """Breakpoint list with piecewise inheritance of unspecified inputs.
 
     A document's schedule replaces the shipped one; its first entry takes
@@ -139,49 +140,27 @@ def _resolve_schedule(schedule_doc, params: Parameters):
         for key in _INPUT_KEYS:
             if key in entry:
                 current[key] = _as_number(entry[key], f"schedule[{i}].{key}")
-        inputs = ExogenousInputs(**current)
-        try:
-            inputs.validate(params)
-        except (StateValidityError, ParameterError) as exc:
-            raise InvariantViolation(f"schedule[{i}]", str(exc)) from exc
-        schedule.append((t, inputs))
+        schedule.append((t, ExogenousInputs(**current)))
     return schedule
 
 
 def parse_scenario(document: Union[str, dict, None]) -> Scenario:
     """Validated Scenario from a YAML string or pre-parsed mapping.
 
-    An empty document yields the full shipped default scenario.
+    An empty document yields the full shipped default scenario. The
+    document is laid over the shipped one, checked by `Scenario.validate`,
+    and only then are the unset start states derived from it.
     """
     doc = (load_yaml(document) if isinstance(document, str)
            else _as_mapping(document))
     shipped = _shipped()
     _reject_unknown(doc, shipped, "")
-
-    params = Parameters(**_section(doc, "parameters", _PARAM_KEYS))
-    try:
-        params.validate()
-    except ParameterError as exc:
-        raise InvariantViolation("parameters", str(exc)) from exc
-
-    schedule = _resolve_schedule(doc.get("schedule"), params)
-
-    state_vals = _section(doc, "initial_state", _STATE_KEYS)
-    try:
-        initial_state = _resolve_initial_state(state_vals, params,
-                                               schedule[0][1])
-    except StateValidityError as exc:
-        raise InvariantViolation("initial_state", str(exc)) from exc
-    except IntegrationError as exc:
-        # Masses that overflow the reconstructions setting the start head.
-        raise InvariantViolation(
-            "initial_state", f"no finite start head: {exc}") from exc
-
+    state = _section(doc, "initial_state", _STATE_KEYS)
     tolerances = _section(doc, "tolerances", shipped["tolerances"])
     scenario = Scenario(
-        parameters=params,
-        initial_state=initial_state,
-        schedule=schedule,
+        parameters=Parameters(**_section(doc, "parameters", _PARAM_KEYS)),
+        initial_state=ProcessState(**state),  # unset q_p, q_p_cmd, H0: 0
+        schedule=_resolve_schedule(doc.get("schedule")),
         t_end=_as_number(doc.get("t_end", shipped["t_end"]), "t_end"),
         log_interval=_as_number(doc.get("log_interval",
                                         shipped["log_interval"]),
@@ -189,13 +168,8 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
         rtol=tolerances["rtol"],
         atol=tolerances["atol"],
         method=str(doc.get("method", shipped["method"])),
-    )
-    try:
-        scenario.validate()
-    except (ScenarioError, ParameterError, StateValidityError) as exc:
-        if isinstance(exc, InvariantViolation):
-            raise
-        raise InvariantViolation("scenario", str(exc)) from exc
+    ).validate()
+    _start_on_manifold(scenario, state)
     return scenario
 
 

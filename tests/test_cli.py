@@ -36,6 +36,17 @@ class TestSimulate:
         cols = read_trajectory(tmp_path / "run" / "trajectory.csv")
         assert list(cols["t"]) == [0.0, 250.0, 500.0, 750.0, 1000.0]
 
+    def test_flags_set_document_keys(self, tmp_path, capsys):
+        # Laid over the file's keys, as `sweep --param` is; an empty
+        # section takes a flag as an absent one does.
+        doc = tmp_path / "scn.yaml"
+        doc.write_text("t_end: 5.0e+4\ntolerances:\n")
+        code = main(["simulate", "--scenario", str(doc), "--t-end", "200",
+                     "--rtol", "1e-7", "--out", str(tmp_path / "run")])
+        assert code == EXIT_OK
+        cols = read_trajectory(tmp_path / "run" / "trajectory.csv")
+        assert cols["t"][-1] == 200.0
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "absent.yaml"),
                      "--out", str(tmp_path / "run")])
@@ -114,6 +125,28 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == EXIT_USAGE
+
+
+class TestRefusedInput:
+    """Every refused input exits 1 with a one-line message, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["manifold", "--out", "{dir}/m.csv", "--steps", "1"],
+        ["manifold", "--out", "{dir}/m.csv", "--e-range", "1", "0"],
+        ["simulate", "--out", "{file}"],
+        ["simulate", "--scenario", "{dir}", "--out", "{dir}/run"],
+        ["sweep", "--param", "parameters.k_smc", "--values", "1",
+         "--out", "{file}"]],
+        ids=["manifold-steps", "manifold-e-range", "simulate-out-file",
+             "simulate-scenario-dir", "sweep-out-file"])
+    def test_exit_1(self, tmp_path, capsys, argv):
+        file = tmp_path / "file"
+        file.write_text("")
+        code = main([arg.format(dir=tmp_path, file=file) for arg in argv])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("blowdown: error: ")
+        assert err.count("\n") == 1
 
 
 class TestManifold:

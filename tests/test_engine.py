@@ -330,18 +330,23 @@ class TestProtectionMask:
                    traj.column("protection_mask").astype(int).tolist())
         assert [(t, m) for t, m in rows if m] == masked
 
-    @pytest.mark.xfail(strict=True, raises=IntegrationError, reason=(
-        "extraction is not limited by the liquor left (CHANGES.md FOUND)"))
-    def test_extraction_from_a_dry_vessel(self, monkeypatch):
-        # Once the vessel is dry, f_fl drives M_fl below 0 on every step:
-        # the floor clamps it, and the stepper restarts from a small first
-        # step each time, so the run crawls into the step cap.
+    @pytest.mark.parametrize("method", ["DOPRI5", "LSODA", "BDF"])
+    def test_extraction_from_a_dry_vessel(self, monkeypatch, method):
+        # Extraction is bounded by the liquor left, like the entrained
+        # flow: a dry vessel refills until the inflow (0.11 kg/s) balances
+        # both outflows at their bound M_fl / 300 s, with no mass clamp
+        # and no restart. Unbounded, each step drove M_fl below 0 and the
+        # run crawled into the step cap.
         monkeypatch.setattr(engine, "DOPRI5_MAX_STEPS", 2000)
         traj = integrate(parse_scenario({
             "initial_state": {"M_s": 0.0, "M_fl": 0.0},
-            "schedule": [{"t": 0.0, "f_fl": 4.0e-4}], "t_end": 1000.0,
-            "method": "DOPRI5"}))
-        assert traj.times[-1] == 1000.0
+            "schedule": [{"t": 0.0, "f_fl": 4.0e-4}], "t_end": 5000.0,
+            "method": method}))
+        assert traj.times[-1] == 5000.0
+        assert not traj.column("protection_mask").any()
+        limit = engine.TRANSPORT_DEPLETION_TIME
+        assert traj.column("M_fl")[-1] == pytest.approx(
+            1100.0 * 1.0e-4 * limit / 2, rel=1e-6)
 
 
 class TestSolverChoices:
@@ -353,6 +358,17 @@ class TestSolverChoices:
             a, b = reference.column(name), traj.column(name)
             denom = np.maximum(np.abs(a), 1e-12)
             assert np.max(np.abs(a - b) / denom) < 1e-3
+
+    @pytest.mark.parametrize("method", ["LSODA", "BDF", "DOPRI5"])
+    @pytest.mark.parametrize("ulps", [1, 3])
+    def test_segment_a_few_ulp_long(self, method, ulps):
+        # t_end just past a breakpoint: LSODA cannot step the last segment.
+        t_end = 1000.0 + ulps * math.ulp(1000.0)
+        traj = integrate(parse_scenario({
+            "schedule": [{"t": 0.0}, {"t": 1000.0, "k_ch": 0.8}],
+            "t_end": t_end, "method": method}))
+        assert traj.times[-2:].tolist() == [1000.0, t_end]
+        assert traj.column("k_ch")[-1] == 0.8
 
     def test_unknown_method_rejected(self):
         for method in ("EULER", "RK45"):

@@ -77,7 +77,8 @@ def reference(y, p, u):
     f_s = min(rho_mix * C * q_p, M_s / limit)
     f_liq = min((1.0 - u.k_ch) * (1.0 - u.gamma_K * C) * rho_mix
                 * (1.0 - C) * q_p, M_fl / limit)
-    d_M_fl = p.rho_fl * u.f_in - p.rho_fl * u.f_fl - f_liq
+    f_ex = min(p.rho_fl * u.f_fl, M_fl / limit)
+    d_M_fl = p.rho_fl * u.f_in - f_ex - f_liq
 
     P_h = H0 * q_p
     P_useful = H_static * q_p
@@ -108,8 +109,8 @@ def make_case(y=None, params=None, inputs=None):
 
 #: One state per branch of the closed loop, with the test that it is taken.
 BRANCH_CASES = {
-    "depletion cap": (
-        make_case(dict(M_s=1.0, M_fl=5.0)),
+    "depletion cap": (  # extraction 1.1 kg/s is capped too
+        make_case(dict(M_s=1.0, M_fl=5.0), inputs=dict(f_fl=1e-3)),
         lambda y, p, snap, raw: (
             snap["f_s"] == y[0] / engine.TRANSPORT_DEPLETION_TIME
             and snap["f_liq"] == y[1] / engine.TRANSPORT_DEPLETION_TIME)),

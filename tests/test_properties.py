@@ -2,8 +2,8 @@
 
 A document that parses integrates to finite rows inside the hard bounds,
 and the protections that fire are reported on the same log intervals
-whatever the log grid; any other document is refused with a
-`ScenarioError`, and by the CLI with exit 1.
+whatever the log grid; any other document is refused with an
+`InvariantViolation` naming the part at fault, and by the CLI with exit 1.
 """
 
 import contextlib
@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,15 +21,14 @@ from hypothesis import strategies as st
 from blowdown.cli import EXIT_USAGE, main
 from blowdown.engine import (PROT_H0_BOUND, PROT_MFL_FLOOR, PROT_MS_FLOOR,
                              PROT_QCMD_BOUND, PROT_QP_BOUND, integrate)
-from blowdown.errors import ScenarioError
+from blowdown.errors import InvariantViolation
 from blowdown.scenario_io import parse_scenario
 
 #: Each input drawn from a range reaching past its valid one: k_ch and
 #: gamma_K lie in [0, 1], flows are non-negative and q_p_ref is at most
-#: q_p_max = 0.004. The extraction f_fl is at most 0 here: from a vessel
-#: that runs dry it crawls (`test_extraction_from_a_dry_vessel`).
+#: q_p_max = 0.004.
 INPUTS = {"k_ch": (-0.1, 1.1), "gamma_K": (-0.1, 1.1), "f_in": (-1e-4, 1e-3),
-          "f_fl": (-1e-4, 0.0), "q_p_ref": (-5e-4, 5e-3)}
+          "f_fl": (-1e-4, 1e-3), "q_p_ref": (-5e-4, 5e-3)}
 FINE_LOG = 100.0
 
 
@@ -49,6 +49,17 @@ def documents(draw):
             "method": draw(st.sampled_from(["LSODA", "DOPRI5"]))}
 
 
+def assert_bounded(traj, p):
+    """Finite rows with the flow, the head, the reference and the masses
+    inside their hard bounds."""
+    assert np.all(np.isfinite(traj.data))
+    for name, hi in (("q_p", p.q_p_max), ("H0", p.H0_max),
+                     ("q_p_cmd", p.q_p_max), ("M_s", np.inf),
+                     ("M_fl", np.inf)):
+        column = traj.column(name)
+        assert np.all((0.0 <= column) & (column <= hi)), name
+
+
 def on_bound(traj, p):
     """Per protection bit, the rows whose logged state sits on its bound."""
     def at(name, *bounds):
@@ -65,18 +76,13 @@ def on_bound(traj, p):
 def test_bounded_documents(doc):
     try:
         scenario = parse_scenario(doc)
-    except ScenarioError:
+    except InvariantViolation:
         return
     p = scenario.parameters
     fine = integrate(scenario)
     coarse = integrate(replace(scenario, log_interval=scenario.t_end))
     for traj in (fine, coarse):
-        assert np.all(np.isfinite(traj.data))
-        q_p, H0 = traj.column("q_p"), traj.column("H0")
-        assert np.all((0.0 <= q_p) & (q_p <= p.q_p_max))
-        assert np.all((0.0 <= H0) & (H0 <= p.H0_max))
-        assert np.all(traj.column("M_s") >= 0.0)
-        assert np.all(traj.column("M_fl") >= 0.0)
+        assert_bounded(traj, p)
 
     # Every coarse row is a step end on the fine grid too. Between two of
     # them, the fine rows report the same firings once each, and may add
@@ -93,6 +99,54 @@ def test_bounded_documents(doc):
         for bit, rows in bound.items():
             if reported & ~m & bit:
                 assert np.any(rows[a:b] & (mask[a:b] & bit != 0))
+
+
+#: Per document key, a valid range within a few times the shipped value (a
+#: much shorter time constant or thinner boundary layer makes the loop
+#: stiff) and a range past the valid one.
+KEYS = {
+    "parameters.n": (st.floats(0.5, 1.5), st.floats(2.0, 4.0,
+                                                    exclude_min=True)),
+    "parameters.tau_p": (st.floats(60.0, 360.0), st.floats(-120.0, 0.0)),
+    "parameters.tau_H": (st.floats(150.0, 900.0), st.floats(-300.0, 0.0)),
+    "parameters.k_smc": (st.floats(1.0, 6.0), st.floats(-3.0, -1e-3)),
+    "parameters.phi_q": (st.floats(2.5e-4, 1.5e-3), st.floats(-5e-4, 0.0)),
+    "parameters.eta_pm": (st.floats(0.3, 1.0), st.floats(1.0, 2.0,
+                                                         exclude_min=True)),
+    "tolerances.rtol": (st.floats(1e-8, 1e-4), st.floats(-1e-6, 0.0)),
+    "tolerances.atol": (st.floats(1e-11, 1e-7), st.floats(-1e-9, 0.0)),
+}
+
+
+@st.composite
+def tuned_documents(draw):
+    """A document setting some of `KEYS` within range and at most one of
+    them past it, with the name of that one (None when all are valid)."""
+    chosen = draw(st.lists(st.sampled_from(sorted(KEYS)), unique=True,
+                           max_size=4))
+    bad = draw(st.sampled_from([None, *chosen]))
+    doc = {"t_end": draw(st.floats(100.0, 2.0e3)), "log_interval": FINE_LOG,
+           "method": draw(st.sampled_from(["LSODA", "DOPRI5", "BDF"]))}
+    for name in chosen:
+        section, key = name.split(".")
+        doc.setdefault(section, {})[key] = draw(KEYS[name][name == bad])
+    return doc, bad
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tuned_documents())
+def test_parameters_and_tolerances(case):
+    doc, bad = case
+    if bad is None:
+        scenario = parse_scenario(doc)
+        assert_bounded(integrate(scenario), scenario.parameters)
+        return
+    with pytest.raises(InvariantViolation) as refused:
+        parse_scenario(doc)
+    # The tolerances are checked with the scenario-level fields.
+    assert refused.value.path == ("parameters" if bad.startswith("parameters.")
+                                  else "scenario")
 
 
 #: YAML values that are not a mapping at the top level: scalars, lists and

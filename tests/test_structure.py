@@ -9,6 +9,10 @@ integrated.
 
 One loop, `engine._drive`, protects every integrator's step ends: steppers
 yield `(t, y, dense)` and clamp nothing themselves.
+
+One boundary checks a scenario: `Scenario.validate` alone calls the
+validators of its parts, and it runs once when a document is parsed and
+once when the scenario is integrated.
 """
 
 import ast
@@ -17,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from blowdown import engine
+from blowdown.cli import EXIT_OK, main
+from blowdown.state import Parameters
 
 PHYSICS = ("state", "rheology", "hydraulics", "smc", "energetics")
 SOURCE = Path(engine.__file__).parent
@@ -87,8 +93,77 @@ def test_only_the_driver_protects():
 def test_steppers_yield_time_state_and_interpolant():
     yields = [node for node in ast.walk(tree("engine"))
               if isinstance(node, (ast.Yield, ast.YieldFrom))]
-    assert len(yields) == 3  # LSODA/BDF, DOPRI5 and RK4
+    # LSODA/BDF (a step, or a segment too short to step), DOPRI5 and RK4
+    assert len(yields) == 4
     for node in yields:
         assert isinstance(node, ast.Yield), node.lineno
         assert isinstance(node.value, ast.Tuple), node.lineno
         assert len(node.value.elts) == 3, node.lineno
+
+
+def validate_calls():
+    """(enclosing function, receiver) of every `.validate(...)` call in the
+    package; a receiver that is a `Scenario` by name or construction reads
+    `scenario`."""
+    calls = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "validate"):
+                receiver = ast.unparse(child.func.value)
+                if receiver.startswith("Scenario("):
+                    receiver = "scenario"
+                calls.add((scope, receiver))
+            visit(child, inner)
+
+    for path in SOURCE.glob("*.py"):
+        visit(ast.parse(path.read_text()), "")
+    return calls
+
+
+def test_one_boundary_validates():
+    assert validate_calls() == {
+        ("Scenario.validate", "p"),  # Parameters
+        ("Scenario.validate", "self.initial_state"),
+        ("Scenario.validate", "u"),  # each schedule entry
+        ("parse_scenario", "scenario"), ("integrate", "scenario"),
+        ("integrate_fixed_rk4", "scenario")}
+
+
+def test_simulate_validates_the_parameters_twice(tmp_path, monkeypatch,
+                                                 capsys):
+    # Once when the document is parsed, once when it is integrated.
+    calls = []
+    validate = Parameters.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(Parameters, "validate", counting)
+    assert main(["simulate", "--t-end", "100",
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert len(calls) == 2
+
+
+#: The public functions of the modules whose every public function the
+#: bench tracer times: a new one would be a span of its own, and a new
+#: callee of `integrate` would leave `integrate`'s self time.
+PUBLIC = {
+    "cli": {"main"},
+    "scenario_io": {"load_yaml", "parse_scenario", "load_scenario",
+                    "default_scenario", "format_value", "trajectory_csv",
+                    "write_trajectory", "read_trajectory", "write_manifold"},
+    "engine": {"inputs_at", "assemble_rhs", "evaluate_snapshot", "integrate",
+               "integrate_fixed_rk4"}}
+
+
+@pytest.mark.parametrize("module", PUBLIC)
+def test_helpers_stay_private(module):
+    public = {f.name for f in functions(module) if not f.name.startswith("_")}
+    assert public == PUBLIC[module]
