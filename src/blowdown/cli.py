@@ -128,30 +128,32 @@ def _set_path(doc: dict, dotted: str, value: float) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    tokens = [v.strip() for v in args.values.split(",") if v.strip()]
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        named = {float(token): token for token in tokens}
     except ValueError as exc:
         raise ScenarioError(f"bad --values list: {exc}")
-    if not values:
+    if not named:
         raise ScenarioError("--values must name at least one value")
+    if len(named) < len(tokens):  # a run's directory is its token as typed
+        raise ScenarioError(f"--values {args.values!r} names a value twice")
     base = load_yaml(Path(args.scenario).read_text()) if args.scenario else {}
 
     runs = []
-    for value in values:
+    for value, token in named.items():
         doc = copy.deepcopy(base)
         _set_path(doc, args.param, value)
         scenario = parse_scenario(doc)  # validate before launching anything
-        runs.append((value, scenario))
+        runs.append((token, scenario))
 
     out_root = Path(args.out)
     # Processes, not threads: DOPRI5 steps in pure Python, holding the GIL,
     # and scipy's lsoda keeps global Fortran state, one problem per process.
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(len(runs), 8)) as pool:
-        futures = {
-            pool.submit(_run_to_csv, scenario,
-                        out_root / f"{args.param}={value:g}"): value
-            for value, scenario in runs}
+        futures = [pool.submit(_run_to_csv, scenario,
+                               out_root / f"{args.param}={token}")
+                   for token, scenario in runs]
         for future in concurrent.futures.as_completed(futures):
             print(f"wrote {future.result()}")
     return EXIT_OK

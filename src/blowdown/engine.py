@@ -9,14 +9,15 @@ Disturbance breakpoints are handled by stopping and restarting the stepper
 exactly at each breakpoint, so no step ever straddles an input discontinuity.
 Every integrator runs in one loop, `_drive`, the only code that applies the
 numerical protections (mass floors, flow, head and reference bounds) to a
-step end; a clamped state restarts the stepper. A row's protection mask
-holds the bits fired since the previous row, and a row at a step end also
-that end's own, so each firing is reported once; a row read from a step's
-interpolant adds the clamps its own state needs. `DOPRI5` is an owned
-Dormand-Prince 5(4) pair on Python floats; its step cap makes a stiff
-scenario fail fast and name `LSODA` (the shipped method) and `BDF`, scipy's
-solvers, which `Scenario.solver_class` imports only when a scenario uses
-them.
+step end. A clamped state starts a new segment, so a stepper never
+restarts itself, and `_drive` holds one step budget, `MAX_STEPS`, for every
+method. A row's protection mask holds the bits fired since the previous
+row, and a row at a step end also that end's own, so each firing is
+reported once; a row read from a step's interpolant adds the clamps its own
+state needs. `DOPRI5` is an owned Dormand-Prince 5(4) pair on Python
+floats; a stiff scenario spends its budget fast, and the error names
+`LSODA` (the shipped method) and `BDF`, scipy's solvers, which
+`Scenario.solver_class` imports only when a scenario uses them.
 
 A run is one float table, allocated from the log grid before the first
 step, with a row per logged instant and a column per name in
@@ -65,6 +66,7 @@ PROT_QCMD_BOUND = 0x10    # conditioned reference clamped to [0, q_p_max]
 
 _METHODS = ("DOPRI5", "LSODA", "BDF")
 MAX_LOG_ROWS = 1_000_000  # checked before any row is built
+MAX_STEPS = 100_000  # steps a run may take, over all segments and methods
 
 #: Bounded-hydraulic-resistance protection: the resistance used by the
 #: closed loop is evaluated at no less than this consistency, so a drained
@@ -142,7 +144,7 @@ class Scenario:
         """The scipy OdeSolver class that steps `method`; None for DOPRI5.
 
         scipy is imported here, on first use, so a DOPRI5 run never loads
-        it. A LSODA or BDF solver is rebuilt on every restart.
+        it. A new solver is built for every segment, a restart included.
         """
         if self.method == "DOPRI5":
             return None
@@ -396,16 +398,18 @@ def _log_row(table: np.ndarray, i: int, t: float, y_raw: Sequence[float],
     table[i] = _ROW((t, *y, *_INPUTS(u), dVdt, m | mask, *snap))
 
 
-def _drive(scenario: Scenario, segment) -> Trajectory:
-    """The segment, logging and protection loop shared by every integrator.
+def _drive(scenario: Scenario, segment, method: str) -> Trajectory:
+    """The segment, logging, protection and restart loop of every integrator.
 
     `segment(ta, tb, y, u)` yields `(t, y, dense)` after each step, where
-    `dense()` interpolates inside it, and is sent back a clamped state to
-    restart from. Rows strictly inside a step are logged from the
-    interpolant with the protections fired since the previous row (and, by
-    `_log_row`, those their own state needs); the step end is then
+    `dense()` interpolates inside it. Rows strictly inside a step are logged
+    from the interpolant with the protections fired since the previous row
+    (and, by `_log_row`, those their own state needs); the step end is then
     protected, and rows at it carry those bits and its own. Nothing is
-    carried to a later row. Rows go into a table sized by the log grid."""
+    carried to a later row. A clamped step end before `tb` starts a new
+    segment from the clamped state. A run may take `MAX_STEPS` steps, over
+    all its segments, whatever `method` steps them. Rows go into a table
+    sized by the log grid."""
     p = scenario.parameters
     y = scenario.initial_state.as_array()
     log_times = _log_grid(scenario)
@@ -414,28 +418,34 @@ def _drive(scenario: Scenario, segment) -> Trajectory:
     table = np.empty((len(log_times), len(TRAJECTORY_COLUMNS)))
     _log_row(table, 0, 0.0, y, scenario, 0)
     accum, log_idx, n_log = 0, 1, len(log_times)  # t = 0 already recorded
+    steps = 0
     for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
-        steps, sent = segment(ta, tb, y, inputs_at(scenario.schedule, ta)), None
-        while True:
-            try:
-                t, y, dense = steps.send(sent)
-            except StopIteration:
-                break
-            if dense is not None:
-                sol = None  # built only for a log time inside the step
-                while log_idx < n_log and log_times[log_idx] < t:
-                    sol = sol or dense()
-                    _log_row(table, log_idx, log_times[log_idx],
-                             sol(log_times[log_idx]), scenario, accum)
+        t, u = ta, inputs_at(scenario.schedule, ta)
+        while t < tb:  # a segment's last step ends at tb
+            for t, y, dense in segment(t, tb, y, u):
+                steps += 1
+                if steps > MAX_STEPS:
+                    raise IntegrationError(
+                        f"{method} needs more than {MAX_STEPS} steps"
+                        + ("; for a stiff scenario use method: LSODA or BDF"
+                           if method == "DOPRI5" else ""),
+                        t=t, state=ProcessState.from_array(y))
+                if dense is not None:
+                    sol = None  # built only for a log time inside the step
+                    while log_idx < n_log and log_times[log_idx] < t:
+                        sol = sol or dense()
+                        _log_row(table, log_idx, log_times[log_idx],
+                                 sol(log_times[log_idx]), scenario, accum)
+                        accum, log_idx = 0, log_idx + 1
+                y, m = _protect(y, p)
+                accum |= m
+                t_due = min(tb, t + 1e-12 * max(1.0, t))
+                while log_idx < n_log and log_times[log_idx] <= t_due:
+                    _log_row(table, log_idx, log_times[log_idx], y, scenario,
+                             accum)
                     accum, log_idx = 0, log_idx + 1
-            y, m = _protect(y, p)
-            accum |= m
-            t_due = min(tb, t + 1e-12 * max(1.0, t))
-            while log_idx < n_log and log_times[log_idx] <= t_due:
-                _log_row(table, log_idx, log_times[log_idx], y, scenario,
-                         accum)
-                accum, log_idx = 0, log_idx + 1
-            sent = y if m else None
+                if m and t < tb:
+                    break  # a new segment from the clamped state
     return Trajectory(table[:log_idx])
 
 
@@ -447,7 +457,7 @@ def integrate(scenario: Scenario) -> Trajectory:
     scenario.validate()
     solver_cls = scenario.solver_class()
     if solver_cls is None:
-        return _drive(scenario, _dopri5(scenario))
+        return _drive(scenario, _dopri5(scenario), "DOPRI5")
     p, rtol, atol = scenario.parameters, scenario.rtol, scenario.atol
 
     def segment(ta, tb, y, u):
@@ -463,10 +473,8 @@ def integrate(scenario: Scenario) -> Trajectory:
                 raise IntegrationError(
                     f"integration step failed: {msg}", t=solver.t,
                     state=ProcessState.from_array(solver.y))
-            y = yield solver.t, solver.y.tolist(), solver.dense_output
-            if y is not None and solver.status == "running":
-                solver = solver_cls(fun, solver.t, y, tb, rtol=rtol, atol=atol)
-    return _drive(scenario, segment)
+            yield solver.t, solver.y.tolist(), solver.dense_output
+    return _drive(scenario, segment, scenario.method)
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6):
@@ -480,8 +488,6 @@ _DOPRI5_STAGES = (
     (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)))
 _DOPRI5_ERROR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                  22 / 525, -1 / 40)
-#: Step attempts a DOPRI5 run may make before it is declared stiff.
-DOPRI5_MAX_STEPS = 100_000
 
 
 @functools.lru_cache(maxsize=None)
@@ -515,7 +521,7 @@ def _dopri5(scenario: Scenario):
     """Segments stepped by DOPRI5 with the standard step controller (safety
     0.9, factor in [0.2, 10], at most 1 right after a rejection)."""
     p, rtol, atol = scenario.parameters, scenario.rtol, scenario.atol
-    attempt, cap, attempts = _dopri5_attempt(), DOPRI5_MAX_STEPS, 0
+    attempt = _dopri5_attempt()
 
     def start(rhs, t, y, tb, u):  # scipy's initial step (Hairer et al. II.4)
         f0 = rhs(t, y, p, u).tolist()
@@ -530,19 +536,17 @@ def _dopri5(scenario: Scenario):
         return f0, min(100.0 * h0, h1, tb - t)
 
     def segment(ta, tb, y, u):
-        nonlocal attempts
         rhs, t = assemble_rhs, ta
         f, h_next = start(rhs, t, y, tb, u)
         while t < tb:
             min_step = 10.0 * math.ulp(t)
             h_next, rejected = max(h_next, min_step), False
             while True:
-                attempts += 1
-                if attempts > cap or h_next < min_step:
+                if h_next < min_step:
                     raise IntegrationError(
-                        f"DOPRI5 needs more than {cap} step attempts or a step"
-                        " below 10 ulp of t; for a stiff scenario use method:"
-                        " LSODA or BDF", t=t, state=ProcessState.from_array(y))
+                        "DOPRI5 needs a step below 10 ulp of t; for a stiff"
+                        " scenario use method: LSODA or BDF",
+                        t=t, state=ProcessState.from_array(y))
                 t_new = min(t + h_next, tb)
                 h = t_new - t
                 y_new, err, ks = attempt(rhs, p, u, t, h, y, f, atol, rtol)
@@ -551,12 +555,9 @@ def _dopri5(scenario: Scenario):
                     h_next = h * (min(1.0, factor) if rejected else factor)
                     break
                 h_next, rejected = h * max(0.2, 0.9 * err ** -0.2), True
-            sent = yield t_new, y_new, functools.partial(
+            yield t_new, y_new, functools.partial(
                 _dopri5_dense, t, h, y, y_new, ks)
             t, y, f = t_new, y_new, ks[6]
-            if sent is not None and t < tb:  # restart from the clamped state
-                y = sent
-                f, h_next = start(rhs, t, y, tb, u)
     return segment
 
 
@@ -604,5 +605,5 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
             k4 = f(t + h, [v + h * a for v, a in zip(y, k3)])
             y = [v + h6 * (a + 2.0 * b + 2.0 * c + d)
                  for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
-            y = (yield (tb if i == n_steps else ta + i * h), y, None) or y
-    return _drive(scenario, segment)
+            yield (tb if i == n_steps else ta + i * h), y, None
+    return _drive(scenario, segment, "RK4")

@@ -10,7 +10,6 @@ documents units and marks every value that has no published source with a
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import fields
@@ -270,14 +269,10 @@ def write_trajectory(trajectory: Trajectory,
 
 def read_trajectory(path: Union[str, Path]) -> Dict[str, np.ndarray]:
     """Read a trajectory CSV back into a column -> array mapping."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = {name: [] for name in header}
-        for row in reader:
-            for name, value in zip(header, row):
-                cols[name].append(float(value))
-    return {name: np.array(vals) for name, vals in cols.items()}
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return dict(zip(header, table.T))
 
 
 def write_manifold(e_grid, xi_grid, s_grid,

@@ -181,6 +181,30 @@ class TestSweep:
             assert (out / f"parameters.k_smc={value}"
                     / "trajectory.csv").exists()
 
+    def test_directories_named_by_token(self, tmp_path, capsys):
+        # Equal to 6 significant digits, once written to one directory.
+        doc = tmp_path / "scn.yaml"
+        doc.write_text("t_end: 100.0\n")
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--scenario", str(doc),
+                     "--param", "parameters.k_smc",
+                     "--values", " 1.0000001, 1.0000002 ", "--out", str(out)])
+        assert code == EXIT_OK
+        names = ["parameters.k_smc=1.0000001", "parameters.k_smc=1.0000002"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert sorted(capsys.readouterr().out.splitlines()) == [
+            f"wrote {out / name / 'trajectory.csv'}" for name in names]
+
+    def test_equal_values_refused(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--param", "parameters.k_smc",
+                     "--values", "3,1,3.0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "blowdown: scenario error: --values '3,1,3.0' names a value "
+            "twice\n")
+        assert not out.exists()
+
     def test_unknown_parameter_path(self, tmp_path, capsys):
         code = main(["sweep", "--param", "parameters.bogus", "--values", "1",
                      "--out", str(tmp_path / "sweep")])

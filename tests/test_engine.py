@@ -1,5 +1,6 @@
 """Closed-loop integration engine: logging grid, events, protections."""
 
+import json
 import math
 import os
 import subprocess
@@ -336,8 +337,8 @@ class TestProtectionMask:
         # flow: a dry vessel refills until the inflow (0.11 kg/s) balances
         # both outflows at their bound M_fl / 300 s, with no mass clamp
         # and no restart. Unbounded, each step drove M_fl below 0 and the
-        # run crawled into the step cap.
-        monkeypatch.setattr(engine, "DOPRI5_MAX_STEPS", 2000)
+        # run crawled into the step budget.
+        monkeypatch.setattr(engine, "MAX_STEPS", 2000)
         traj = integrate(parse_scenario({
             "initial_state": {"M_s": 0.0, "M_fl": 0.0},
             "schedule": [{"t": 0.0, "f_fl": 4.0e-4}], "t_end": 5000.0,
@@ -369,6 +370,35 @@ class TestSolverChoices:
             "t_end": t_end, "method": method}))
         assert traj.times[-2:].tolist() == [1000.0, t_end]
         assert traj.column("k_ch")[-1] == 0.8
+
+    def test_bdf_crawl_ends_at_the_step_budget(self, monkeypatch, tmp_path):
+        # Consistency 0.88: the guard holds q_p near 0, every BDF step ends
+        # just below it, and each clamp restarts BDF from a 1 us step.
+        monkeypatch.setattr(engine, "MAX_STEPS", 1000)
+        crawl = {"initial_state": {"M_s": 26469.7, "M_fl": 3564.87},
+                 "schedule": [{"t": 0.0, "f_in": 2.6e-168}, {"t": 1.9}],
+                 "t_end": 2950.77, "method": "BDF"}
+        with pytest.raises(IntegrationError,
+                           match="BDF needs more than 1000 steps") as failed:
+            integrate(parse_scenario(crawl))
+        assert "LSODA" not in str(failed.value)
+        doc = tmp_path / "crawl.yaml"
+        doc.write_text(json.dumps(crawl))  # JSON is YAML
+        assert main(["simulate", "--scenario", str(doc),
+                     "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("method", ["LSODA", "BDF", "DOPRI5", "RK4"])
+    def test_one_step_budget_for_every_method(self, monkeypatch, method):
+        monkeypatch.setattr(engine, "MAX_STEPS", 10)
+        scenario = parse_scenario({
+            "t_end": 2000.0, "method": "LSODA" if method == "RK4" else method})
+        with pytest.raises(IntegrationError, match=f"^{method} needs more "
+                           "than 10 steps") as failed:
+            if method == "RK4":
+                integrate_fixed_rk4(scenario)
+            else:
+                integrate(scenario)
+        assert ("method: LSODA" in str(failed.value)) == (method == "DOPRI5")
 
     def test_unknown_method_rejected(self):
         for method in ("EULER", "RK45"):
@@ -461,10 +491,10 @@ class TestDopri5:
         assert 0.01 < err < 100.0  # a step that the controller weighs
 
     def test_step_cap_points_to_stiff_methods(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(engine, "DOPRI5_MAX_STEPS", 2000)
+        monkeypatch.setattr(engine, "MAX_STEPS", 2000)
         stiff = {"parameters": {"tau_p": 1.0e-3}}
-        with pytest.raises(IntegrationError, match="more than 2000 step "
-                           "attempts.*method: LSODA or BDF"):
+        with pytest.raises(IntegrationError, match="DOPRI5 needs more than "
+                           "2000 steps.*method: LSODA or BDF"):
             integrate(parse_scenario({**stiff, "method": "DOPRI5"}))
         doc = tmp_path / "stiff.yaml"
         doc.write_text("parameters:\n  tau_p: 1.0e-3\nmethod: DOPRI5\n")

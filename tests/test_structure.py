@@ -7,8 +7,10 @@ unchecked `_` copy and no default regularizer that could differ from
 the tests and the bench's per-module call counts see the equations that are
 integrated.
 
-One loop, `engine._drive`, protects every integrator's step ends: steppers
-yield `(t, y, dense)` and clamp nothing themselves.
+One loop, `engine._drive`, protects every integrator's step ends, restarts
+a stepper after a clamp and holds the run's step budget, `MAX_STEPS`:
+steppers yield `(t, y, dense)` and are sent nothing back, so none clamps,
+restarts or counts steps itself.
 
 One boundary checks a scenario: `Scenario.validate` alone calls the
 validators of its parts, and it runs once when a document is parsed and
@@ -91,14 +93,26 @@ def test_only_the_driver_protects():
 
 
 def test_steppers_yield_time_state_and_interpolant():
-    yields = [node for node in ast.walk(tree("engine"))
+    nodes = list(ast.walk(tree("engine")))
+    yields = [node for node in nodes
               if isinstance(node, (ast.Yield, ast.YieldFrom))]
     # LSODA/BDF (a step, or a segment too short to step), DOPRI5 and RK4
     assert len(yields) == 4
+    statements = {id(node.value) for node in nodes
+                  if isinstance(node, ast.Expr)}
     for node in yields:
         assert isinstance(node, ast.Yield), node.lineno
+        assert id(node) in statements, node.lineno  # nothing is sent back
         assert isinstance(node.value, ast.Tuple), node.lineno
         assert len(node.value.elts) == 3, node.lineno
+
+
+def test_only_the_driver_counts_steps():
+    readers = {fn.name for fn in ast.walk(tree("engine"))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Name) and node.id == "MAX_STEPS"}
+    assert readers == {"_drive"}
 
 
 def validate_calls():
