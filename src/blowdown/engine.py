@@ -9,15 +9,15 @@ Disturbance breakpoints are handled by stopping and restarting the stepper
 exactly at each breakpoint, so no step ever straddles an input discontinuity.
 Every integrator runs in one loop, `_drive`, the only code that applies the
 numerical protections (mass floors, flow, head and reference bounds) to a
-step end. A clamped state starts a new segment, so a stepper never
-restarts itself, and `_drive` holds one step budget, `MAX_STEPS`, for every
-method. A row's protection mask holds the bits fired since the previous
-row, and a row at a step end also that end's own, so each firing is
+step end. A clamped state starts a new segment, so a stepper never restarts
+itself, and `_drive` holds every method's step budget, `MAX_STEPS` between
+two breakpoints. A row's protection mask holds the bits fired since the
+previous row, and a row at a step end also that end's own, so each firing is
 reported once; a row read from a step's interpolant adds the clamps its own
-state needs. `DOPRI5` is an owned Dormand-Prince 5(4) pair on Python
-floats; a stiff scenario spends its budget fast, and the error names
-`LSODA` (the shipped method) and `BDF`, scipy's solvers, which
-`Scenario.solver_class` imports only when a scenario uses them.
+state needs. `DOPRI5` is an owned Dormand-Prince 5(4) pair on Python floats;
+a stiff scenario spends its budget fast, and the error names `LSODA` (the
+shipped method) and `BDF`, scipy's solvers, which `Scenario.solver_class`
+imports only when a scenario uses them.
 
 A run is one float table, allocated from the log grid before the first
 step, with a row per logged instant and a column per name in
@@ -66,7 +66,7 @@ PROT_QCMD_BOUND = 0x10    # conditioned reference clamped to [0, q_p_max]
 
 _METHODS = ("DOPRI5", "LSODA", "BDF")
 MAX_LOG_ROWS = 1_000_000  # checked before any row is built
-MAX_STEPS = 100_000  # steps a run may take, over all segments and methods
+MAX_STEPS = 100_000  # steps between two breakpoints, restarts included
 
 #: Bounded-hydraulic-resistance protection: the resistance used by the
 #: closed loop is evaluated at no less than this consistency, so a drained
@@ -398,7 +398,8 @@ def _log_row(table: np.ndarray, i: int, t: float, y_raw: Sequence[float],
     table[i] = _ROW((t, *y, *_INPUTS(u), dVdt, m | mask, *snap))
 
 
-def _drive(scenario: Scenario, segment, method: str) -> Trajectory:
+def _drive(scenario: Scenario, segment, method: str,
+           dt: float = math.inf) -> Trajectory:
     """The segment, logging, protection and restart loop of every integrator.
 
     `segment(ta, tb, y, u)` yields `(t, y, dense)` after each step, where
@@ -407,9 +408,9 @@ def _drive(scenario: Scenario, segment, method: str) -> Trajectory:
     (and, by `_log_row`, those their own state needs); the step end is then
     protected, and rows at it carry those bits and its own. Nothing is
     carried to a later row. A clamped step end before `tb` starts a new
-    segment from the clamped state. A run may take `MAX_STEPS` steps, over
-    all its segments, whatever `method` steps them. Rows go into a table
-    sized by the log grid."""
+    segment from the clamped state. From one breakpoint to the next, a run
+    may take `MAX_STEPS` steps, restarts included, plus the grid of a
+    fixed step `dt`. Rows go into a table sized by the log grid."""
     p = scenario.parameters
     y = scenario.initial_state.as_array()
     log_times = _log_grid(scenario)
@@ -418,17 +419,17 @@ def _drive(scenario: Scenario, segment, method: str) -> Trajectory:
     table = np.empty((len(log_times), len(TRAJECTORY_COLUMNS)))
     _log_row(table, 0, 0.0, y, scenario, 0)
     accum, log_idx, n_log = 0, 1, len(log_times)  # t = 0 already recorded
-    steps = 0
     for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
         t, u = ta, inputs_at(scenario.schedule, ta)
+        budget = left = MAX_STEPS + math.ceil((tb - ta) / dt)
         while t < tb:  # a segment's last step ends at tb
             for t, y, dense in segment(t, tb, y, u):
-                steps += 1
-                if steps > MAX_STEPS:
+                left -= 1
+                if left < 0:
+                    stiff = "; for a stiff scenario use method: LSODA or BDF"
                     raise IntegrationError(
-                        f"{method} needs more than {MAX_STEPS} steps"
-                        + ("; for a stiff scenario use method: LSODA or BDF"
-                           if method == "DOPRI5" else ""),
+                        f"{method} needs more than {budget} steps to reach t"
+                        f" = {tb:.6g} s{stiff if method == 'DOPRI5' else ''}",
                         t=t, state=ProcessState.from_array(y))
                 if dense is not None:
                     sol = None  # built only for a log time inside the step
@@ -589,21 +590,22 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
     scenario.validate()
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    p = scenario.parameters
+    p, schedule = scenario.parameters, scenario.schedule
 
-    def segment(ta, tb, y, u):
-        n_steps = max(1, int(math.ceil((tb - ta) / dt - 1e-12)))
-        h = (tb - ta) / n_steps
+    def segment(ta, tb, y, u):  # on the grid from the breakpoint t0 <= ta
+        t0 = schedule[bisect.bisect_right(schedule, ta, key=_TIME) - 1][0]
+        n_steps = max(1, int(math.ceil((tb - t0) / dt - 1e-12)))
+        h = (tb - t0) / n_steps
         h2, h6 = 0.5 * h, h / 6.0
         def f(t, z):
             return assemble_rhs(t, z, p, u).tolist()
-        for i in range(1, n_steps + 1):
-            t = ta + (i - 1) * h
+        for i in range(round((ta - t0) / h) + 1, n_steps + 1):
+            t = t0 + (i - 1) * h
             k1 = f(t, y)
             k2 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k1)])
             k3 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k2)])
             k4 = f(t + h, [v + h * a for v, a in zip(y, k3)])
             y = [v + h6 * (a + 2.0 * b + 2.0 * c + d)
                  for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
-            yield (tb if i == n_steps else ta + i * h), y, None
-    return _drive(scenario, segment, "RK4")
+            yield (tb if i == n_steps else t0 + i * h), y, None
+    return _drive(scenario, segment, "RK4", dt)

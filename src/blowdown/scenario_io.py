@@ -269,10 +269,10 @@ def write_trajectory(trajectory: Trajectory,
 
 def read_trajectory(path: Union[str, Path]) -> Dict[str, np.ndarray]:
     """Read a trajectory CSV back into a column -> array mapping."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        table = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return dict(zip(header, table.T))
+    with open(path) as fh:  # loadtxt would warn on a file with no rows
+        header, rows = fh.readline().strip().split(","), fh.readlines()
+    table = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else []
+    return dict(zip(header, np.reshape(table, (-1, len(header))).T))
 
 
 def write_manifold(e_grid, xi_grid, s_grid,

@@ -387,18 +387,53 @@ class TestSolverChoices:
         assert main(["simulate", "--scenario", str(doc),
                      "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
 
-    @pytest.mark.parametrize("method", ["LSODA", "BDF", "DOPRI5", "RK4"])
-    def test_one_step_budget_for_every_method(self, monkeypatch, method):
+    @pytest.mark.parametrize("method", ["LSODA", "BDF", "DOPRI5"])
+    def test_step_budget_for_every_adaptive_method(self, monkeypatch, method):
         monkeypatch.setattr(engine, "MAX_STEPS", 10)
-        scenario = parse_scenario({
-            "t_end": 2000.0, "method": "LSODA" if method == "RK4" else method})
+        scenario = parse_scenario({"t_end": 2000.0, "method": method})
         with pytest.raises(IntegrationError, match=f"^{method} needs more "
-                           "than 10 steps") as failed:
-            if method == "RK4":
-                integrate_fixed_rk4(scenario)
-            else:
-                integrate(scenario)
+                           "than 10 steps to reach t = 2000 s") as failed:
+            integrate(scenario)
         assert ("method: LSODA" in str(failed.value)) == (method == "DOPRI5")
+
+    @pytest.mark.parametrize("method", ["LSODA", "BDF", "DOPRI5"])
+    def test_step_budget_is_per_breakpoint_segment(self, monkeypatch, method):
+        # 199 segments of 97 s: at most 32 steps each, 866 to 2,809 in all.
+        monkeypatch.setattr(engine, "MAX_STEPS", 50)
+        traj = integrate(parse_scenario({
+            "schedule": [{"t": 97.0 * i, "k_ch": 0.5 + 0.3 * (i % 2)}
+                         for i in range(199)],
+            "t_end": 2.0e4, "log_interval": 1.0e3, "method": method}))
+        assert traj.times[-1] == 2.0e4
+
+    def test_fixed_step_grid_is_within_budget(self):
+        # 200,000 steps of 0.5 s, 80,000 of them between two breakpoints.
+        traj = integrate_fixed_rk4(default_scenario(), dt=0.5)
+        assert traj.times[-1] == 1.0e5
+
+    def test_fixed_step_restart_keeps_the_grid(self, monkeypatch):
+        # Clamps restart RK4 inside each segment; its steps still end on
+        # the grid ta + i (tb - ta) / n of the segment's breakpoints.
+        edges, dt = [0.0, 1234.567, 2345.6789, 2.0e4], 333.3
+        calls, ends, drive = [], [], engine._drive
+
+        def spy(scenario, segment, method, dt):
+            def recorded(ta, tb, y, u):
+                calls.append(ta)
+                for step in segment(ta, tb, y, u):
+                    ends.append(step[0])
+                    yield step
+            return drive(scenario, recorded, method, dt)
+        monkeypatch.setattr(engine, "_drive", spy)
+        integrate_fixed_rk4(parse_scenario({
+            "initial_state": {"M_s": 1.0, "M_fl": 5.0}, "t_end": edges[-1],
+            "schedule": [{"t": t} for t in edges[:-1]]}), dt)
+        grid = []
+        for ta, tb in zip(edges, edges[1:]):
+            n = math.ceil((tb - ta) / dt)
+            grid += [ta + i * ((tb - ta) / n) for i in range(1, n)] + [tb]
+        assert len(calls) > len(edges) - 1  # restarted after a clamp
+        assert ends == grid
 
     def test_unknown_method_rejected(self):
         for method in ("EULER", "RK45"):

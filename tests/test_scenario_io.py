@@ -291,6 +291,14 @@ class TestTrajectoryCsv:
         assert per_cell_csv(TRAJECTORY_COLUMNS, rows) == \
             trajectory_csv(short_traj)
 
+    def test_header_only_reads_every_column_empty(self, tmp_path):
+        target = tmp_path / "traj.csv"
+        target.write_text(",".join(TRAJECTORY_COLUMNS) + "\n")
+        cols = read_trajectory(target)
+        assert list(cols) == TRAJECTORY_COLUMNS
+        assert all(v.shape == (0,) and v.dtype == float
+                   for v in cols.values())
+
     def test_written_one_block_at_a_time(self, default_traj, tmp_path):
         blocks = list(_csv_text(TRAJECTORY_COLUMNS, default_traj.data))
         assert len(blocks) == 1 + -(-len(default_traj) // 256) > 2

@@ -8,9 +8,9 @@ the tests and the bench's per-module call counts see the equations that are
 integrated.
 
 One loop, `engine._drive`, protects every integrator's step ends, restarts
-a stepper after a clamp and holds the run's step budget, `MAX_STEPS`:
-steppers yield `(t, y, dense)` and are sent nothing back, so none clamps,
-restarts or counts steps itself.
+a stepper after a clamp and holds every method's step budget, `MAX_STEPS`
+between two breakpoints: steppers yield `(t, y, dense)` and are sent
+nothing back, so none clamps, restarts or counts steps itself.
 
 One boundary checks a scenario: `Scenario.validate` alone calls the
 validators of its parts, and it runs once when a document is parsed and
