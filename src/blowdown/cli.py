@@ -8,15 +8,13 @@ failure during integration, 3 acceptance-criterion failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import copy
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 import yaml  # noqa: F401 -- perfbench/tracing.py patches `cli.yaml`
 
-from . import acceptance, smc
+from . import smc
 from .engine import integrate
 from .errors import BlowdownError, IntegrationError, ScenarioError
 from .scenario_io import (default_scenario, load_scenario, load_yaml,
@@ -98,6 +96,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import acceptance  # only `check` needs the suite
     scenario = load_scenario(args.scenario) if args.scenario else None
     results = acceptance.run_all(scenario)
     for result in results:
@@ -128,6 +127,8 @@ def _set_path(doc: dict, dotted: str, value: float) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    import concurrent.futures  # loads logging: only `sweep` needs it
+    import copy
     tokens = [v.strip() for v in args.values.split(",") if v.strip()]
     try:
         named = {float(token): token for token in tokens}

@@ -39,6 +39,7 @@ import bisect
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple
 
@@ -171,6 +172,7 @@ SNAPSHOT_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS if c not in _ROW_HEAD)
 #: Permutes `(*_ROW_HEAD, *SNAPSHOT_COLUMNS)` values into column order.
 _ROW = operator.itemgetter(*map((*_ROW_HEAD, *SNAPSHOT_COLUMNS).index,
                                 TRAJECTORY_COLUMNS))
+_ROW_STRUCT = struct.Struct(f"{len(TRAJECTORY_COLUMNS)}d")  # a table row
 _S_Q = _COLUMN_INDEX["s_q"]
 _SNAP_S_Q = SNAPSHOT_COLUMNS.index("s_q")
 _TIME = operator.itemgetter(0)  # breakpoint time of a schedule entry
@@ -350,9 +352,11 @@ def _raise_non_finite(checked, states) -> None:
 def _protect(y: List[float], p: Parameters) -> Tuple[List[float], int]:
     """The state with every crossed hard bound clamped, and the bits crossed.
 
-    Returns `y` itself when no bound is crossed, else a clamped copy.
+    Returns `y` itself when no bound is crossed, else a clamped copy. A
+    non-finite term makes the sum non-finite; a finite state whose sum
+    overflows is then checked term by term.
     """
-    if not all(map(math.isfinite, y)):
+    if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
         raise IntegrationError("protection cannot repair a non-finite state")
     M_s, M_fl, q_p, _, H0, q_cmd = y[:6]
     mask = ((M_s < 0.0) * PROT_MS_FLOOR
@@ -380,22 +384,23 @@ def _log_grid(scenario: Scenario) -> List[float]:
 
 
 def _log_row(table: np.ndarray, i: int, t: float, y_raw: Sequence[float],
-             scenario: Scenario, mask: int) -> None:
+             p: Parameters, u: ExogenousInputs, mask: int) -> None:
     """Write row `i` of the trajectory table, the row logged at `t`.
 
-    The row holds the protected state, the inputs held at `t`, the
-    reconstructions of `evaluate_snapshot`, dV/dt against row `i - 1`, and
-    `mask` with the protections this state itself needs, permuted by `_ROW`.
+    The row holds the protected state, the inputs `u` (the caller's, held at
+    `t`), the reconstructions of `evaluate_snapshot`, dV/dt against row
+    `i - 1`, and `mask` with the protections this state itself needs,
+    permuted by `_ROW`. It is packed into the C-contiguous float table in
+    one call, about half the time of `table[i] = row`.
     """
-    p = scenario.parameters
     y, m = _protect(y_raw if type(y_raw) is list else y_raw.tolist(), p)
-    u = inputs_at(scenario.schedule, t)
     snap = evaluate_snapshot(y, p, u)
     dVdt = 0.0
     if i and t > (t_prev := table.item(i - 1, 0)):
         dVdt = lyapunov_rate(snap[_SNAP_S_Q], table.item(i - 1, _S_Q),
                              t - t_prev)
-    table[i] = _ROW((t, *y, *_INPUTS(u), dVdt, m | mask, *snap))
+    _ROW_STRUCT.pack_into(table, i * _ROW_STRUCT.size,
+                          *_ROW((t, *y, *_INPUTS(u), dVdt, m | mask, *snap)))
 
 
 def _drive(scenario: Scenario, segment, method: str,
@@ -410,17 +415,19 @@ def _drive(scenario: Scenario, segment, method: str,
     carried to a later row. A clamped step end before `tb` starts a new
     segment from the clamped state. From one breakpoint to the next, a run
     may take `MAX_STEPS` steps, restarts included, plus the grid of a
-    fixed step `dt`. Rows go into a table sized by the log grid."""
-    p = scenario.parameters
+    fixed step `dt`. Rows go into a table sized by the log grid. A row
+    before `tb` carries the segment's inputs `u`; only a row at `tb` looks
+    its inputs up, since there the left-closed hold takes the next entry."""
+    p, schedule = scenario.parameters, scenario.schedule
     y = scenario.initial_state.as_array()
-    log_times = _log_grid(scenario)
-    seg_edges = sorted({t for t, _ in scenario.schedule
+    log_times = _log_grid(scenario) + [math.inf]  # a time no step reaches
+    seg_edges = sorted({t for t, _ in schedule
                         if t <= scenario.t_end} | {scenario.t_end})
-    table = np.empty((len(log_times), len(TRAJECTORY_COLUMNS)))
-    _log_row(table, 0, 0.0, y, scenario, 0)
-    accum, log_idx, n_log = 0, 1, len(log_times)  # t = 0 already recorded
+    table = np.empty((len(log_times) - 1, len(TRAJECTORY_COLUMNS)))
+    _log_row(table, 0, 0.0, y, p, inputs_at(schedule, 0.0), 0)
+    accum, log_idx = 0, 1  # t = 0 already recorded
     for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
-        t, u = ta, inputs_at(scenario.schedule, ta)
+        t, u = ta, inputs_at(schedule, ta)
         budget = left = MAX_STEPS + math.ceil((tb - ta) / dt)
         while t < tb:  # a segment's last step ends at tb
             for t, y, dense in segment(t, tb, y, u):
@@ -433,17 +440,17 @@ def _drive(scenario: Scenario, segment, method: str,
                         t=t, state=ProcessState.from_array(y))
                 if dense is not None:
                     sol = None  # built only for a log time inside the step
-                    while log_idx < n_log and log_times[log_idx] < t:
+                    while (t_log := log_times[log_idx]) < t:
                         sol = sol or dense()
-                        _log_row(table, log_idx, log_times[log_idx],
-                                 sol(log_times[log_idx]), scenario, accum)
+                        _log_row(table, log_idx, t_log, sol(t_log), p, u,
+                                 accum)
                         accum, log_idx = 0, log_idx + 1
                 y, m = _protect(y, p)
                 accum |= m
                 t_due = min(tb, t + 1e-12 * max(1.0, t))
-                while log_idx < n_log and log_times[log_idx] <= t_due:
-                    _log_row(table, log_idx, log_times[log_idx], y, scenario,
-                             accum)
+                while (t_log := log_times[log_idx]) <= t_due:
+                    _log_row(table, log_idx, t_log, y, p, u if t_log < tb
+                             else inputs_at(schedule, tb), accum)
                     accum, log_idx = 0, log_idx + 1
                 if m and t < tb:
                     break  # a new segment from the clamped state

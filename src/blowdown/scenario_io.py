@@ -205,29 +205,45 @@ def format_value(value) -> str:
 _BLOCK_ROWS = 256
 
 
+#: 10**j for j in 0..166 by numpy's power, the scaling the pinned CSV
+#: hashes were made with: the correctly rounded float(10**j) differs from it
+#: by an ulp at j = 106, 130, 136 and 149 (numpy 2.4 on x86-64).
+_POWERS_OF_TEN = 10.0 ** np.arange(167.0)
+
+
 def _decimals(v: np.ndarray):
     """Decimal places that print each cell at 9 significant digits.
 
     Returns the trimmed decimal count of every cell and a mask of the cells
     this float arithmetic cannot settle, which `format_value` prints:
     non-finite values, |v| >= 1e9 (digits past the ninth print as zeros)
-    and possible ties. x below is the cell scaled to a 9-digit integer part,
-    off by at most a few ulp (< 1e-6), so an x within 1e-6 of a half may
-    round either way.
+    and possible ties. x below is the cell scaled to a 9-digit integer part
+    by two factors of `_POWERS_OF_TEN` (10**k overflows for k > 308), off
+    by at most a few ulp (< 1e-6), so an x within 1e-6 of a half may round
+    either way. 0 <= k <= 332: just below 1e9, where log10 rounds up to 9,
+    k is raised from -1 to 0 and x carries like its neighbours. The
+    trailing zeros of the 9-digit mantissa are counted in halving passes of
+    8, 4, 2 and 1 digits.
     """
     a = np.abs(v)
     plain = a < 1e9  # False for inf and nan
     a = np.where(plain & (a > 0.0), a, 1.0)  # 1 also prints with 0 places
-    k = 8.0 - np.floor(np.log10(a))  # 0 <= k <= 332
-    x = a * 10.0 ** np.floor(k / 2) * 10.0 ** np.ceil(k / 2)  # 10**k overflows
+    k = np.maximum(8 - np.floor(np.log10(a)).astype(np.int64), 0)
+    x = a * _POWERS_OF_TEN[k >> 1] * _POWERS_OF_TEN[(k + 1) >> 1]
     m = np.rint(x)
     deferred = ~plain | (np.abs(np.abs(x - m) - 0.5) < 1e-6)
     # m reaches 1e9 when rounding carries into a new leading digit, or when
     # log10 fell just short of an integer at a power of ten.
     carry = m >= 1e9
     m = np.where(carry, 1e8, m).astype(np.int64)
-    zeros = sum((m % 10 ** j == 0).astype(np.int64) for j in range(1, 9))
-    return np.maximum(k.astype(np.int64) - carry - zeros, 0), deferred
+    places = k - carry
+    for digits in (8, 4, 2, 1):
+        scale = 10 ** digits
+        q = m // scale
+        zeros = q * scale == m
+        m = np.where(zeros, q, m)
+        places -= digits * zeros
+    return np.maximum(places, 0), deferred
 
 
 def _csv_text(columns, table: np.ndarray) -> Iterator[str]:

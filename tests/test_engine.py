@@ -245,18 +245,33 @@ class TestTrajectoryColumns:
         _, traj = short_run
         assert traj.column("dVdt")[0] == 0.0
 
-    @pytest.mark.parametrize("run", [
-        lambda: integrate(parse_scenario({"log_interval": 20.0})),
-        lambda: integrate(parse_scenario({"method": "DOPRI5"})),
-        lambda: integrate_fixed_rk4(parse_scenario({"t_end": 5000.0}))],
-        ids=["LSODA", "DOPRI5", "RK4"])
-    def test_every_row_rebuilds_from_its_logged_state(self, run):
+    #: One breakpoint off the log grid and one at t_end: a row before a
+    #: segment end holds the segment's inputs, a row at it the next entry's.
+    OFF_GRID = {"schedule": [{"t": 0}, {"t": 1234.5, "k_ch": 0.8},
+                             {"t": 5000, "f_in": 2.0e-4}],
+                "t_end": 5000, "log_interval": 100}
+
+    @pytest.mark.parametrize("integrator, document", [
+        (integrate, {"log_interval": 20.0}),
+        (integrate, {"method": "DOPRI5"}),
+        (integrate_fixed_rk4, {"t_end": 5000.0}),
+        (integrate, OFF_GRID),
+        (integrate, {**OFF_GRID, "method": "DOPRI5"}),
+        (integrate_fixed_rk4, OFF_GRID)],
+        ids=["LSODA", "DOPRI5", "RK4", "off-grid-LSODA", "off-grid-DOPRI5",
+             "off-grid-RK4"])
+    def test_every_row_rebuilds_from_its_logged_state(self, integrator,
+                                                      document):
         # Each row's reconstructions are `evaluate_snapshot` of the row's
         # own protected state and held inputs, column by column, so a
         # reconstruction written under another column's name fails here.
-        traj, scenario = run(), default_scenario()
+        scenario = parse_scenario(document)
+        traj = integrator(scenario)
         p, schedule = scenario.parameters, scenario.schedule
         assert len(traj) > 1
+        if "schedule" in document:  # 0, 100, ..., 5000 and 1234.5
+            assert len(traj) == 52
+            assert traj.column("f_in")[-1] == 2.0e-4
         names = [f.name for f in fields(ExogenousInputs)]
         prev = None
         for values in traj.data.tolist():
@@ -549,32 +564,45 @@ class TestDopri5:
         assert np.all(traj.column("q_p") >= 0.0)
 
 
+def imported_modules(script: str):
+    """The modules a fresh interpreter imports to run `script`."""
+    src = str(Path(blowdown.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", script],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 class TestScipyImport:
     """Only the LSODA and BDF methods import scipy; DOPRI5 never does."""
 
     @staticmethod
-    def imported_modules(method_key: str):
-        script = ("import blowdown, blowdown.cli\n"
-                  "from blowdown import integrate, parse_scenario\n"
-                  "traj = integrate(parse_scenario({'t_end': 2000.0"
-                  f"{method_key}}}))\n"
-                  "assert traj.times[-1] == 2000.0\n")
-        src = str(Path(blowdown.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-c", script],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        return {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    def imports_of_a_run(method_key: str):
+        return imported_modules(
+            "import blowdown, blowdown.cli\n"
+            "from blowdown import integrate, parse_scenario\n"
+            "traj = integrate(parse_scenario({'t_end': 2000.0"
+            f"{method_key}}}))\n"
+            "assert traj.times[-1] == 2000.0\n")
 
     def test_dopri5_never_imports_scipy(self):
-        modules = self.imported_modules(", 'method': 'DOPRI5'")
+        modules = self.imports_of_a_run(", 'method': 'DOPRI5'")
         assert "blowdown.cli" in modules
         assert not {m for m in modules if m.split(".")[0] == "scipy"}
 
     def test_lsoda_imports_scipy(self):
-        assert "scipy.integrate" in self.imported_modules(
+        assert "scipy.integrate" in self.imports_of_a_run(
             ", 'method': 'LSODA'")
+
+
+def test_cli_imports_only_what_simulate_needs():
+    # `check` imports the acceptance suite and `sweep` the process pool
+    # (which loads logging) when they run, not every `simulate`.
+    modules = imported_modules("import blowdown.cli\n")
+    assert "blowdown.cli" in modules
+    assert {"blowdown.acceptance", "concurrent.futures"} & modules == set()

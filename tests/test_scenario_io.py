@@ -245,7 +245,8 @@ class TestFormatValue:
         cells = np.concatenate([
             powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
             [12345678.25, 0.5, 2.5, 999999999.5, 99999999.95, 5e-324, 0.0,
-             -0.0, 2.0 ** 53, 1e9, 1.5e12, 1e300, np.inf, np.nan],
+             -0.0, 2.0 ** 53, 1e9, 1.5e12, 1e300, np.inf, np.nan, 1e-310,
+             np.nextafter(1e9, 0.0)],  # log10 rounds up to 9
             # ninth digit followed by 5 in decimal, not exactly in binary
             [12345678.05, 12345678.95, 123456.7895, 0.1234567805],
             np.arange(32.0)])  # every protection_mask value

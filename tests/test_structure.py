@@ -10,7 +10,9 @@ integrated.
 One loop, `engine._drive`, protects every integrator's step ends, restarts
 a stepper after a clamp and holds every method's step budget, `MAX_STEPS`
 between two breakpoints: steppers yield `(t, y, dense)` and are sent
-nothing back, so none clamps, restarts or counts steps itself.
+nothing back, so none clamps, restarts or counts steps itself. It hands
+each logged row the inputs it holds, and the row is packed into a
+C-contiguous float64 table.
 
 One boundary checks a scenario: `Scenario.validate` alone calls the
 validators of its parts, and it runs once when a document is parsed and
@@ -18,12 +20,15 @@ once when the scenario is integrated.
 """
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blowdown import engine
 from blowdown.cli import EXIT_OK, main
+from blowdown.scenario_io import default_scenario
 from blowdown.state import Parameters
 
 PHYSICS = ("state", "rheology", "hydraulics", "smc", "energetics")
@@ -105,6 +110,24 @@ def test_steppers_yield_time_state_and_interpolant():
         assert id(node) in statements, node.lineno  # nothing is sent back
         assert isinstance(node.value, ast.Tuple), node.lineno
         assert len(node.value.elts) == 3, node.lineno
+
+
+def test_a_row_is_given_its_inputs():
+    # `_drive` hands each row the inputs it holds; only a row at a segment
+    # end looks them up.
+    log_row = next(f for f in functions("engine") if f.name == "_log_row")
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(log_row) if isinstance(node, ast.Call)}
+    assert "inputs_at" not in called
+
+
+def test_the_table_is_c_contiguous_float64():
+    # `_log_row` packs each row at its byte offset in the table.
+    data = engine.integrate(replace(default_scenario(), t_end=200.0,
+                                    method="DOPRI5")).data
+    assert data.dtype == np.float64
+    assert data.flags.c_contiguous
+    assert data.shape == (5, len(engine.TRAJECTORY_COLUMNS))
 
 
 def test_only_the_driver_counts_steps():
