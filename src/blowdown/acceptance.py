@@ -56,7 +56,7 @@ class _Context:
     @property
     def trajectory(self) -> Trajectory:
         if self._trajectory is None:
-            self.scenario.solver_class()  # its import is not timed
+            integrate(replace(self.scenario, t_end=0.0))  # imports, untimed
             start = time.perf_counter()
             self._trajectory = integrate(self.scenario)
             self.runtime = time.perf_counter() - start

@@ -15,8 +15,9 @@ from typing import List, Optional
 import yaml  # noqa: F401 -- perfbench/tracing.py patches `cli.yaml`
 
 from . import smc
-from .engine import integrate
-from .errors import BlowdownError, IntegrationError, ScenarioError
+from .engine import MAX_LOG_ROWS, integrate
+from .errors import (BlowdownError, IntegrationError, ParameterError,
+                     ScenarioError)
 from .scenario_io import (default_scenario, load_scenario, load_yaml,
                           parse_scenario, write_manifold, write_trajectory)
 
@@ -107,6 +108,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_manifold(args) -> int:
+    if (n := args.steps) > MAX_LOG_ROWS ** 0.5:  # N² rows, a run's bound
+        raise ParameterError(f"--steps {n} gives {n * n:,} rows, above "
+                             f"{MAX_LOG_ROWS:,}")
     scenario = default_scenario()
     grids = smc.manifold_grid(args.e_range, args.xi_range,
                               scenario.parameters.lambda_q, args.steps)

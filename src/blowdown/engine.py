@@ -8,16 +8,17 @@ memory and energy quadratures):
 Disturbance breakpoints are handled by stopping and restarting the stepper
 exactly at each breakpoint, so no step ever straddles an input discontinuity.
 Every integrator runs in one loop, `_drive`, the only code that applies the
-numerical protections (mass floors, flow, head and reference bounds) to a
-step end. A clamped state starts a new segment, so a stepper never restarts
-itself, and `_drive` holds every method's step budget, `MAX_STEPS` between
-two breakpoints. A row's protection mask holds the bits fired since the
-previous row, and a row at a step end also that end's own, so each firing is
-reported once; a row read from a step's interpolant adds the clamps its own
-state needs. `DOPRI5` is an owned Dormand-Prince 5(4) pair on Python floats;
-a stiff scenario spends its budget fast, and the error names `LSODA` (the
-shipped method) and `BDF`, scipy's solvers, which `Scenario.solver_class`
-imports only when a scenario uses them.
+numerical protections (mass floors, flow, head and reference bounds: one
+rule, `_bounded`) to a step end. A clamped state starts a new segment, so a
+stepper never restarts itself, and `_drive` holds every method's step budget,
+`MAX_STEPS` between two breakpoints. A row's protection mask holds the bits
+fired since the previous row, and a row at a step end also that end's own, so
+each firing is reported once; a row read from a step's interpolant adds the
+clamps its own state needs. `integrate` takes each method's stepper from one
+table, `_STEPPERS`. `DOPRI5` is an owned Dormand-Prince 5(4) pair on Python
+floats; a stiff scenario spends its budget fast, and the error names `LSODA`
+(the shipped method) and `BDF`, scipy's solvers, imported only when a
+scenario uses them.
 
 A run is one float table, allocated from the log grid before the first
 step, with a row per logged instant and a column per name in
@@ -29,8 +30,9 @@ The right-hand side and the logged reconstructions come from one kernel,
 `_evaluate`, which calls the one public function of each physics law in
 `state`, `rheology`, `hydraulics`, `smc` and `energetics`; none of them
 checks its arguments. The scenario's parameters, initial state and inputs are
-validated once, by `Scenario.validate`; the kernel then clamps the states it
-reads and checks only that its results are finite.
+validated once, by `Scenario.validate`; the kernel then reads the states
+through `_bounded` and checks only that its results are finite. It returns
+floats: the derivative is a 9-tuple in state order.
 """
 
 from __future__ import annotations
@@ -58,16 +60,16 @@ from .smc import (consistency_guard, control_law, equivalent_head,
 from .state import (ExogenousInputs, Parameters, ProcessState, consistency,
                     mixture_density, phase_volumes)
 
-# Protection bitmask flags.
+# Protection bitmask flags: bit i flags the i-th state `_bounded` returns.
 PROT_MS_FLOOR = 0x01      # dry-fiber mass clamped to 0
 PROT_MFL_FLOOR = 0x02     # free-liquor mass clamped to 0
 PROT_QP_BOUND = 0x04      # discharge flow clamped to [0, q_p_max]
 PROT_H0_BOUND = 0x08      # applied head clamped to [0, H0_max]
 PROT_QCMD_BOUND = 0x10    # conditioned reference clamped to [0, q_p_max]
 
-_METHODS = ("DOPRI5", "LSODA", "BDF")
 MAX_LOG_ROWS = 1_000_000  # checked before any row is built
 MAX_STEPS = 100_000  # steps between two breakpoints, restarts included
+_STIFF = "; for a stiff scenario use method: LSODA or BDF"
 
 #: Bounded-hydraulic-resistance protection: the resistance used by the
 #: closed loop is evaluated at no less than this consistency, so a drained
@@ -120,6 +122,8 @@ class Scenario:
         if not self.schedule:
             return "schedule must contain at least one breakpoint"
         times = [t for t, _ in self.schedule]
+        if bad := [t for t in times if not math.isfinite(t)]:
+            return f"breakpoint times must be finite, got {bad[0]!r}"
         if times[0] != 0.0:
             return "first schedule breakpoint must be at t = 0"
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -133,24 +137,14 @@ class Scenario:
             return "log_interval must be positive"
         if self.rtol <= 0 or self.atol <= 0:
             return "tolerances must be positive"
-        if self.method not in _METHODS:
-            return f"unknown integration method {self.method!r}"
+        if self.method not in _STEPPERS:
+            return (f"unknown integration method {self.method!r}; "
+                    f"use one of {', '.join(_STEPPERS)}")
         rows = self.t_end // self.log_interval + 1 + len(self.schedule)
         if rows > MAX_LOG_ROWS:
             return (f"t_end // log_interval + 1 + breakpoints gives "
                     f"{rows:,.0f} log rows, above {MAX_LOG_ROWS:,}")
         return ""
-
-    def solver_class(self):
-        """The scipy OdeSolver class that steps `method`; None for DOPRI5.
-
-        scipy is imported here, on first use, so a DOPRI5 run never loads
-        it. A new solver is built for every segment, a restart included.
-        """
-        if self.method == "DOPRI5":
-            return None
-        import scipy.integrate
-        return getattr(scipy.integrate, self.method)
 
 
 #: Fixed trajectory column order (one flat table; every figure panel of
@@ -208,14 +202,14 @@ def inputs_at(schedule: Sequence[Tuple[float, ExogenousInputs]],
 
 
 def assemble_rhs(t: float, y: Sequence[float], params: Parameters,
-                 inputs: ExogenousInputs) -> np.ndarray:
-    """Full closed-loop time derivative at one instant.
+                 inputs: ExogenousInputs) -> Tuple[float, ...]:
+    """Closed-loop time derivative at one instant: 9 floats, in state order.
 
     `params` and `inputs` must have passed their `validate` (as
     `Scenario.validate` ensures): the kernel does not check them again.
     A non-finite state or quantity raises IntegrationError.
     """
-    return np.array(_evaluate(y, params, inputs, False)[0], dtype=float)
+    return _evaluate(y, params, inputs, False)[0]
 
 
 def evaluate_snapshot(y: Sequence[float], params: Parameters,
@@ -235,27 +229,16 @@ _CHECKED = ("C", "rho_mix", "C_n", "H_static", "q_p_alg", "H_eq", "H0s",
 def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     """Shared reconstruction -> controller -> flow -> derivative pipeline.
 
-    Clamped local copies of the states are used for the algebraic
-    reconstructions so that small solver excursions outside the admissible
-    region cannot produce invalid algebra mid-step. Every equation is the
-    public function of its physics module, which checks nothing; the
-    parameters and inputs were validated once with the scenario, and the
-    result is checked for finiteness here in one pass. A clamp
-    `lo if x < lo else x` is `max(x, lo)` and `hi if x > hi else x` is
-    `min(x, hi)`, NaN and -0.0 included.
+    The algebra reads the states through `_bounded`, so small solver
+    excursions outside the admissible region cannot produce invalid algebra
+    mid-step. Every equation is the public function of its physics module,
+    which checks nothing; the parameters and inputs were validated once with
+    the scenario, and the result is checked for finiteness here in one pass.
     """
     y = y if type(y) is list else np.asarray(y, dtype=float).tolist()
-    M_s, M_fl, q_p, xi_eq, H0, q_cmd, _, _, _ = y
-    states = (M_s, M_fl, q_p, xi_eq, H0, q_cmd)
+    states, xi_eq = y[:6], y[3]
+    M_s, M_fl, q_p, H0, q_cmd = _bounded(y, p)
     q_p_max, H0_max = p.q_p_max, p.H0_max
-    M_s = 0.0 if M_s < 0.0 else M_s
-    M_fl = 0.0 if M_fl < 0.0 else M_fl
-    q_p = 0.0 if q_p < 0.0 else q_p
-    q_p = q_p_max if q_p > q_p_max else q_p
-    H0 = 0.0 if H0 < 0.0 else H0
-    H0 = H0_max if H0 > H0_max else H0
-    q_cmd = 0.0 if q_cmd < 0.0 else q_cmd
-    q_cmd = q_p_max if q_cmd > q_p_max else q_cmd
 
     # Mixture reconstructions.
     C = consistency(M_s, M_fl, p.eps)
@@ -349,6 +332,18 @@ def _raise_non_finite(checked, states) -> None:
             raise IntegrationError(f"non-finite state {name!r} in RHS")
 
 
+def _bounded(y: Sequence[float], p: Parameters) -> Tuple[float, ...]:
+    """(M_s, M_fl, q_p, H0, q_p_cmd) of `y` within the hard bounds: masses
+    >= 0, flows in [0, q_p_max], H0 in [0, H0_max]; NaN and -0.0 pass."""
+    M_s, M_fl, q_p, H0, q_cmd = y[0], y[1], y[2], y[4], y[5]
+    q_p_max, H0_max = p.q_p_max, p.H0_max
+    return (0.0 if M_s < 0.0 else M_s,
+            0.0 if M_fl < 0.0 else M_fl,
+            0.0 if q_p < 0.0 else q_p_max if q_p > q_p_max else q_p,
+            0.0 if H0 < 0.0 else H0_max if H0 > H0_max else H0,
+            0.0 if q_cmd < 0.0 else q_p_max if q_cmd > q_p_max else q_cmd)
+
+
 def _protect(y: List[float], p: Parameters) -> Tuple[List[float], int]:
     """The state with every crossed hard bound clamped, and the bits crossed.
 
@@ -358,21 +353,14 @@ def _protect(y: List[float], p: Parameters) -> Tuple[List[float], int]:
     """
     if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
         raise IntegrationError("protection cannot repair a non-finite state")
-    M_s, M_fl, q_p, _, H0, q_cmd = y[:6]
-    mask = ((M_s < 0.0) * PROT_MS_FLOOR
-            | (M_fl < 0.0) * PROT_MFL_FLOOR
-            | (not 0.0 <= q_p <= p.q_p_max) * PROT_QP_BOUND
-            | (not 0.0 <= H0 <= p.H0_max) * PROT_H0_BOUND
-            | (not 0.0 <= q_cmd <= p.q_p_max) * PROT_QCMD_BOUND)
-    if not mask:
+    states = (y[0], y[1], y[2], y[4], y[5])
+    bounded = _bounded(y, p)
+    if bounded == states:
         return y, 0
     out = list(y)
-    out[0] = max(M_s, 0.0)
-    out[1] = max(M_fl, 0.0)
-    out[2] = min(max(q_p, 0.0), p.q_p_max)
-    out[4] = min(max(H0, 0.0), p.H0_max)
-    out[5] = min(max(q_cmd, 0.0), p.q_p_max)
-    return out, mask
+    out[0], out[1], out[2], out[4], out[5] = bounded
+    return out, sum(1 << i for i, (a, b) in enumerate(zip(states, bounded))
+                    if a != b)
 
 
 def _log_grid(scenario: Scenario) -> List[float]:
@@ -433,10 +421,9 @@ def _drive(scenario: Scenario, segment, method: str,
             for t, y, dense in segment(t, tb, y, u):
                 left -= 1
                 if left < 0:
-                    stiff = "; for a stiff scenario use method: LSODA or BDF"
                     raise IntegrationError(
                         f"{method} needs more than {budget} steps to reach t"
-                        f" = {tb:.6g} s{stiff if method == 'DOPRI5' else ''}",
+                        f" = {tb:.6g} s{_STIFF if method == 'DOPRI5' else ''}",
                         t=t, state=ProcessState.from_array(y))
                 if dense is not None:
                     sol = None  # built only for a log time inside the step
@@ -463,9 +450,15 @@ def integrate(scenario: Scenario) -> Trajectory:
     Deterministic: an identical scenario produces a bit-identical trajectory.
     """
     scenario.validate()
-    solver_cls = scenario.solver_class()
-    if solver_cls is None:
-        return _drive(scenario, _dopri5(scenario), "DOPRI5")
+    return _drive(scenario, _STEPPERS[scenario.method](scenario),
+                  scenario.method)
+
+
+def _scipy(scenario: Scenario):
+    """Segments stepped by a new scipy `scenario.method` solver each; scipy
+    is imported here, on first use, so a DOPRI5 run never loads it."""
+    import scipy.integrate
+    solver_cls = getattr(scipy.integrate, scenario.method)
     p, rtol, atol = scenario.parameters, scenario.rtol, scenario.atol
 
     def segment(ta, tb, y, u):
@@ -482,7 +475,7 @@ def integrate(scenario: Scenario) -> Trajectory:
                     f"integration step failed: {msg}", t=solver.t,
                     state=ProcessState.from_array(solver.y))
             yield solver.t, solver.y.tolist(), solver.dense_output
-    return _drive(scenario, segment, scenario.method)
+    return segment
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6):
@@ -514,7 +507,7 @@ def _dopri5_attempt(n: int = len(_STATE_NAMES)):
              ", ".join(f"y_{i}" for i in range(n)) + " = y", unpack(1)]
     for s, (c, row) in enumerate(_DOPRI5_STAGES, 2):
         z = ", ".join(f"y_{i} + h * ({weighted(row, i)})" for i in range(n))
-        lines += [f"z = [{z}]", f"k{s} = rhs(t + {c!r} * h, z, p, u).tolist()",
+        lines += [f"z = [{z}]", f"k{s} = rhs(t + {c!r} * h, z, p, u)",
                   unpack(s)]
     err = ", ".join(f"({weighted(_DOPRI5_ERROR, i)}) / "
                     f"(atol + rtol * max(abs(y_{i}), abs(z[{i}])))"
@@ -532,12 +525,12 @@ def _dopri5(scenario: Scenario):
     attempt = _dopri5_attempt()
 
     def start(rhs, t, y, tb, u):  # scipy's initial step (Hairer et al. II.4)
-        f0 = rhs(t, y, p, u).tolist()
+        f0 = rhs(t, y, p, u)
         scale = [(atol + abs(v) * rtol) * math.sqrt(len(y)) for v in y]
         d0, d1 = (math.hypot(*[v / s for v, s in zip(w, scale)])
                   for w in (y, f0))  # RMS norms
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tb - t)
-        f1 = rhs(t + h0, [v + h0 * a for v, a in zip(y, f0)], p, u).tolist()
+        f1 = rhs(t + h0, [v + h0 * a for v, a in zip(y, f0)], p, u)
         d2 = math.hypot(*[(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
         h1 = (max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
               else (0.01 / max(d1, d2)) ** 0.2)
@@ -552,8 +545,7 @@ def _dopri5(scenario: Scenario):
             while True:
                 if h_next < min_step:
                     raise IntegrationError(
-                        "DOPRI5 needs a step below 10 ulp of t; for a stiff"
-                        " scenario use method: LSODA or BDF",
+                        "DOPRI5 needs a step below 10 ulp of t" + _STIFF,
                         t=t, state=ProcessState.from_array(y))
                 t_new = min(t + h_next, tb)
                 h = t_new - t
@@ -595,8 +587,8 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
     at its protected end.
     """
     scenario.validate()
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
+    if not dt > 0:  # NaN included
+        raise ParameterError(f"dt must be positive, got {dt!r}")
     p, schedule = scenario.parameters, scenario.schedule
 
     def segment(ta, tb, y, u):  # on the grid from the breakpoint t0 <= ta
@@ -604,15 +596,18 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
         n_steps = max(1, int(math.ceil((tb - t0) / dt - 1e-12)))
         h = (tb - t0) / n_steps
         h2, h6 = 0.5 * h, h / 6.0
-        def f(t, z):
-            return assemble_rhs(t, z, p, u).tolist()
+        f = assemble_rhs
         for i in range(round((ta - t0) / h) + 1, n_steps + 1):
             t = t0 + (i - 1) * h
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k1)])
-            k3 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k2)])
-            k4 = f(t + h, [v + h * a for v, a in zip(y, k3)])
+            k1 = f(t, y, p, u)
+            k2 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k1)], p, u)
+            k3 = f(t + 0.5 * h, [v + h2 * a for v, a in zip(y, k2)], p, u)
+            k4 = f(t + h, [v + h * a for v, a in zip(y, k3)], p, u)
             y = [v + h6 * (a + 2.0 * b + 2.0 * c + d)
                  for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
             yield (tb if i == n_steps else t0 + i * h), y, None
     return _drive(scenario, segment, "RK4", dt)
+
+
+#: Each method's stepper factory: `factory(scenario)` gives `segment`.
+_STEPPERS = {"DOPRI5": _dopri5, "LSODA": _scipy, "BDF": _scipy}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from blowdown import engine
+from blowdown import engine, smc
 from blowdown.cli import (EXIT_OK, EXIT_USAGE, main)
 from blowdown.errors import ScenarioSyntaxError
 from blowdown.scenario_io import (TRAJECTORY_COLUMNS, parse_scenario,
@@ -158,6 +158,20 @@ class TestManifold:
         assert lines[0] == "e_q,xi_eq,s_q"
         assert lines[1] == "0,0,0"
         assert len(lines) == 1 + 41 * 41
+
+    def test_steps_bounded_before_the_grid_is_built(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # 1001² rows: more than a scenario may log.
+        def must_not_run(*args):
+            raise AssertionError("the grid was built")
+        monkeypatch.setattr(smc, "manifold_grid", must_not_run)
+        target = tmp_path / "manifold.csv"
+        code = main(["manifold", "--out", str(target), "--steps", "1001"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "blowdown: error: --steps 1001 gives 1,002,001 rows, above "
+            "1,000,000\n")
+        assert not target.exists()
 
     def test_custom_grid(self, tmp_path, capsys):
         target = tmp_path / "manifold.csv"

@@ -20,7 +20,7 @@ from blowdown.cli import EXIT_NUMERICAL, main
 from blowdown.engine import (SNAPSHOT_COLUMNS, inputs_at, integrate,
                              integrate_fixed_rk4, assemble_rhs,
                              evaluate_snapshot)
-from blowdown.errors import IntegrationError, ScenarioError
+from blowdown.errors import IntegrationError, ParameterError, ScenarioError
 from blowdown.scenario_io import default_scenario, parse_scenario
 from blowdown.smc import lyapunov_rate
 from blowdown.state import ExogenousInputs, Parameters
@@ -92,6 +92,18 @@ class TestScenarioValidate:
         with pytest.raises(ScenarioError, match=f"gives {rows} log rows, "
                            "above 1,000,000"):
             scenario.validate()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_breakpoint_rejected(self, t):
+        # Refused in a scenario built in code, as in a document: a NaN
+        # entry would otherwise hold its inputs from t = 0.
+        scenario = default_scenario()
+        u0 = scenario.schedule[0][1]
+        scenario = replace(scenario, t_end=3000.0, schedule=[
+            (0.0, u0), (t, replace(u0, k_ch=1.0))])
+        with pytest.raises(ScenarioError,
+                           match=f"breakpoint times must be finite, got {t}"):
+            integrate(scenario)
 
     def test_log_rows_at_the_bound_accepted(self):
         # 999,995 intervals + the row at t = 0 + 4 breakpoints
@@ -453,8 +465,14 @@ class TestSolverChoices:
     def test_unknown_method_rejected(self):
         for method in ("EULER", "RK45"):
             scenario = replace(default_scenario(), method=method)
-            with pytest.raises(ScenarioError):
+            with pytest.raises(ScenarioError, match=f"method {method!r}; "
+                               "use one of DOPRI5, LSODA, BDF"):
                 scenario.validate()
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_fixed_step_refuses_a_bad_dt(self, dt):
+        with pytest.raises(ParameterError, match="dt must be positive"):
+            integrate_fixed_rk4(replace(default_scenario(), t_end=100.0), dt)
 
     @pytest.mark.parametrize("t_end,dt", [(5.0e4, 6.1), (3.0e4, 0.7)])
     def test_fixed_step_logs_every_grid_time(self, t_end, dt):
@@ -524,11 +542,11 @@ class TestDopri5:
         p, u = scenario.parameters, scenario.schedule[0][1]
         y = scenario.initial_state.as_array()
         t, h, rtol, atol = 10.0, 37.0, 1e-6, 1e-9
-        k = [assemble_rhs(t, y, p, u).tolist()]
+        k = [assemble_rhs(t, y, p, u)]
         for i in range(1, 7):
             z = [v + h * sum(float(w) * kj[n] for w, kj in zip(a[i], k))
                  for n, v in enumerate(y)]
-            k.append(assemble_rhs(t + float(c[i]) * h, z, p, u).tolist())
+            k.append(assemble_rhs(t + float(c[i]) * h, z, p, u))
         y4 = [v + h * sum(float(w) * kj[n] for w, kj in zip(b4, k))
               for n, v in enumerate(y)]
         err = math.sqrt(sum(((zn - y4n) / (atol + rtol * max(abs(v), abs(zn))))

@@ -187,8 +187,9 @@ class TestKernelMatchesHelpers:
     def test_rhs_and_snapshot_equal_reference(self, case):
         y, p, u = case
         derivs, snap, _ = reference(y, p, u)
-        assert assemble_rhs(0.0, y, p, u).tolist() == derivs
-        assert assemble_rhs(0.0, np.array(y), p, u).tolist() == derivs
+        rhs = assemble_rhs(0.0, y, p, u)
+        assert type(rhs) is tuple and rhs == tuple(derivs)
+        assert assemble_rhs(0.0, np.array(y), p, u) == rhs
         got = evaluate_snapshot(y, p, u)
         assert type(got) is tuple and len(got) == len(SNAPSHOT_COLUMNS)
         assert dict(zip(SNAPSHOT_COLUMNS, got)) == snap
@@ -203,6 +204,39 @@ class TestKernelMatchesHelpers:
         for name in ("anti-windup at H0_max", "anti-windup at 0"):
             (y, p, u), _ = BRANCH_CASES[name]
             assert assemble_rhs(0.0, y, p, u)[3] == 0.0
+
+
+def test_rhs_is_a_tuple_of_floats():
+    # Steppers do arithmetic on the derivative as it comes: no array to
+    # convert back, and scipy wraps it in `np.asarray` itself.
+    rhs = assemble_rhs(0.0, *make_case())
+    assert type(rhs) is tuple and len(rhs) == len(engine._STATE_NAMES)
+    assert {type(v) for v in rhs} == {float}
+
+
+class TestBounds:
+    """`engine._bounded`, the one rule for the five hard state bounds."""
+
+    def test_clamps_each_bound(self):
+        y, p, _ = make_case(dict(M_s=-1.0, M_fl=-2.0, q_p=1.0, H0=-3.0,
+                                 q_p_cmd=-4.0))
+        assert engine._bounded(y, p) == (0.0, 0.0, p.q_p_max, 0.0, 0.0)
+        y, p, _ = make_case(dict(q_p=-1.0, H0=1.0e9, q_p_cmd=1.0))
+        assert engine._bounded(y, p)[2:] == (0.0, p.H0_max, p.q_p_max)
+
+    def test_nan_and_negative_zero_pass(self):
+        y, p, _ = make_case(dict(M_s=-0.0, M_fl=math.nan, q_p=-0.0,
+                                 H0=math.nan, q_p_cmd=-0.0))
+        bounded = engine._bounded(y, p)
+        assert [math.copysign(1.0, v) for v in bounded[::2]] == [-1.0] * 3
+        assert math.isnan(bounded[1]) and math.isnan(bounded[3])
+
+    def test_protect_flags_each_state_it_changed(self):
+        y, p, _ = make_case(dict(M_fl=-2.0, H0=1.0e9))
+        out, mask = engine._protect(y, p)
+        assert mask == engine.PROT_MFL_FLOOR | engine.PROT_H0_BOUND
+        assert out[:6] == [y[0], 0.0, y[2], y[3], p.H0_max, y[5]]
+        assert engine._protect(out, p) == (out, 0)
 
 
 class TestNonFiniteState:

@@ -7,6 +7,10 @@ unchecked `_` copy and no default regularizer that could differ from
 the tests and the bench's per-module call counts see the equations that are
 integrated.
 
+Each decision of the engine is made in one place: `_STEPPERS` is the one
+table of methods, `_bounded` the one rule for the hard state bounds, and
+the kernel's derivative is a tuple of floats that no stepper converts.
+
 One loop, `engine._drive`, protects every integrator's step ends, restarts
 a stepper after a clamp and holds every method's step budget, `MAX_STEPS`
 between two breakpoints: steppers yield `(t, y, dense)` and are sent
@@ -20,6 +24,7 @@ once when the scenario is integrated.
 """
 
 import ast
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,14 +92,59 @@ def test_kernel_calls_the_public_laws():
             assert not name.startswith("_"), name
 
 
+def engine_functions():
+    return [fn for fn in ast.walk(tree("engine"))
+            if isinstance(fn, ast.FunctionDef)]
+
+
+def callers(name: str):
+    """The `engine` functions that call `name`, nested calls included."""
+    return {fn.name for fn in engine_functions() for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == name}
+
+
 def test_only_the_driver_protects():
-    callers = set()
-    for fn in ast.walk(tree("engine")):
-        if isinstance(fn, ast.FunctionDef):
-            callers.update(fn.name for node in ast.walk(fn)
-                           if isinstance(node, ast.Call)
-                           and getattr(node.func, "id", None) == "_protect")
-    assert callers == {"_drive", "_log_row"}
+    assert callers("_protect") == {"_drive", "_log_row"}
+
+
+def test_one_rule_bounds_the_states():
+    # Only `_bounded` compares a state with q_p_max or H0_max; the kernel
+    # reads its states through it and `_protect` clamps with it.
+    states = {"y", "M_s", "M_fl", "q_p", "H0", "q_cmd", "q_p_cmd"}
+    comparers = set()
+    for fn in engine_functions():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare):
+                named = {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(node)}
+                if named & states and named & {"q_p_max", "H0_max"}:
+                    comparers.add(fn.name)
+    assert comparers == {"_bounded"}
+    assert callers("_bounded") == {"_evaluate", "_protect"}
+
+
+def test_no_rhs_result_becomes_a_list():
+    # `assemble_rhs` returns floats, which every stepper uses as they come,
+    # in code it writes out (DOPRI5's `attempt`) as in code it runs.
+    for node in ast.walk(tree("engine")):
+        if isinstance(node, ast.JoinedStr):
+            assert "tolist" not in ast.unparse(node), node.lineno
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "tolist"
+                and isinstance(node.func.value, ast.Call)):
+            callee = node.func.value.func
+            name = getattr(callee, "id", getattr(callee, "attr", None))
+            assert name not in ("assemble_rhs", "rhs", "f"), ast.unparse(node)
+
+
+def test_one_method_table():
+    # `integrate` picks a method's stepper from `_STEPPERS`; no other code
+    # lists the methods or looks a solver up.
+    assert not hasattr(engine.Scenario, "solver_class")
+    assert list(engine._STEPPERS) == ["DOPRI5", "LSODA", "BDF"]
+    words = set(re.findall(r"\w+", (SOURCE / "acceptance.py").read_text()))
+    assert words & {*engine._STEPPERS, "solver_class", "RK45"} == set()
 
 
 def test_steppers_yield_time_state_and_interpolant():
