@@ -182,16 +182,29 @@ def criterion_mass(ctx: _Context) -> CriterionResult:
     t = traj.times
     M_s, M_fl = traj.column("M_s"), traj.column("M_fl")
     fiber = abs(M_s[0] - M_s[-1] - np.trapezoid(traj.column("f_s"), t))
-    fiber_rel = fiber / M_s[0]
     liquor_net = (p.rho_fl * traj.column("f_in")
                   - p.rho_fl * traj.column("f_fl") - traj.column("f_liq"))
     liquor = abs(M_fl[-1] - M_fl[0] - np.trapezoid(liquor_net, t))
-    liquor_rel = liquor / M_fl[0]
-    ok = fiber_rel < 1e-3 and liquor_rel < 1e-3
+    fiber_rel, liquor_rel = _relative(fiber, M_s), _relative(liquor, M_fl)
+    ok = all(r is None or r < 1e-3 for r in (fiber_rel, liquor_rel))
     return CriterionResult(
         5, "mass accounting", ok,
-        f"fiber residual {fiber_rel:.3e}, liquor residual {liquor_rel:.3e} "
-        "(both <1e-3)")
+        f"fiber residual {_e3(fiber_rel)}, liquor residual "
+        f"{_e3(liquor_rel)} (both <1e-3)")
+
+
+def _relative(error: float, mass: np.ndarray) -> Optional[float]:
+    """`error` over a phase's start mass, or over its largest logged mass
+    if it starts empty. A phase never present has no scale: its residual
+    is None if `error` is 0, else inf."""
+    scale = mass[0] if mass[0] > 0.0 else np.max(mass)
+    if scale > 0.0:
+        return error / scale
+    return None if error == 0.0 else math.inf
+
+
+def _e3(residual: Optional[float]) -> str:
+    return "none" if residual is None else f"{residual:.3e}"
 
 
 def criterion_reconstruction(ctx: _Context) -> CriterionResult:
@@ -300,8 +313,8 @@ def criterion_boundedness(ctx: _Context) -> CriterionResult:
                   and np.all(H0 >= 0.0) and np.all(H0 <= p.H0_max)):
             failures.append(f"run {i}: bound violation")
     ok = not failures
-    detail = ("50/50 randomized runs finite, q_p in [0, 0.004], H0 in [0, 120]"
-              if ok else "; ".join(failures[:3]))
+    detail = (f"50/50 randomized runs finite, q_p in [0, {p.q_p_max:g}], "
+              f"H0 in [0, {p.H0_max:g}]" if ok else "; ".join(failures[:3]))
     return CriterionResult(10, "boundedness and finiteness", ok, detail)
 
 

@@ -246,27 +246,54 @@ def _decimals(v: np.ndarray):
     return np.maximum(places, 0), deferred
 
 
+def _fold_constants(block: np.ndarray, row_format: str):
+    """The row format of `block` and the cells left to format through it.
+
+    Each column that holds one value all through the block (never a NaN
+    one) has its text written into the row format once and is cut from the
+    block; with no such column both come back as they are.
+    """
+    row = block[0]
+    if not (block[-1] == row).any():  # a first look: one comparison a column
+        return row_format, block
+    constant = (block == row).all(axis=0)
+    if not constant.any():
+        return row_format, block
+    cells = ["%.*f"] * len(row)
+    values = row[constant]
+    places, deferred = _decimals(values)
+    for i, v, n, d in zip(np.flatnonzero(constant).tolist(), values.tolist(),
+                          places.tolist(), deferred.tolist()):
+        cells[i] = format_value(v) if d else "%.*f" % (n, v)
+    text = ",".join(cells) + "\n"
+    # No written-in text holds a "%", so each "%" still starts a varying cell.
+    assert text.count("%") == len(row) - len(values)
+    return text, block[:, ~constant]
+
+
 def _csv_text(columns, table: np.ndarray) -> Iterator[str]:
     """CSV text in pieces: a header line, then blocks of `_BLOCK_ROWS` rows
-    with each cell as `format_value` prints it."""
+    with each cell as `format_value` prints it. A column that holds one
+    value over a block is formatted once, into that block's row format."""
     table = np.asarray(table, dtype=float)
     row_format = ",".join(["%.*f"] * len(columns)) + "\n"
     yield ",".join(columns) + "\n"
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start:start + _BLOCK_ROWS] + 0.0  # -0.0 prints as 0
+        block_row, block = _fold_constants(block, row_format)
         places, deferred = _decimals(block)
         args = [0] * (2 * block.size)
         args[0::2] = places.ravel().tolist()
         args[1::2] = block.ravel().tolist()
-        block_format = row_format * len(block)
+        block_format = block_row * len(block)
         if deferred.any():
             # A deferred cell prints the text of `format_value` via "%.*s".
-            cells = block_format.split("%")[1:]  # ".*f," or ".*f\n"
+            head, *cells = block_format.split("%")  # ".*f,..." or ".*f\n..."
             for i in np.flatnonzero(deferred).tolist():
                 text = format_value(args[2 * i + 1])
                 cells[i] = ".*s" + cells[i][3:]
                 args[2 * i:2 * i + 2] = len(text), text
-            block_format = "%" + "%".join(cells)
+            block_format = head + "%" + "%".join(cells)
         yield block_format % tuple(args)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from blowdown import acceptance
 from blowdown.acceptance import CRITERIA, run_all
-from blowdown.scenario_io import load_scenario
+from blowdown.scenario_io import load_scenario, parse_scenario
 
 _NAMES = [fn.__name__.removeprefix("criterion_") for fn in CRITERIA]
 
@@ -66,3 +66,25 @@ def test_loaded_vessel(loaded_contexts, name, criterion):
         loaded_contexts[name])
     print(result.line)
     assert result.passed, result.line
+
+
+def test_boundedness_names_the_scenarios_bounds():
+    ctx = acceptance._Context(parse_scenario({
+        "parameters": {"H0_max": 100.0, "q_p_max": 0.0035},
+        "t_end": 2000.0, "method": "DOPRI5"}))
+    result = acceptance.criterion_boundedness(ctx)
+    assert result.passed, result.line
+    assert result.detail.endswith("q_p in [0, 0.0035], H0 in [0, 100]")
+
+
+@pytest.mark.parametrize("state", [{"M_s": 0.0}, {"M_fl": 0.0}])
+def test_mass_on_a_phase_that_starts_empty(state):
+    # A phase that starts empty is judged against its largest logged mass;
+    # the fiber phase of {M_s: 0} is never present and has no residual.
+    ctx = acceptance._Context(parse_scenario({
+        "initial_state": state, "t_end": 2000.0, "method": "DOPRI5"}))
+    assert ctx.trajectory.column("M_fl").max() > 0.0
+    result = acceptance.criterion_mass(ctx)
+    assert result.passed, result.line
+    assert "nan" not in result.detail
+    assert result.detail.startswith("fiber residual none,") == ("M_s" in state)

@@ -218,6 +218,44 @@ class TestInitialStateResolution:
         assert H0 == pytest.approx(95.7037, abs=1e-4)
 
 
+#: Values a constant column may hold: cells the writer defers to
+#: `format_value` (|v| >= 1e9, +-inf, ties at the ninth digit such as
+#: 12345678.05), 2.5, the subnormal 5e-324 and any float. NaN is never
+#: equal to itself, so it never makes a column constant.
+CONSTANTS = st.sampled_from([1e9, 1.5e12, np.inf, -np.inf, 2.5, 5e-324,
+                             12345678.05, 0.1234567805, np.nan, 1.0,
+                             31.0]) | st.floats()
+
+
+@st.composite
+def tables_with_constant_columns(draw):
+    """A table of 2-600 rows, so that blocks split, whose every column is
+    constant, mixed +-0.0, constant but for one cell, or varying."""
+    rows = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["constant", "zeros", "but one",
+                                     "varying"]))
+        if kind == "varying":
+            column = rng.standard_normal(rows) * 10.0 ** rng.integers(
+                -12, 12, rows)
+        elif kind == "zeros":
+            column = np.where(rng.integers(0, 2, rows) == 1, -0.0, 0.0)
+        else:
+            column = np.full(rows, draw(CONSTANTS))
+            if kind == "but one":
+                column[draw(st.integers(0, rows - 1))] = draw(CONSTANTS)
+        columns.append(column)
+    return np.column_stack(columns)
+
+
+def assert_writer_matches_format_value(table):
+    columns = [f"c{i}" for i in range(table.shape[1])]
+    assert ("".join(_csv_text(columns, table))
+            == per_cell_csv(columns, table.tolist()))
+
+
 class TestFormatValue:
     def test_nine_significant_digits(self):
         assert format_value(0.0909090909090909) == "0.0909090909"
@@ -256,6 +294,31 @@ class TestFormatValue:
         assert ("".join(_csv_text(columns, table))
                 == per_cell_csv(columns, table.tolist()))
         assert format_value(-0.0) == "0"
+
+    @settings(deadline=None)
+    @given(tables_with_constant_columns())
+    def test_constant_columns_match_format_value(self, table):
+        assert_writer_matches_format_value(table)
+
+    def test_every_block_all_constant(self):
+        # Each 256-row block holds one value per column, a new one per block.
+        values = np.array([[2.5, 1e12, -np.inf, 5e-324, 0.0909090909, 7.0],
+                           [-0.0, 3.0, 1e-7, np.inf, 1e9, 0.5],
+                           [12345678.05, 0.0, 2.0 ** 53, -1.0, 1e-310, 31.0]])
+        assert_writer_matches_format_value(
+            np.repeat(values, 256, axis=0)[:600])
+
+    def test_no_constant_column(self):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((600, 6)) * 10.0 ** rng.integers(
+            -12, 12, (600, 6))
+        table[[255, 511, 599], 0] = table[[0, 256, 512], 0]  # last == first
+        table[:, 1] = np.nan
+        table[::3, 2] = 1e12  # a deferred value in every third row
+        for start in (0, 256, 512):
+            block = table[start:start + 256]
+            assert not (block == block[0]).all(axis=0).any()
+        assert_writer_matches_format_value(table)
 
 
 @pytest.fixture(scope="module")
