@@ -24,15 +24,18 @@ A run is one float table, allocated from the log grid before the first
 step, with a row per logged instant and a column per name in
 `TRAJECTORY_COLUMNS`: the differential states, the held inputs, the
 `SNAPSHOT_COLUMNS` of `evaluate_snapshot`, dV/dt and the protection mask.
-Every integrator logs through the same row builder.
+Every integrator logs through the same row builder, `_log_row`, which packs
+each row straight into its place in column order, in one call, with a packer
+generated once from `TRAJECTORY_COLUMNS`.
 
 The right-hand side and the logged reconstructions come from one kernel,
 `_evaluate`, which calls the one public function of each physics law in
 `state`, `rheology`, `hydraulics`, `smc` and `energetics`; none of them
 checks its arguments. The scenario's parameters, initial state and inputs are
 validated once, by `Scenario.validate`; the kernel then reads the states
-through `_bounded` and checks only that its results are finite. It returns
-floats: the derivative is a 9-tuple in state order.
+through `_bounded` and checks only that its results are finite, with one
+sum; only a failing check gathers them to name the first non-finite one. It
+returns floats: the derivative is a 9-tuple in state order.
 """
 
 from __future__ import annotations
@@ -159,14 +162,10 @@ TRAJECTORY_COLUMNS = [
 _COLUMN_INDEX = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
 _STATE_NAMES = tuple(f.name for f in fields(ProcessState))
 _INPUT_NAMES = tuple(f.name for f in fields(ExogenousInputs))
-_INPUTS = operator.attrgetter(*_INPUT_NAMES)
-_ROW_HEAD = ("t", *_STATE_NAMES, *_INPUT_NAMES, "dVdt", "protection_mask")
-#: The other columns, in column order: those `evaluate_snapshot` returns.
-SNAPSHOT_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS if c not in _ROW_HEAD)
-#: Permutes `(*_ROW_HEAD, *SNAPSHOT_COLUMNS)` values into column order.
-_ROW = operator.itemgetter(*map((*_ROW_HEAD, *SNAPSHOT_COLUMNS).index,
-                                TRAJECTORY_COLUMNS))
-_ROW_STRUCT = struct.Struct(f"{len(TRAJECTORY_COLUMNS)}d")  # a table row
+#: The columns other than the time, the states, the inputs, dV/dt and the
+#: mask, in column order: those `evaluate_snapshot` returns.
+SNAPSHOT_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS if c not in {
+    "t", *_STATE_NAMES, *_INPUT_NAMES, "dVdt", "protection_mask"})
 _S_Q = _COLUMN_INDEX["s_q"]
 _SNAP_S_Q = SNAPSHOT_COLUMNS.index("s_q")
 _TIME = operator.itemgetter(0)  # breakpoint time of a schedule entry
@@ -236,7 +235,7 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     the scenario, and the result is checked for finiteness here in one pass.
     """
     y = y if type(y) is list else np.asarray(y, dtype=float).tolist()
-    states, xi_eq = y[:6], y[3]
+    xi_eq = y[3]
     M_s, M_fl, q_p, H0, q_cmd = _bounded(y, p)
     q_p_max, H0_max = p.q_p_max, p.H0_max
 
@@ -298,10 +297,11 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     P_useful = head_power(H_static, q_p)
     P_elec = electrical_power(P_h, p.eta_pm)
 
-    checked = (C, rho_mix, C_n, H_static, q_alg, H_eq, H0s, d_M_s, d_M_fl,
-               d_q_p, d_H0, P_h, P_elec)
-    if not math.isfinite(sum(checked) + sum(states)):
-        _raise_non_finite(checked, states)
+    if not math.isfinite(C + rho_mix + C_n + H_static + q_alg + H_eq + H0s
+                         + d_M_s + d_M_fl + d_q_p + d_H0 + P_h + P_elec
+                         + y[0] + y[1] + y[2] + xi_eq + y[4] + y[5]):
+        _raise_non_finite((C, rho_mix, C_n, H_static, q_alg, H_eq, H0s,
+                           d_M_s, d_M_fl, d_q_p, d_H0, P_h, P_elec), y[:6])
 
     derivs = (d_M_s, d_M_fl, d_q_p, d_xi, d_H0, d_q_cmd, P_h, P_useful, P_elec)
     if not full:
@@ -377,9 +377,9 @@ def _log_row(table: np.ndarray, i: int, t: float, y_raw: Sequence[float],
 
     The row holds the protected state, the inputs `u` (the caller's, held at
     `t`), the reconstructions of `evaluate_snapshot`, dV/dt against row
-    `i - 1`, and `mask` with the protections this state itself needs,
-    permuted by `_ROW`. It is packed into the C-contiguous float table in
-    one call, about half the time of `table[i] = row`.
+    `i - 1`, and `mask` with the protections this state itself needs. They
+    are packed into the C-contiguous float table in column order, in one
+    call, with no row tuple built first.
     """
     y, m = _protect(y_raw if type(y_raw) is list else y_raw.tolist(), p)
     snap = evaluate_snapshot(y, p, u)
@@ -387,8 +387,25 @@ def _log_row(table: np.ndarray, i: int, t: float, y_raw: Sequence[float],
     if i and t > (t_prev := table.item(i - 1, 0)):
         dVdt = lyapunov_rate(snap[_SNAP_S_Q], table.item(i - 1, _S_Q),
                              t - t_prev)
-    _ROW_STRUCT.pack_into(table, i * _ROW_STRUCT.size,
-                          *_ROW((t, *y, *_INPUTS(u), dVdt, m | mask, *snap)))
+    _row_packer()(table, i, t, y, u, dVdt, m | mask, snap)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_packer():
+    """`pack(table, i, t, y, u, dVdt, mask, snap)` writes row `i` of a float
+    table with one `pack_into` call, its arguments read in
+    `TRAJECTORY_COLUMNS` order: `y[k]` for a state, `u.<name>` for an input,
+    `snap[k]` for a `SNAPSHOT_COLUMNS` entry. Built on first use."""
+    row = struct.Struct(f"{len(TRAJECTORY_COLUMNS)}d")
+    source = {"t": "t", "dVdt": "dVdt", "protection_mask": "mask",
+              **{n: f"y[{k}]" for k, n in enumerate(_STATE_NAMES)},
+              **{n: f"u.{n}" for n in _INPUT_NAMES},
+              **{n: f"snap[{k}]" for k, n in enumerate(SNAPSHOT_COLUMNS)}}
+    values = ", ".join(source[n] for n in TRAJECTORY_COLUMNS)
+    exec(f"def pack(table, i, t, y, u, dVdt, mask, snap):\n"
+         f"    pack_into(table, i * {row.size}, {values})",
+         namespace := {"pack_into": row.pack_into})
+    return namespace["pack"]
 
 
 def _drive(scenario: Scenario, segment, method: str,
@@ -434,7 +451,9 @@ def _drive(scenario: Scenario, segment, method: str,
                         accum, log_idx = 0, log_idx + 1
                 y, m = _protect(y, p)
                 accum |= m
-                t_due = min(tb, t + 1e-12 * max(1.0, t))
+                t_due = t + 1e-12 * t if t > 1.0 else t + 1e-12
+                if t_due > tb:
+                    t_due = tb
                 while (t_log := log_times[log_idx]) <= t_due:
                     _log_row(table, log_idx, t_log, y, p, u if t_log < tb
                              else inputs_at(schedule, tb), accum)

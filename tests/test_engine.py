@@ -1,5 +1,6 @@
 """Closed-loop integration engine: logging grid, events, protections."""
 
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,8 @@ from blowdown.engine import (SNAPSHOT_COLUMNS, inputs_at, integrate,
                              integrate_fixed_rk4, assemble_rhs,
                              evaluate_snapshot)
 from blowdown.errors import IntegrationError, ParameterError, ScenarioError
-from blowdown.scenario_io import default_scenario, parse_scenario
+from blowdown.scenario_io import (default_scenario, parse_scenario,
+                                 trajectory_csv)
 from blowdown.smc import lyapunov_rate
 from blowdown.state import ExogenousInputs, Parameters
 
@@ -580,6 +582,42 @@ class TestDopri5:
         mask = traj.column("protection_mask").astype(int)
         assert mask[-1] & engine.PROT_QP_BOUND
         assert np.all(traj.column("q_p") >= 0.0)
+
+
+class TestReferenceBytes:
+    """The CSV bytes of reference runs, pinned by SHA-256.
+
+    Measured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on x86-64: the
+    bytes depend on the platform's floating-point libraries and on scipy's
+    LSODA and BDF, so another platform may print other digits.
+    """
+
+    @pytest.mark.parametrize("document, digest", [
+        ({},
+         "82efb43cf9581a2d9f20e618ec48a518fba0bf186509ce1ba88c11811ac86c31"),
+        ({"log_interval": 20},
+         "9cb3b0b7f679ae8e275bfad980f7cefba95cd734aa40ffffcdae7bf97ca28f8e"),
+        ({"initial_state": {"M_s": 1, "M_fl": 5}},
+         "2fcf2ce7bd6998b13067f996d94c6538a80954f50ec89d175f5e5a019ccdf869"),
+        ({"initial_state": {"M_s": 9000, "M_fl": 12000}},
+         "c3beec3302d765434f882c48c11b6581a45448fd9edcaedbaac6bba247013a81"),
+        ({"t_end": 0},
+         "28abc11ae2ec6b1eee1af2c456fa204a634347f3a02211020e982b89666fa5e6"),
+        ({"method": "BDF"},
+         "3c498a553f70f3dd8473048041e4673ca970992b35058a65fb6be5f77a4a5fbc"),
+        ({"method": "DOPRI5"},
+         "e0f6611f1883bacc2ee791488212ea4048734f73edca86630c77ed121824c314"),
+    ], ids=["default", "log_interval_20", "near_empty", "loaded", "t_end_0",
+            "BDF", "DOPRI5"])
+    def test_integrate(self, document, digest):
+        csv = trajectory_csv(integrate(parse_scenario(document)))
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+    def test_fixed_rk4(self):
+        csv = trajectory_csv(integrate_fixed_rk4(
+            parse_scenario({"t_end": 5000}), dt=1.0))
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "464722a6c61840882ee81610c11c3554aa81d87b87ae98410c7fe1e6b3776ede")
 
 
 def imported_modules(script: str):

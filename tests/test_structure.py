@@ -16,7 +16,7 @@ a stepper after a clamp and holds every method's step budget, `MAX_STEPS`
 between two breakpoints: steppers yield `(t, y, dense)` and are sent
 nothing back, so none clamps, restarts or counts steps itself. It hands
 each logged row the inputs it holds, and the row is packed into a
-C-contiguous float64 table.
+C-contiguous float64 table in column order, in one call.
 
 One boundary checks a scenario: `Scenario.validate` alone calls the
 validators of its parts, and it runs once when a document is parsed and
@@ -24,6 +24,7 @@ once when the scenario is integrated.
 """
 
 import ast
+import operator
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -34,7 +35,7 @@ import pytest
 from blowdown import engine
 from blowdown.cli import EXIT_OK, main
 from blowdown.scenario_io import default_scenario
-from blowdown.state import Parameters
+from blowdown.state import ExogenousInputs, Parameters
 
 PHYSICS = ("state", "rheology", "hydraulics", "smc", "energetics")
 SOURCE = Path(engine.__file__).parent
@@ -169,6 +170,39 @@ def test_a_row_is_given_its_inputs():
     called = {getattr(node.func, "id", getattr(node.func, "attr", None))
               for node in ast.walk(log_row) if isinstance(node, ast.Call)}
     assert "inputs_at" not in called
+
+
+def test_a_row_is_packed_in_column_order():
+    # Distinct sentinels through the packer come back under their names.
+    table = np.zeros((3, len(engine.TRAJECTORY_COLUMNS)))
+    y = [100.0 + k for k in range(len(engine._STATE_NAMES))]
+    u = ExogenousInputs(**{name: 200.0 + k
+                           for k, name in enumerate(engine._INPUT_NAMES)})
+    snap = tuple(300.0 + k for k in range(len(engine.SNAPSHOT_COLUMNS)))
+    engine._row_packer()(table, 1, 1.5, y, u, -7.0, 0x15, snap)
+    expected = {"t": 1.5, "dVdt": -7.0, "protection_mask": 0x15,
+                **dict(zip(engine._STATE_NAMES, y)),
+                **{name: getattr(u, name) for name in engine._INPUT_NAMES},
+                **dict(zip(engine.SNAPSHOT_COLUMNS, snap))}
+    assert sorted(expected) == sorted(engine.TRAJECTORY_COLUMNS)
+    trajectory = engine.Trajectory(table)
+    for name, value in expected.items():
+        assert trajectory.column(name)[1] == value, name
+    assert not table[[0, 2]].any()  # only row 1 is written
+
+
+def test_a_row_is_built_by_no_tuple():
+    # `_log_row` hands its values to the packer as they are: no starred
+    # call and no itemgetter or attrgetter building a row tuple.
+    log_row = next(f for f in functions("engine") if f.name == "_log_row")
+    for node in ast.walk(log_row):
+        if isinstance(node, ast.Call):
+            assert not any(isinstance(a, ast.Starred) for a in node.args), (
+                ast.unparse(node))
+        name = getattr(node, "id", getattr(node, "attr", None))
+        assert name not in ("itemgetter", "attrgetter"), ast.unparse(node)
+        assert not isinstance(getattr(engine, name or "", None),
+                              (operator.itemgetter, operator.attrgetter)), name
 
 
 def test_the_table_is_c_contiguous_float64():
