@@ -29,19 +29,32 @@ each row straight into its place in column order, in one call, with a packer
 generated once from `TRAJECTORY_COLUMNS`.
 
 The right-hand side and the logged reconstructions come from one kernel,
-`_evaluate`, which calls the one public function of each physics law in
-`state`, `rheology`, `hydraulics`, `smc` and `energetics`; none of them
-checks its arguments. The scenario's parameters, initial state and inputs are
-validated once, by `Scenario.validate`; the kernel then reads the states
-through `_bounded` and checks only that its results are finite, with one
-sum; only a failing check gathers them to name the first non-finite one. It
-returns floats: the derivative is a 9-tuple in state order.
+written once as `_evaluate`, which calls the one public function of each
+physics law in `state`, `rheology`, `hydraulics`, `smc` and `energetics`;
+none of them checks its arguments. The scenario's parameters, initial state
+and inputs are validated once, by `Scenario.validate`; the kernel then reads
+the states through `_bounded` and checks only that its results are finite,
+with one sum; only a failing check gathers them to name the first non-finite
+one. It returns floats: the derivative is a 9-tuple in state order.
+
+The kernel `assemble_rhs` and `evaluate_snapshot` run is generated from the
+public laws, once per process, by the first run: `_generate_kernel` has
+`_kernel_writer` write `_evaluate` with each call of a law (and of
+`_bounded`) as the law's body, nested laws included, with the same
+operations in the same order, so every float is the same. Until then the
+kernel is `_evaluate` itself, so parsing a scenario builds nothing. A law
+that `engine` or a law's module holds as a wrapper (`__wrapped__`) or a
+replacement stays a call; `_drive` checks once per run whether one changed,
+and the kernel is generated again if so. The generated kernel, the DOPRI5
+step and the row packer are compiled under names of their own, with their
+source in `linecache`, so tracebacks, profiles and `inspect` show them.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import linecache
 import math
 import operator
 import struct
@@ -208,7 +221,7 @@ def assemble_rhs(t: float, y: Sequence[float], params: Parameters,
     `Scenario.validate` ensures): the kernel does not check them again.
     A non-finite state or quantity raises IntegrationError.
     """
-    return _evaluate(y, params, inputs, False)[0]
+    return _kernel(y, params, inputs, False)[0]
 
 
 def evaluate_snapshot(y: Sequence[float], params: Parameters,
@@ -217,7 +230,7 @@ def evaluate_snapshot(y: Sequence[float], params: Parameters,
 
     Same contract as `assemble_rhs`.
     """
-    return _evaluate(y, params, inputs, True)[1]
+    return _kernel(y, params, inputs, True)[1]
 
 
 #: Quantities whose finiteness `_evaluate` checks, in reporting order.
@@ -402,10 +415,46 @@ def _row_packer():
               **{n: f"u.{n}" for n in _INPUT_NAMES},
               **{n: f"snap[{k}]" for k, n in enumerate(SNAPSHOT_COLUMNS)}}
     values = ", ".join(source[n] for n in TRAJECTORY_COLUMNS)
-    exec(f"def pack(table, i, t, y, u, dVdt, mask, snap):\n"
-         f"    pack_into(table, i * {row.size}, {values})",
-         namespace := {"pack_into": row.pack_into})
-    return namespace["pack"]
+    return _compiled(f"def pack(table, i, t, y, u, dVdt, mask, snap):\n"
+                     f"    pack_into(table, i * {row.size}, {values})\n",
+                     "_row_packer", {"pack_into": row.pack_into})
+
+
+def _compiled(source: str, generator: str, namespace: dict):
+    """The function that generated `source` defines, with `namespace` as its
+    globals. The source is filed in `linecache` under a name of its own, so
+    tracebacks, profiles and `inspect.getsource` show the generated lines."""
+    filename = f"<{__name__}.{generator}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    exec(compile(source, filename, "exec"), namespace, defined := {})
+    return defined.popitem()[1]
+
+
+# Until the first run generates it, the kernel is `_evaluate` itself: the
+# same floats, and parsing a scenario builds nothing.
+_kernel = _evaluate
+_kernel_calls = None  # (namespace, name, object) of each call the kernel read
+
+
+def _refresh_kernel():
+    """The generated kernel, generated on the first run and again if a
+    function it read a call of has changed since: `_drive` checks once per
+    run, never per call."""
+    global _kernel, _kernel_calls
+    if _kernel_calls is None or any(ns.get(name) is not obj
+                                   for ns, name, obj in _kernel_calls):
+        _kernel, _kernel_calls = _generate_kernel()
+    return _kernel
+
+
+def _generate_kernel():
+    """(kernel, the calls it read): `_evaluate` with its laws written in."""
+    from . import _kernel_writer
+    source, calls = _kernel_writer.write(_evaluate, "_kernel", globals())
+    if source is None:  # no source to read: `_evaluate` is the kernel
+        return _evaluate, []
+    return _compiled(source, "_kernel", globals()), calls
 
 
 def _drive(scenario: Scenario, segment, method: str,
@@ -423,6 +472,7 @@ def _drive(scenario: Scenario, segment, method: str,
     fixed step `dt`. Rows go into a table sized by the log grid. A row
     before `tb` carries the segment's inputs `u`; only a row at `tb` looks
     its inputs up, since there the left-closed hold takes the next entry."""
+    _refresh_kernel()
     p, schedule = scenario.parameters, scenario.schedule
     y = scenario.initial_state.as_array()
     log_times = _log_grid(scenario) + [math.inf]  # a time no step reaches
@@ -533,8 +583,8 @@ def _dopri5_attempt(n: int = len(_STATE_NAMES)):
                     for i in range(n))
     lines += [f"err = h / {math.sqrt(n)!r} * hypot({err})",
               "return z, err, (k1, k2, k3, k4, k5, k6, k7)"]
-    exec("\n    ".join(lines), namespace := {"hypot": math.hypot})
-    return namespace["attempt"]
+    return _compiled("\n    ".join(lines) + "\n", "_dopri5_attempt",
+                     {"hypot": math.hypot})
 
 
 def _dopri5(scenario: Scenario):

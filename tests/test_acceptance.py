@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from blowdown import acceptance
+from blowdown import acceptance, engine
 from blowdown.acceptance import CRITERIA, run_all
 from blowdown.scenario_io import load_scenario, parse_scenario
 
@@ -75,6 +75,22 @@ def test_boundedness_names_the_scenarios_bounds():
     result = acceptance.criterion_boundedness(ctx)
     assert result.passed, result.line
     assert result.detail.endswith("q_p in [0, 0.0035], H0 in [0, 100]")
+
+
+def test_boundedness_fails_on_a_flow_clamp(monkeypatch):
+    # Every logged q_p lies within its bounds by construction: the criterion
+    # reads the protection mask, so one flow clamp on one row fails it.
+    ctx = acceptance._Context(parse_scenario({"t_end": 2000.0,
+                                              "method": "DOPRI5"}))
+    data = ctx.trajectory.data.copy()
+    mask = engine.TRAJECTORY_COLUMNS.index("protection_mask")
+    assert not data[:, mask].any()
+    data[3, mask] = engine.PROT_QP_BOUND
+    monkeypatch.setattr(acceptance, "integrate",
+                        lambda scenario: engine.Trajectory(data.copy()))
+    result = acceptance.criterion_boundedness(ctx)
+    assert not result.passed, result.line
+    assert "run 0: PROT_QP_BOUND on 1 of " in result.detail
 
 
 @pytest.mark.parametrize("state", [{"M_s": 0.0}, {"M_fl": 0.0}])

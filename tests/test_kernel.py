@@ -1,24 +1,36 @@
 """The closed-loop kernel against the model written out as formulas.
 
 `engine._evaluate` calls the public function of every physics law and checks
-the result once. The reference below does not call the package: it writes
-each law out as a formula in the same order of operations, and composes the
-laws the way the closed loop is documented (clamps, resistance floor,
-density clamp, bounded head command with anti-windup, depletion caps), so
-equality with `==` shows that the kernel computes the model's floats.
+the result once; the kernel `assemble_rhs` and `evaluate_snapshot` run is
+generated from it, with each law's body written in. The reference below does
+not call the package: it writes each law out as a formula in the same order
+of operations, and composes the laws the way the closed loop is documented
+(clamps, resistance floor, density clamp, bounded head command with
+anti-windup, depletion caps), so equality with `==` shows that the kernel
+computes the model's floats. The generated kernel must give `_evaluate`'s
+floats bit for bit, and raise its errors word for word.
 Property tests use Hypothesis (MacIver et al., JOSS 2019).
 """
 
+import functools
+import inspect
+import linecache
 import math
+import struct
+import traceback
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blowdown import engine
-from blowdown.engine import SNAPSHOT_COLUMNS, assemble_rhs, evaluate_snapshot
+from blowdown import engine, smc
+from blowdown.engine import (SNAPSHOT_COLUMNS, assemble_rhs, evaluate_snapshot,
+                             integrate)
 from blowdown.errors import IntegrationError
+from blowdown.scenario_io import default_scenario
 from blowdown.state import ExogenousInputs, ProcessState
 from defaults import parameters
 
@@ -265,3 +277,190 @@ class TestNonFiniteState:
         # every value is finite must not raise.
         y, p, u = make_case(dict(M_s=1.0e308, xi_eq=1.0e308))
         assert np.all(np.isfinite(assemble_rhs(0.0, y, p, u)))
+
+
+def outcome(kernel, y, p, u):
+    """The bytes of a kernel's derivative and snapshot, or its error text."""
+    try:
+        derivs, snap = kernel(list(y), p, u, True)
+        rhs, none = kernel(list(y), p, u, False)
+    except IntegrationError as exc:
+        return f"IntegrationError: {exc}"
+    assert none is None and rhs == derivs
+    return struct.pack(f"{len(derivs) + len(snap)}d", *derivs, *snap)
+
+
+@st.composite
+def wide_cases(draw):
+    """States inside and outside the five hard bounds, -0.0 included, masses
+    from 0 to 1e7 with the consistency on both sides of C_max, and inputs
+    across their validated ranges, bounds and -0.0 included."""
+    p = parameters(k_smc=draw(st.floats(0.0, 50.0)),
+                   n=draw(st.floats(0.3, 1.5))).validate()
+    q_max, H_max = p.q_p_max, p.H0_max
+
+    def around(top):  # the bounds, -0.0, and values inside and past them
+        return (st.sampled_from([-0.0, 0.0, top])
+                | st.floats(-0.5 * top, 1.5 * top))
+
+    total = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1.0e7))
+    C = draw(st.floats(0.0, 1.0) | st.floats(0.9 * p.C_max, 1.1 * p.C_max))
+    M_s, M_fl = C * total, (1.0 - C) * total
+    if draw(st.booleans()):  # a mass below its floor
+        M_s, M_fl = draw(st.sampled_from([(-1.0, M_fl), (M_s, -2.0),
+                                          (-0.0, M_fl), (M_s, -0.0)]))
+    y = dict(M_s=M_s, M_fl=M_fl, q_p=draw(around(q_max)),
+             xi_eq=draw(st.floats(-50.0, 50.0)), H0=draw(around(H_max)),
+             q_p_cmd=draw(around(q_max)))
+    share = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0)
+    flow = st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 1e-3)
+    inputs = dict(k_ch=draw(share), gamma_K=draw(share), f_in=draw(flow),
+                  f_fl=draw(flow), q_p_ref=draw(
+                      st.sampled_from([-0.0, q_max]) | st.floats(0.0, q_max)))
+    return make_case(y, {"k_smc": p.k_smc, "n": p.n}, inputs)
+
+
+class TestGeneratedKernel:
+    """The kernel generated from `_evaluate` and the laws' bodies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_cases())
+    def test_same_bytes_as_evaluate_and_the_formulas(self, case):
+        y, p, u = case
+        kernel = engine._refresh_kernel()
+        assert kernel is not engine._evaluate
+        assert outcome(kernel, y, p, u) == outcome(engine._evaluate, y, p, u)
+        derivs, snap, _ = reference(y, p, u)
+        assert assemble_rhs(0.0, y, p, u) == tuple(derivs)
+        assert dict(zip(SNAPSHOT_COLUMNS, evaluate_snapshot(y, p, u))) == snap
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(9))
+    def test_same_error_for_a_non_finite_state(self, index, value):
+        y, p, u = make_case()
+        y[index] = value
+        expected = outcome(engine._evaluate, y, p, u)
+        assert outcome(engine._refresh_kernel(), y, p, u) == expected
+        if index < 6:
+            assert expected.startswith("IntegrationError: non-finite")
+        else:  # the kernel reads no energy
+            assert isinstance(expected, bytes)
+
+    @pytest.mark.parametrize("state, raises", [
+        (dict(M_s=1.0e308, M_fl=1.0e308), True),  # the density overflows
+        (dict(M_s=1.0e308, xi_eq=1.0e308), False)])  # only the check's sum
+    def test_same_outcome_for_an_overflowing_state(self, state, raises):
+        y, p, u = make_case(state)
+        expected = outcome(engine._evaluate, y, p, u)
+        assert outcome(engine._refresh_kernel(), y, p, u) == expected
+        assert isinstance(expected, str) == raises
+
+    def test_a_traceback_shows_the_generated_line(self):
+        y, p, u = make_case(dict(H0=math.nan))
+        with pytest.raises(IntegrationError) as info:
+            assemble_rhs(0.0, y, p, u)
+        frame = next(f for f in traceback.extract_tb(info.tb)
+                     if f.name == "_kernel")
+        assert frame.filename == "<blowdown.engine._kernel>"
+        assert frame.line.startswith("_raise_non_finite(")
+
+    def test_wrapped_or_replaced_laws_stay_calls(self, monkeypatch):
+        # The tracer's counters wrap laws, and a test may replace one: the
+        # kernel calls what `engine` holds, as `_evaluate` would, and writes
+        # the laws back in once they are restored.
+        scenario = replace(default_scenario(), t_end=400.0, method="DOPRI5")
+        plain = integrate(scenario).data.copy()
+        counts = Counter()
+        guard = engine.consistency_guard
+
+        @functools.wraps(guard)
+        def counted_guard(*args):
+            counts["consistency_guard"] += 1
+            return guard(*args)
+
+        def slower_lag(target, value, tau):  # twice each time constant
+            counts["relaxation"] += 1
+            return (target - value) / (2.0 * tau)
+
+        def counted(name):
+            kernel_entry = getattr(engine, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return kernel_entry(*args)
+            monkeypatch.setattr(engine, name, wrapper)
+
+        monkeypatch.setattr(engine, "consistency_guard", counted_guard)
+        monkeypatch.setattr(engine, "relaxation", slower_lag)
+        engine._evaluate(*make_case(), True)
+        per_call = Counter(counts)  # the calls one `_evaluate` makes
+        assert per_call == {"consistency_guard": 1, "relaxation": 3}
+        counted("assemble_rhs")
+        counted("evaluate_snapshot")
+        counts.clear()
+        replaced = integrate(scenario).data
+        calls = counts["assemble_rhs"] + counts["evaluate_snapshot"]
+        assert calls > 0
+        for law in per_call:
+            assert counts[law] == per_call[law] * calls, law
+        assert not np.array_equal(replaced, plain)
+        assert {"consistency_guard", "relaxation"} <= set(
+            engine._kernel.__code__.co_names)
+
+        monkeypatch.undo()
+        counts.clear()
+        restored = integrate(scenario).data
+        assert counts == Counter()
+        assert not {"consistency_guard", "relaxation"} & set(
+            engine._kernel.__code__.co_names)
+        assert np.array_equal(restored, plain)
+
+
+#: `consistency_guard` in forms the shipped laws do not take: a parameter read
+#: twice and in a keyword argument, and a result built over several lines.
+SYNTHETIC = '''
+def guard(C, C_max, alpha_sig):
+    """The consistency guard, written another way."""
+    x = sorted([alpha_sig * (C_max - C)], reverse=C_max > 2.0)[0]
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return (z
+            / (1.0 + z))
+'''
+
+
+@pytest.mark.parametrize("form", ["module level", "indented", "unread"])
+def test_a_law_of_another_form(monkeypatch, form):
+    # A law is written in from the source `linecache` holds for it; one
+    # written inside a block, or whose source cannot be read, stays a call.
+    # Either way the kernel gives `_evaluate`'s bytes.
+    filename = f"<smc.consistency_guard, {form}>"
+    source = SYNTHETIC.replace("guard", form.replace(" ", "_"))
+    if form == "indented":
+        source = "if True:\n" + source.replace("\n", "\n    ")
+    if form != "unread":
+        monkeypatch.setitem(linecache.cache, filename, (
+            len(source), None, source.splitlines(True), filename))
+    exec(compile(source, filename, "exec"), vars(smc), defined := {})
+    monkeypatch.setattr(engine, "consistency_guard", defined.popitem()[1])
+    kernel = engine._refresh_kernel()
+    assert ("consistency_guard" in kernel.__code__.co_names) == (
+        form != "module level")
+    for (y, p, u), _ in BRANCH_CASES.values():
+        assert outcome(kernel, y, p, u) == outcome(engine._evaluate, y, p, u)
+
+
+@pytest.mark.parametrize("generated, name, head", [
+    (engine._refresh_kernel, "_kernel", "def _kernel(y, p, u, full):"),
+    (engine._row_packer, "_row_packer",
+     "def pack(table, i, t, y, u, dVdt, mask, snap):"),
+    (engine._dopri5_attempt, "_dopri5_attempt",
+     "def attempt(rhs, p, u, t, h, y, k1, atol, rtol):")])
+def test_generated_source_can_be_read(generated, name, head):
+    # Tracebacks, profiles and `inspect` read the generated lines.
+    fn = generated()
+    assert fn.__code__.co_filename == f"<blowdown.engine.{name}>"
+    source = inspect.getsource(fn)
+    assert source.startswith(head + "\n")
+    assert compile(source, "<check>", "exec")

@@ -3,9 +3,13 @@
 Each law of `state`, `rheology`, `hydraulics`, `smc` and `energetics` is
 one public function that checks nothing, with no checked twin beside an
 unchecked `_` copy and no default regularizer that could differ from
-`Parameters.eps`. The kernel calls those public functions, so the criteria,
-the tests and the bench's per-module call counts see the equations that are
-integrated.
+`Parameters.eps`. The kernel is generated from those public laws:
+`_evaluate` calls them, and the kernel `assemble_rhs` and `evaluate_snapshot`
+run is `_evaluate` with each law's body written in, built once per process,
+by its first run.
+A law that `engine` holds as a wrapper or a replacement stays a call, so the
+criteria, the tests and the bench's per-module call counts see the equations
+that are integrated.
 
 Each decision of the engine is made in one place: `_STEPPERS` is the one
 table of methods, `_bounded` the one rule for the hard state bounds, and
@@ -24,8 +28,12 @@ once when the scenario is integrated.
 """
 
 import ast
+import json
 import operator
 import re
+import subprocess
+import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,6 +99,64 @@ def test_kernel_calls_the_public_laws():
         module = getattr(getattr(engine, name, None), "__module__", "")
         if module.removeprefix("blowdown.") in PHYSICS:
             assert not name.startswith("_"), name
+
+
+def test_the_kernel_writes_every_law_in():
+    # The generated kernel calls no law: each law `_evaluate` calls, and
+    # `saturation`, which `control_law` calls, is written in. The one
+    # function it still calls names a non-finite value.
+    laws = {f.name for m in PHYSICS for f in functions(m)} | {"_bounded"}
+    names = set(engine._refresh_kernel().__code__.co_names)
+    assert names & laws == set()
+    assert {name for name in names if isinstance(
+        getattr(engine, name, None), types.FunctionType)} == {
+            "_raise_non_finite"}
+
+
+#: Imports the CLI, then parses and integrates the 100 documents of
+#: `perfbench`'s seed-1 ensemble, counting the kernels built.
+KERNEL_BUILDS = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import blowdown.cli
+from blowdown import engine
+at_import = engine._kernel_calls is not None
+builds, generate = [], engine._generate_kernel
+engine._generate_kernel = lambda: builds.append(1) or generate()
+import blowdown, workloads
+scenarios = [blowdown.parse_scenario(d) for d in workloads.make_ensemble(1)]
+after_parsing = len(builds)
+writer_loaded = "blowdown._kernel_writer" in sys.modules
+for scenario in scenarios:
+    blowdown.integrate(scenario)
+print(json.dumps({"at_import": at_import, "after_parsing": after_parsing,
+                  "writer_loaded": writer_loaded, "builds": len(builds)}))
+"""
+
+
+@pytest.fixture(scope="module")
+def kernel_builds():
+    root = SOURCE.parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", KERNEL_BUILDS, str(SOURCE.parent),
+         str(root / "perfbench")], capture_output=True, text=True,
+        timeout=300, check=True)
+    return json.loads(done.stdout)
+
+
+def test_importing_the_cli_builds_no_kernel(kernel_builds):
+    assert kernel_builds["at_import"] is False
+
+
+def test_parsing_builds_no_kernel(kernel_builds):
+    # Until the first run, the kernel is `_evaluate` itself, and the writer
+    # is not even imported.
+    assert kernel_builds["after_parsing"] == 0
+    assert kernel_builds["writer_loaded"] is False
+
+
+def test_an_ensemble_builds_one_kernel(kernel_builds):
+    assert kernel_builds["builds"] == 1
 
 
 def engine_functions():
