@@ -4,15 +4,17 @@ of a law written in as the law's body.
 A law is a function as its module defines it: a plain function of `state`,
 `rheology`, `hydraulics`, `smc` or `energetics`, or `engine._bounded`. The
 writer reads the source of `_evaluate` and of each law it calls with `ast`,
-once per function, sliced from its file by its code object. Each call of a
-law becomes the law's body: the parameters replaced by the call's
-arguments, the locals renamed per call (`_consistency_guard1_x`), each
-`return` an assignment, and an `if` that returns taking the statements after
-it as its `else`; nested laws are written in the same way. The operations
-and their order are those of `_evaluate`, so every float is the same. A law
-held as a wrapper (`__wrapped__`) or a replacement, a law whose source cannot
-be read, and a law needing statements in a branch that may not run stay
-calls.
+once per function, sliced from its file by its code object, and uses it
+only if it compiles to that code, so a file edited after import is not
+read as the code that runs. Each call of a law becomes the law's body: the
+parameters replaced by the call's arguments, the locals renamed per call
+(`_consistency_guard1_x`), each `return` an assignment, and an `if` that
+returns taking the statements after it as its `else`; nested laws are
+written in the same way. The operations and their order are those of
+`_evaluate`, so every float is the same. A law held as a wrapper
+(`__wrapped__`) or a replacement, a law whose source cannot be read or is
+not that of its code, and a law needing statements in a branch that may
+not run stay calls.
 
 `engine` imports this module when it generates the kernel, at the first
 run, so importing the package or parsing a scenario compiles none of it.
@@ -37,8 +39,8 @@ def write(fn, name: str, kernel_globals: dict):
     """(source, calls): the source of a function `name`, `fn` with each
     law's body written in, to run with `kernel_globals`, and the (namespace,
     name, object) of each call it looked up. (None, []) if the source of
-    `fn` cannot be read."""
-    form = _form(fn.__code__)
+    `fn` cannot be read or is not that of its code."""
+    form = _form(fn)
     if form is None:
         return None, []
     writer = _LawWriter(kernel_globals, form.stored)
@@ -50,10 +52,23 @@ def write(fn, name: str, kernel_globals: dict):
 
 @functools.lru_cache(maxsize=None)
 def _source(code) -> str:
-    """A function's source, sliced once from its file by its code object."""
-    last = max(end for _, end, _, _ in code.co_positions() if end)
-    return "".join(linecache.getlines(code.co_filename)
-                   [code.co_firstlineno - 1:last])
+    """A function's source, sliced once from its file by its code object:
+    its lines up to the last that holds code, and those after it indented
+    deeper than its `def`, which end a statement written over lines."""
+    lines = linecache.getlines(code.co_filename)
+    first = code.co_firstlineno - 1
+    if first >= len(lines):
+        return ""
+    depth = _depth(lines[first])
+    end = max(line for _, _, line in code.co_lines() if line)
+    while end < len(lines) and (_depth(lines[end]) > depth
+                                or not lines[end].strip()):
+        end += 1
+    return "".join(lines[first:end])
+
+
+def _depth(line: str) -> int:
+    return len(line) - len(line.lstrip())
 
 
 class _Name(str):
@@ -82,17 +97,18 @@ class _Form(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _form(code):
+def _form(function):
     """The `_Form` of a function, parsed once from its source; None if its
-    source cannot be read."""
-    source = _source(code).encode()
+    source cannot be read or does not compile to the function's code."""
+    source = _source(function.__code__).encode()
     try:
-        fn = ast.parse(source).body
+        tree = ast.parse(source)
     except SyntaxError:  # a function written indented, inside a block
         return None
-    if not fn or not isinstance(fn[0], ast.FunctionDef):
+    fn = tree.body[0] if len(tree.body) == 1 else None
+    if not isinstance(fn, ast.FunctionDef) or not _loaded(tree, function):
         return None
-    fn, reader = fn[0], _Reader(source)
+    reader = _Reader(source)
     body = [reader.statement(s) for s in
             fn.body[ast.get_docstring(fn, clean=False) is not None:]]
     a = fn.args
@@ -101,6 +117,29 @@ def _form(code):
     return _Form(tuple(arg.arg for arg in a.args), body,
                  frozenset(reader.stored), reader.reads,
                  frozenset(reader.calls), plain)
+
+
+#: What a code object does, as the writer compares a function's source with
+#: the function that is loaded.
+_DOES = operator.attrgetter("co_code", "co_consts", "co_names")
+
+
+def _loaded(tree: ast.Module, function) -> bool:
+    """Whether `tree`, a function's definition, compiles to the function's
+    code, in a module that imports the modules it reads or in one that does
+    not: CPython compiles a method call on an imported name as an attribute
+    load."""
+    code = function.__code__
+    modules = [name for name in code.co_names if isinstance(
+        function.__globals__.get(name), types.ModuleType)]
+    heads = [ast.parse(f"import {', '.join(modules)}").body] if modules else []
+    for head in heads + [[]]:
+        compiled = compile(ast.Module(head + tree.body, []), code.co_filename,
+                           "exec", dont_inherit=True)
+        defined = [c for c in compiled.co_consts if type(c) is types.CodeType]
+        if len(defined) == 1 and _DOES(defined[0]) == _DOES(code):
+            return True
+    return False
 
 
 class _Reader:
@@ -122,7 +161,7 @@ class _Reader:
                 x[0] == "return" or (x[0] == "if" and x[4])
                 for x in body + orelse))
         if isinstance(s, ast.Return):
-            return ("return",) + self.value(s.value)
+            return "return", s.value and self.group(s.value)
         if isinstance(s, ast.Assign) and len(s.targets) == 1:
             target = s.targets[0]
             names = ((target.id,) if isinstance(target, ast.Name) else
@@ -130,22 +169,14 @@ class _Reader:
                      if isinstance(target, ast.Tuple) and all(
                          isinstance(t, ast.Name) for t in target.elts)
                      else None)
-            value, elements = self.value(s.value)
+            value = self.group(s.value)
             call = _plain_call(s.value) and next(p for p in value
                                                  if type(p) is _Call)
-            return ("assign", self.group(target), names, value, elements,
-                    call)
+            return "assign", self.group(target), names, value, call
         self.plain &= isinstance(s, ast.Expr)
         # Another compound statement is kept as it is written: no law call
         # in it is moved ahead of it.
         return "other", self.group(s, not isinstance(s, ast.Expr))
-
-    def value(self, node):
-        """(group, None), or (None, element groups) for a tuple of two or
-        more elements; (None, None) for no value."""
-        if isinstance(node, ast.Tuple) and len(node.elts) > 1:
-            return None, [self.group(e) for e in node.elts]
-        return node and self.group(node), None
 
     def group(self, node, conditional: bool = False) -> list:
         """`node`'s source as text, `_Name`s and `_Call`s."""
@@ -285,30 +316,27 @@ class _LawWriter:
                 if branch:
                     return out
             elif kind == "return":
-                _, value, elements = s
+                _, value = s
                 if target is None:
-                    line = ("return " + self.value(value, elements, names, ns,
-                                                   before)
-                            if value or elements else "return")
+                    line = ("return " + self.text(value, names, ns, before)
+                            if value else "return")
                     return out + before + [line]
-                if not (value or elements):
+                if not value:
                     raise _KeepCall  # a law with no value
-                lines = self.assign(target, value, elements, names, ns,
-                                    before)
-                return out + before + lines
+                line = self.text(value, names, ns, before)
+                return out + before + [f"{', '.join(target)} = {line}"]
             elif kind == "assign":
-                _, group, targets, value, elements, call = s
+                _, group, targets, value, call = s
                 targets = targets and tuple(names.get(t, t) for t in targets)
                 if targets and call:
                     lines = self.site(call, names, ns, before, targets)
                     if isinstance(lines, str):  # left a call
                         lines = [f"{', '.join(targets)} = {lines}"]
-                elif targets:
-                    lines = self.assign(targets, value, elements, names, ns,
-                                        before)
                 else:
-                    lines = [f"{self.text(group, names, ns, None)} = "
-                             + self.value(value, elements, names, ns, before)]
+                    lhs = (", ".join(targets) if targets else
+                           self.text(group, names, ns, None))
+                    lines = [f"{lhs} = "
+                             + self.text(value, names, ns, before)]
                 out += before + lines
             else:
                 line = self.text(s[1], names, ns, before)
@@ -316,26 +344,6 @@ class _LawWriter:
         if target is not None:
             raise _KeepCall  # a path of a law ends with no value
         return out
-
-    def assign(self, target: tuple, value, elements, names, ns, before):
-        """Lines assigning `value` to the names `target`: one a name where
-        both are tuples of a length and no element reads a name assigned."""
-        if elements is not None and len(elements) == len(target) > 1:
-            texts = [self.text(e, names, ns, before) for e in elements]
-            if not set(target).intersection(*(re.findall(r"\w+", t)
-                                               for t in texts)):
-                return [f"{t} = {v}" for t, v in zip(target, texts)]
-            value = ", ".join(texts)
-        else:
-            value = self.value(value, elements, names, ns, before)
-        return [f"{', '.join(target)} = {value}"]
-
-    def value(self, value, elements, names, ns, before) -> str:
-        """The source of a value, or of a tuple of its elements."""
-        if value is None:
-            return ", ".join(self.text(e, names, ns, before)
-                             for e in elements)
-        return self.text(value, names, ns, before)
 
     def text(self, group, names: dict, ns: dict, before) -> str:
         """The source of a group, with `names` renamed and its law calls
@@ -373,7 +381,7 @@ class _LawWriter:
         or an attribute of one read at most once, is written where its
         parameter is read; any other argument is bound to a local first.
         Parameters and locals take a prefix of their own per call."""
-        form = _is_law(law) and _form(law.__code__)
+        form = _is_law(law) and _form(law)
         if not form or not form.plain or len(args) != len(form.params):
             raise _KeepCall
         ns, missing = law.__globals__, object()

@@ -42,12 +42,18 @@ public laws, once per process, by the first run: `_generate_kernel` has
 `_kernel_writer` write `_evaluate` with each call of a law (and of
 `_bounded`) as the law's body, nested laws included, with the same
 operations in the same order, so every float is the same. Until then the
-kernel is `_evaluate` itself, so parsing a scenario builds nothing. A law
-that `engine` or a law's module holds as a wrapper (`__wrapped__`) or a
-replacement stays a call; `_drive` checks once per run whether one changed,
-and the kernel is generated again if so. The generated kernel, the DOPRI5
-step and the row packer are compiled under names of their own, with their
-source in `linecache`, so tracebacks, profiles and `inspect` show them.
+kernel is `_evaluate` itself, so parsing a scenario builds nothing; it
+stays `_evaluate` if the writer fails, or if `_evaluate`'s source cannot be
+read or does not compile to the code that is loaded. A law that `engine` or
+a law's module holds as a wrapper (`__wrapped__`) or a replacement, or
+whose source is not that of its loaded code, stays a call. `_drive`
+checks once per run whether such a law changed, and the kernel is generated
+again if so; a direct `assemble_rhs` or `evaluate_snapshot` call sees a law
+wrapped or replaced after the kernel was generated only from the next run
+on. The generated
+kernel, the DOPRI5 step and the row packer are compiled under names of
+their own, with their source in `linecache`, so tracebacks, profiles and
+`inspect` show them.
 """
 
 from __future__ import annotations
@@ -451,10 +457,13 @@ def _refresh_kernel():
 def _generate_kernel():
     """(kernel, the calls it read): `_evaluate` with its laws written in."""
     from . import _kernel_writer
-    source, calls = _kernel_writer.write(_evaluate, "_kernel", globals())
-    if source is None:  # no source to read: `_evaluate` is the kernel
-        return _evaluate, []
-    return _compiled(source, "_kernel", globals()), calls
+    try:
+        source, calls = _kernel_writer.write(_evaluate, "_kernel", globals())
+        if source is not None:
+            return _compiled(source, "_kernel", globals()), calls
+    except Exception:  # a fault of the writer: the run goes on, unfused
+        pass
+    return _evaluate, []  # the same floats, each law called
 
 
 def _drive(scenario: Scenario, segment, method: str,

@@ -20,6 +20,7 @@ import struct
 import traceback
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,7 +418,8 @@ class TestGeneratedKernel:
 
 
 #: `consistency_guard` in forms the shipped laws do not take: a parameter read
-#: twice and in a keyword argument, and a result built over several lines.
+#: twice and in a keyword argument, and a result built over several lines,
+#: the last of which holds no code.
 SYNTHETIC = '''
 def guard(C, C_max, alpha_sig):
     """The consistency guard, written another way."""
@@ -425,8 +427,9 @@ def guard(C, C_max, alpha_sig):
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)
-    return (z
-            / (1.0 + z))
+    return (
+        z / (1.0 + z)
+    )
 '''
 
 
@@ -449,6 +452,77 @@ def test_a_law_of_another_form(monkeypatch, form):
         form != "module level")
     for (y, p, u), _ in BRANCH_CASES.values():
         assert outcome(kernel, y, p, u) == outcome(engine._evaluate, y, p, u)
+
+
+def test_a_law_whose_source_is_not_its_code(monkeypatch):
+    # Source that does not compile to the loaded code (a file edited after
+    # import) is not written in: the law stays a call, with its own floats.
+    filename = "<smc.consistency_guard, edited>"
+    source = SYNTHETIC.replace("guard", "edited_guard")
+    exec(compile(source, filename, "exec"), vars(smc), defined := {})
+    edited = source.replace("1.0 / (1.0 + math.exp(-x))",
+                            "1.0 / (1.0 + math.exp(x))")
+    monkeypatch.setitem(linecache.cache, filename, (
+        len(edited), None, edited.splitlines(True), filename))
+    monkeypatch.setattr(engine, "consistency_guard", defined.popitem()[1])
+    kernel = engine._refresh_kernel()
+    assert "consistency_guard" in kernel.__code__.co_names
+    for (y, p, u), _ in BRANCH_CASES.values():
+        assert outcome(kernel, y, p, u) == outcome(engine._evaluate, y, p, u)
+
+
+def test_a_fault_of_the_writer_leaves_evaluate_the_kernel(monkeypatch):
+    from blowdown import _kernel_writer
+
+    def fault(*args):
+        raise AssertionError("a fault of the writer")
+
+    monkeypatch.setattr(_kernel_writer, "write", fault)
+    monkeypatch.setattr(engine, "_kernel_calls", None)
+    assert engine._refresh_kernel() is engine._evaluate
+    assert integrate(default_scenario()).data.shape[0] > 0
+
+
+#: The attributes of a code object in Python 3.10, the oldest Python that
+#: `pyproject.toml` declares (`requires-python`).
+CODE_ATTRIBUTES_3_10 = frozenset((
+    "co_argcount", "co_posonlyargcount", "co_kwonlyargcount", "co_nlocals",
+    "co_stacksize", "co_flags", "co_code", "co_consts", "co_names",
+    "co_varnames", "co_freevars", "co_cellvars", "co_filename", "co_name",
+    "co_firstlineno", "co_lnotab", "co_linetable", "co_lines", "replace"))
+
+
+class Code3_10:
+    """A code object showing only the attributes that Python 3.10's has."""
+
+    def __init__(self, code):
+        self.code = code
+
+    def __getattr__(self, name):
+        if name not in CODE_ATTRIBUTES_3_10:
+            raise AttributeError(name)
+        return getattr(self.code, name)
+
+
+class Function3_10:
+    """A function whose code object shows only what Python 3.10's has."""
+
+    def __init__(self, fn):
+        self.__code__, self.__globals__ = Code3_10(fn.__code__), fn.__globals__
+
+
+def test_the_writer_reads_code_as_python_3_10_has_it():
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert 'requires-python = ">=3.10"' in pyproject.read_text()
+    from blowdown import _kernel_writer
+    engine._refresh_kernel()
+    functions = {engine._evaluate} | {
+        obj for _, _, obj in engine._kernel_calls}
+    assert len(functions) > 20
+    for fn in functions:
+        form = _kernel_writer._form(fn)
+        assert form is not None, fn
+        assert _kernel_writer._form(Function3_10(fn)) == form, fn
 
 
 @pytest.mark.parametrize("generated, name, head", [
