@@ -16,9 +16,9 @@ fired since the previous row, and a row at a step end also that end's own, so
 each firing is reported once; a row read from a step's interpolant adds the
 clamps its own state needs. `integrate` takes each method's stepper from one
 table, `_STEPPERS`. `DOPRI5` is an owned Dormand-Prince 5(4) pair on Python
-floats; a stiff scenario spends its budget fast, and the error names `LSODA`
-(the shipped method) and `BDF`, scipy's solvers, imported only when a
-scenario uses them.
+floats; a stiff scenario spends its budget fast, and the error names `LSODA`,
+the shipped method: scipy's solver, which switches between Adams and BDF
+formulas by itself and is imported only when a scenario uses it.
 
 A run is one float table, allocated from the log grid before the first
 step, with a row per logged instant and a column per name in
@@ -91,7 +91,7 @@ PROT_QCMD_BOUND = 0x10    # conditioned reference clamped to [0, q_p_max]
 
 MAX_LOG_ROWS = 1_000_000  # checked before any row is built
 MAX_STEPS = 100_000  # steps between two breakpoints, restarts included
-_STIFF = "; for a stiff scenario use method: LSODA or BDF"
+_STIFF = "; for a stiff scenario use method: LSODA"
 
 #: Bounded-hydraulic-resistance protection: the resistance used by the
 #: closed loop is evaluated at no less than this consistency, so a drained
@@ -532,11 +532,10 @@ def integrate(scenario: Scenario) -> Trajectory:
                   scenario.method)
 
 
-def _scipy(scenario: Scenario):
-    """Segments stepped by a new scipy `scenario.method` solver each; scipy
-    is imported here, on first use, so a DOPRI5 run never loads it."""
-    import scipy.integrate
-    solver_cls = getattr(scipy.integrate, scenario.method)
+def _lsoda(scenario: Scenario):
+    """Segments stepped by a new scipy `LSODA` solver each; scipy is
+    imported here, on first use, so a DOPRI5 run never loads it."""
+    from scipy.integrate import LSODA
     p, rtol, atol = scenario.parameters, scenario.rtol, scenario.atol
 
     def segment(ta, tb, y, u):
@@ -545,7 +544,7 @@ def _scipy(scenario: Scenario):
         if tb - ta < 10.0 * math.ulp(tb):  # LSODA fails on a step this short
             yield tb, y, None  # the state holds over a few ulp
             return
-        solver = solver_cls(fun, ta, y, tb, rtol=rtol, atol=atol)
+        solver = LSODA(fun, ta, y, tb, rtol=rtol, atol=atol)
         while solver.status == "running":
             msg = solver.step()
             if solver.status == "failed":
@@ -688,4 +687,4 @@ def integrate_fixed_rk4(scenario: Scenario, dt: float = 1.0) -> Trajectory:
 
 
 #: Each method's stepper factory: `factory(scenario)` gives `segment`.
-_STEPPERS = {"DOPRI5": _dopri5, "LSODA": _scipy, "BDF": _scipy}
+_STEPPERS = {"DOPRI5": _dopri5, "LSODA": _lsoda}

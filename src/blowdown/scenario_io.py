@@ -71,11 +71,26 @@ def _reject_unknown(mapping: dict, allowed, path: str) -> None:
 
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvariantViolation(path, f"expected a number, got {value!r}")
+        raise InvariantViolation(path, f"expected a number, got {value!r}"
+                                 + _exponent_hint(value))
     v = float(value)
     if not math.isfinite(v):
         raise InvariantViolation(path, f"must be finite, got {v!r}")
     return v
+
+
+def _exponent_hint(value) -> str:
+    """How to write the number a string such as `1e-6`, `1e5` or `1.0e5`
+    meant: YAML 1.1 reads an exponent number as text unless its mantissa
+    has a `.` and its exponent a sign."""
+    if isinstance(value, str) and "e" in value.lower():
+        try:
+            float(value)
+        except ValueError:
+            return ""
+        return ("; YAML reads this as text: write the mantissa with a '.' "
+                "and the exponent with a sign, as in 1.0e-6 or 1.0e+5")
+    return ""
 
 
 def _section(doc: dict, key: str, allowed) -> dict:

@@ -126,7 +126,7 @@ def tuned_documents(draw):
                            max_size=4))
     bad = draw(st.sampled_from([None, *chosen]))
     doc = {"t_end": draw(st.floats(100.0, 2.0e3)), "log_interval": FINE_LOG,
-           "method": draw(st.sampled_from(["LSODA", "DOPRI5", "BDF"]))}
+           "method": draw(st.sampled_from(["LSODA", "DOPRI5"]))}
     for name in chosen:
         section, key = name.split(".")
         doc.setdefault(section, {})[key] = draw(KEYS[name][name == bad])

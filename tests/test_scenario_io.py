@@ -78,6 +78,17 @@ class TestParsing:
         with pytest.raises(InvariantViolation, match="parameters.n"):
             parse_scenario({"parameters": {"n": "fast"}})
 
+    @pytest.mark.parametrize("text,path", [
+        ("tolerances: {rtol: 1e-6}", "tolerances.rtol"),
+        ("t_end: 1.0e5", "t_end")])
+    def test_exponent_number_read_as_text(self, text, path):
+        # YAML 1.1 reads these as strings: refused, with the spelling it
+        # reads as a number.
+        with pytest.raises(InvariantViolation, match=f"^{path}: expected a "
+                           r"number, got '.*'; .*mantissa with a '\.' and "
+                           r"the exponent with a sign, as in 1\.0e-6"):
+            parse_scenario(text)
+
     def test_load_scenario_round_trip(self, tmp_path):
         doc = tmp_path / "scn.yaml"
         doc.write_text("t_end: 1234.0\nparameters:\n  k_smc: 2.5\n")

@@ -209,16 +209,26 @@ def test_one_method_table():
     # `integrate` picks a method's stepper from `_STEPPERS`; no other code
     # lists the methods or looks a solver up.
     assert not hasattr(engine.Scenario, "solver_class")
-    assert list(engine._STEPPERS) == ["DOPRI5", "LSODA", "BDF"]
+    assert list(engine._STEPPERS) == ["DOPRI5", "LSODA"]
     words = set(re.findall(r"\w+", (SOURCE / "acceptance.py").read_text()))
     assert words & {*engine._STEPPERS, "solver_class", "RK45"} == set()
+
+
+@pytest.mark.parametrize("document", ["README.md",
+                                      "src/blowdown/default_scenario.yaml"])
+def test_documented_methods_are_the_method_table(document):
+    # The comment on the example `method:` line lists the methods.
+    text = (SOURCE.parents[1] / document).read_text()
+    [comment] = re.findall(r"^method: \w+ +#(.*)$", text, re.MULTILINE)
+    assert set(re.findall(r"\b[A-Z][A-Z0-9]+\b", comment)) == set(
+        engine._STEPPERS)
 
 
 def test_steppers_yield_time_state_and_interpolant():
     nodes = list(ast.walk(tree("engine")))
     yields = [node for node in nodes
               if isinstance(node, (ast.Yield, ast.YieldFrom))]
-    # LSODA/BDF (a step, or a segment too short to step), DOPRI5 and RK4
+    # LSODA (a step, or a segment too short to step), DOPRI5 and RK4
     assert len(yields) == 4
     statements = {id(node.value) for node in nodes
                   if isinstance(node, ast.Expr)}
