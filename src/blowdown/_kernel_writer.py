@@ -3,18 +3,19 @@ of a law written in as the law's body.
 
 A law is a function as its module defines it: a plain function of `state`,
 `rheology`, `hydraulics`, `smc` or `energetics`, or `engine._bounded`. The
-writer reads the source of `_evaluate` and of each law it calls with `ast`,
-once per function, sliced from its file by its code object, and uses it
-only if it compiles to that code, so a file edited after import is not
-read as the code that runs. Each call of a law becomes the law's body: the
-parameters replaced by the call's arguments, the locals renamed per call
-(`_consistency_guard1_x`), each `return` an assignment, and an `if` that
-returns taking the statements after it as its `else`; nested laws are
-written in the same way. The operations and their order are those of
-`_evaluate`, so every float is the same. A law held as a wrapper
-(`__wrapped__`) or a replacement, a law whose source cannot be read or is
-not that of its code, and a law needing statements in a branch that may
-not run stay calls.
+writer parses `_evaluate` and each law it calls with `ast`, once per
+function, from its source sliced from its file by its code object, and uses
+the tree only if it compiles to that code, so a file edited after import is
+not read as the code that runs. One syntax-tree transform, `_LawWriter`,
+writes each call of a law as the law's body: the parameters replaced by the
+call's arguments, the locals renamed per call (`_consistency_guard1_x`),
+each `return` an assignment, and an `if` that returns taking the statements
+after it as its `else`; nested laws are written in the same way. The
+kernel's `def` is `_evaluate`'s own, renamed and printed with `ast.unparse`.
+The operations and their order are those of `_evaluate`, so every float is
+the same. A law held as a wrapper (`__wrapped__`) or a replacement, a law
+whose source cannot be read or is not that of its code, and a law needing
+statements in a branch that may not run stay calls.
 
 `engine` imports this module when it generates the kernel, at the first
 run, so importing the package or parsing a scenario compiles none of it.
@@ -26,9 +27,7 @@ import ast
 import functools
 import linecache
 import operator
-import re
 import types
-from typing import NamedTuple
 
 _LAW_MODULES = frozenset(f"{__package__}.{m}" for m in (
     "state", "rheology", "hydraulics", "smc", "energetics"))
@@ -43,11 +42,14 @@ def write(fn, name: str, kernel_globals: dict):
     form = _form(fn)
     if form is None:
         return None, []
-    writer = _LawWriter(kernel_globals, form.stored)
-    lines = writer.lines(form.body, {}, kernel_globals)
-    return (f"def {name}({', '.join(form.params)}):\n"
-            f'    """`{fn.__name__}` with each law\'s body written in."""\n'
-            + "".join(f"    {line}\n" for line in lines)), writer.calls
+    writer = _LawWriter(kernel_globals, form)
+    doc = ast.Expr(ast.Constant(
+        f"`{fn.__name__}` with each law's body written in."))
+    kernel = _with(form, name=name, decorator_list=[], returns=None,
+                   args=_with(form.args, args=[
+                       _with(a, annotation=None) for a in form.args.args]),
+                   body=[doc] + writer.body(form.statements))
+    return ast.unparse(kernel) + "\n", writer.calls
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,7 +62,7 @@ def _source(code) -> str:
     if first >= len(lines):
         return ""
     depth = _depth(lines[first])
-    end = max(line for _, _, line in code.co_lines() if line)
+    end = max(filter(None, map(operator.itemgetter(2), code.co_lines())))
     while end < len(lines) and (_depth(lines[end]) > depth
                                 or not lines[end].strip()):
         end += 1
@@ -71,52 +73,73 @@ def _depth(line: str) -> int:
     return len(line) - len(line.lstrip())
 
 
-class _Name(str):
-    """A name in a function's source: a law's parameters and locals are
-    renamed where its body is written in."""
-
-
-class _Call(NamedTuple):
-    """A call by name, with plain arguments, in a function's source."""
-    name: str
-    args: list  # each argument's group
-    seps: tuple  # the source around the arguments: "(", ", ", ")"
-    conditional: bool  # in a branch of its statement that may not run
-
-
-class _Form(NamedTuple):
-    """A function's body as the kernel writer reads it. Each statement is a
-    tuple of its kind and its parts; an expression is a group: a list of
-    source text, `_Name`s and `_Call`s."""
-    params: tuple
-    body: list
-    stored: frozenset  # names the body assigns
-    reads: dict  # times the body reads each name
-    calls: frozenset  # names the body calls
-    plain: bool  # only assignments, `if`, `return` and expressions
+#: Expressions with a scope of their own: kept as they are written.
+_OWN_SCOPE = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+              ast.GeneratorExp)
+#: What a law may not hold: a statement other than an assignment, `if`,
+#: `return` or an expression; a scope of its own; or an expression with an
+#: effect on the frame that runs it.
+_NOT_PLAIN = frozenset(ast.stmt.__subclasses__()).difference((
+    ast.If, ast.Return, ast.Expr, ast.Assign)).union(_OWN_SCOPE, (
+        ast.NamedExpr, ast.Yield, ast.YieldFrom, ast.Await))
+#: Nodes the writer never changes.
+_LEAVES = frozenset(kind for base in (
+    ast.expr_context, ast.operator, ast.unaryop, ast.cmpop, ast.boolop)
+    for kind in base.__subclasses__()).union((ast.Constant,))
 
 
 @functools.lru_cache(maxsize=None)
 def _form(function):
-    """The `_Form` of a function, parsed once from its source; None if its
-    source cannot be read or does not compile to the function's code."""
-    source = _source(function.__code__).encode()
+    """A function's `def`, parsed once from its source; None if its source
+    cannot be read or does not compile to the function's code. It carries
+    what the writer reads of it, walked once: `statements`, its body after
+    the docstring; `params`; the names it assigns, `stored`; the times it
+    reads each name, `reads`; the names it calls, `calls`; the nodes that
+    hold a call by name, `calling`; and whether it is `plain`, holding only
+    assignments, `if`, `return` and expressions."""
     try:
-        tree = ast.parse(source)
+        tree = ast.parse(_source(function.__code__))
     except SyntaxError:  # a function written indented, inside a block
         return None
     fn = tree.body[0] if len(tree.body) == 1 else None
     if not isinstance(fn, ast.FunctionDef) or not _loaded(tree, function):
         return None
-    reader = _Reader(source)
-    body = [reader.statement(s) for s in
-            fn.body[ast.get_docstring(fn, clean=False) is not None:]]
     a = fn.args
-    plain = reader.plain and not (a.posonlyargs or a.vararg or a.kwonlyargs
-                                  or a.kwarg or a.defaults)
-    return _Form(tuple(arg.arg for arg in a.args), body,
-                 frozenset(reader.stored), reader.reads,
-                 frozenset(reader.calls), plain)
+    fn.statements = fn.body[ast.get_docstring(fn, clean=False) is not None:]
+    fn.params = tuple(arg.arg for arg in a.args)
+    fn.stored, fn.calls, fn.calling, fn.reads = set(), set(), set(), {}
+    fn.plain = not (a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg
+                    or a.defaults)
+    for statement in fn.statements:
+        _read(statement, fn)
+    return fn
+
+
+def _read(node, fn) -> bool:
+    """Reads `node` into the facts of `fn`, the `def` that holds it, adding
+    it to `fn.calling` if it holds a call by name: what else the writer
+    visits of a function whose names it does not rename is left as it is."""
+    kind = type(node)
+    if kind is ast.Name:
+        if type(node.ctx) is ast.Load:
+            fn.reads[node.id] = fn.reads.get(node.id, 0) + 1
+        else:
+            fn.stored.add(node.id)
+        return False
+    calling = kind is ast.Call and _plain_call(node)
+    if calling:
+        fn.calls.add(node.func.id)
+    elif kind in _NOT_PLAIN or kind is ast.Assign and len(node.targets) != 1:
+        fn.plain = False
+    for field in node._fields:
+        value = getattr(node, field)
+        for child in value if type(value) is list else (value,):
+            if (isinstance(child, ast.AST) and type(child) not in _LEAVES
+                    and _read(child, fn)):
+                calling = True
+    if calling:
+        fn.calling.add(node)
+    return calling
 
 
 #: What a code object does, as the writer compares a function's source with
@@ -142,128 +165,11 @@ def _loaded(tree: ast.Module, function) -> bool:
     return False
 
 
-class _Reader:
-    """Reads statements into `_Form` tuples, from a function's source."""
-
-    def __init__(self, source: bytes):
-        self.source = source
-        self.starts = [0]  # the byte offset of each line
-        for line in source.splitlines(True):
-            self.starts.append(self.starts[-1] + len(line))
-        self.stored, self.reads, self.calls = set(), {}, set()
-        self.plain = True
-
-    def statement(self, s):
-        if isinstance(s, ast.If):
-            body = [self.statement(x) for x in s.body]
-            orelse = [self.statement(x) for x in s.orelse]
-            return ("if", self.group(s.test), body, orelse, any(
-                x[0] == "return" or (x[0] == "if" and x[4])
-                for x in body + orelse))
-        if isinstance(s, ast.Return):
-            return "return", s.value and self.group(s.value)
-        if isinstance(s, ast.Assign) and len(s.targets) == 1:
-            target = s.targets[0]
-            names = ((target.id,) if isinstance(target, ast.Name) else
-                     tuple(t.id for t in target.elts)
-                     if isinstance(target, ast.Tuple) and all(
-                         isinstance(t, ast.Name) for t in target.elts)
-                     else None)
-            value = self.group(s.value)
-            call = _plain_call(s.value) and next(p for p in value
-                                                 if type(p) is _Call)
-            return "assign", self.group(target), names, value, call
-        self.plain &= isinstance(s, ast.Expr)
-        # Another compound statement is kept as it is written: no law call
-        # in it is moved ahead of it.
-        return "other", self.group(s, not isinstance(s, ast.Expr))
-
-    def group(self, node, conditional: bool = False) -> list:
-        """`node`'s source as text, `_Name`s and `_Call`s."""
-        holes = []
-        self.holes(node, conditional, holes)
-        holes.sort(key=operator.itemgetter(0))
-        starts, group = self.starts, []
-        at = starts[node.lineno - 1] + node.col_offset
-        for start, end, piece in holes:
-            group += self.source[at:start].decode(), piece
-            at = end
-        end = starts[node.end_lineno - 1] + node.end_col_offset
-        group.append(self.source[at:end].decode())
-        if isinstance(node, ast.expr) and node.end_lineno > node.lineno:
-            group[0], group[-1] = f"({group[0]}", f"{group[-1]})"  # its lines
-        return group
-
-    def holes(self, node, conditional: bool, holes: list) -> None:
-        """(start, end, piece) of each name and call by name in `node`,
-        outside the calls found."""
-        kind = type(node)
-        if kind is ast.Constant:
-            return
-        if kind is ast.Name:
-            if type(node.ctx) is ast.Load:
-                self.reads[node.id] = self.reads.get(node.id, 0) + 1
-            else:
-                self.stored.add(node.id)
-            start = self.starts[node.lineno - 1] + node.col_offset
-            holes.append((start, start + len(node.id.encode()),
-                          _Name(node.id)))
-        elif kind is ast.Attribute:
-            self.holes(node.value, conditional, holes)
-        elif _plain_call(node):
-            self.call(node, conditional, holes)
-        elif kind is ast.IfExp:
-            self.holes(node.test, conditional, holes)
-            self.holes(node.body, True, holes)
-            self.holes(node.orelse, True, holes)
-        elif kind is ast.BoolOp:
-            for i, value in enumerate(node.values):
-                self.holes(value, conditional or i > 0, holes)
-        elif issubclass(kind, _OWN_SCOPE):
-            self.plain = False  # kept as it is written
-        else:
-            self.plain &= not issubclass(kind, (ast.NamedExpr, ast.Yield,
-                                                ast.YieldFrom, ast.Await))
-            for field in node._fields:
-                child = getattr(node, field)
-                if isinstance(child, list):
-                    for c in child:
-                        if isinstance(c, ast.AST):
-                            self.holes(c, conditional, holes)
-                elif isinstance(child, ast.AST):
-                    self.holes(child, conditional, holes)
-
-    def call(self, node: ast.Call, conditional: bool, holes: list) -> None:
-        name, starts = node.func.id, self.starts
-        self.calls.add(name)
-        self.reads[name] = self.reads.get(name, 0) + 1
-        start = starts[node.lineno - 1] + node.col_offset
-        ends = [start + len(name.encode())]  # ends of the source around args
-        for a in node.args:
-            ends += (starts[a.lineno - 1] + a.col_offset,
-                     starts[a.end_lineno - 1] + a.end_col_offset)
-        ends.append(starts[node.end_lineno - 1] + node.end_col_offset)
-        holes.append((start, ends[-1], _Call(
-            name, [self.group(a, conditional) for a in node.args],
-            tuple(self.source[a:b].decode()
-                  for a, b in zip(ends[::2], ends[1::2])),
-            conditional)))
-
-
-#: Expressions with a scope of their own: kept as they are written.
-_OWN_SCOPE = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
-              ast.GeneratorExp)
-
-
 def _plain_call(node) -> bool:
     """Whether `node` calls a name with positional arguments alone."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and not node.keywords
-            and not any(isinstance(a, ast.Starred) for a in node.args))
-
-
-#: An attribute of a name, such as `p.eps`: read once, written in place.
-_LOAD = re.compile(r"[A-Za-z_][\w.]*")
+            and ast.Starred not in map(type, node.args))
 
 
 def _is_law(obj) -> bool:
@@ -274,110 +180,172 @@ def _is_law(obj) -> bool:
                  or (obj.__module__, obj.__name__) == _BOUNDED))
 
 
+def _loads_once(node) -> bool:
+    """Whether `node` is a name or an attribute of one, such as `p.eps`."""
+    while type(node) is ast.Attribute:
+        node = node.value
+    return type(node) is ast.Name
+
+
+def _returns(statement) -> bool:
+    """Whether `statement` returns, or is an `if` with a branch that does."""
+    return type(statement) is ast.Return or type(statement) is ast.If and any(
+        map(_returns, statement.body + statement.orelse))
+
+
+def _with(node, **fields):
+    """`node` with `fields` replaced, or `node` itself if none changed: a
+    parsed tree is never changed, so each law's is read again per call.
+    Nodes compare by identity, and lists of them item by item."""
+    if {field: getattr(node, field) for field in fields} == fields:
+        return node
+    new = type(node).__new__(type(node))
+    vars(new).update(vars(node), **fields)
+    return new
+
+
+def _assign(target, value) -> ast.Assign:
+    return ast.Assign([target], value, lineno=0)  # `ast.unparse` reads it
+
+
+def _name(name: str, ctx=ast.Load) -> ast.Name:
+    return ast.Name(name, ctx())
+
+
 class _KeepCall(Exception):
     """A law whose body cannot be written in where it is called."""
 
 
-class _LawWriter:
+class _LawWriter(ast.NodeTransformer):
     """Writes a function's statements with each law call as the law's body.
 
-    Lines are relative to the statements' own indentation. A law whose body
-    needs statements puts them in `before`, the lines run ahead of the
-    statement that calls it; where `before` is None the call may not run,
-    and only a law of one `return` is written in there.
+    It visits the trees of `_evaluate` and its laws without changing them,
+    building a node where one of its parts changes. `calls` and `kept` hold
+    the (namespace, name, object) of each call looked up, and of each left
+    a call; `sites` counts the calls of each law written in. `names` maps
+    each parameter and local of the law being written to the node written
+    for it, and `calling` holds the nodes of its tree that hold a call by
+    name: the rest of a tree whose names are not renamed is kept. A law
+    whose body needs statements puts them in `before`, the statements run
+    ahead of the one that calls it; where `before` is None the call may not
+    run, and only a law of one `return` is written in there.
     """
 
-    def __init__(self, kernel_globals: dict, kernel_locals: frozenset):
+    def __init__(self, kernel_globals: dict, kernel):
+        # The kernel's own names: a law reading a global of one stays a call.
         self.kernel_globals = kernel_globals
-        self.kernel_locals = kernel_locals
-        self.calls = []  # (namespace, name, object) of each call looked up
-        self.kept = []  # (namespace, name, object) of each left a call
-        self.sites = {}  # calls written in, per law
+        self.kernel_locals = kernel.stored.union(kernel.params)
+        self.calls, self.kept, self.sites = [], [], {}
+        self.names, self.ns, self.before = {}, kernel_globals, None
+        self.calling = kernel.calling
 
-    def lines(self, statements, names: dict, ns: dict, target=None) -> list:
-        """The lines of `statements`, with `names` renamed and the functions
-        they call looked up in `ns`. With a `target`, a tuple of names, each
-        `return v` assigns v to it, and an `if` that returns takes the
-        statements after it as its `else`."""
+    def body(self, statements, target=None) -> list:
+        """`statements` written out. With a `target`, each `return v`
+        assigns v to it, and an `if` that returns takes the statements after
+        it as its `else`."""
         out = []
         for i, s in enumerate(statements):
-            before, kind = [], s[0]
-            if kind == "if":
-                _, test, body, orelse, returns = s
-                test = self.text(test, names, ns, before)
-                branch = target if returns else None
-                if branch:
-                    orelse = orelse + statements[i + 1:]
-                out += before + [f"if {test}:"] + _indented(
-                    self.lines(body, names, ns, branch))
-                if orelse:
-                    out += ["else:"] + _indented(
-                        self.lines(orelse, names, ns, branch))
+            self.before = before = []
+            kind = type(s)
+            if kind is ast.If:
+                test = self.visit(s.test)
+                branch = target if _returns(s) else None
+                orelse = s.orelse + statements[i + 1:] if branch else s.orelse
+                out += before
+                out.append(_with(s, test=test, body=self.body(s.body, branch),
+                                 orelse=self.body(orelse, branch)))
                 if branch:
                     return out
-            elif kind == "return":
-                _, value = s
+            elif kind is ast.Return:
+                value = s.value and self.visit(s.value)
                 if target is None:
-                    line = ("return " + self.text(value, names, ns, before)
-                            if value else "return")
-                    return out + before + [line]
-                if not value:
+                    return out + before + [_with(s, value=value)]
+                if value is None:
                     raise _KeepCall  # a law with no value
-                line = self.text(value, names, ns, before)
-                return out + before + [f"{', '.join(target)} = {line}"]
-            elif kind == "assign":
-                _, group, targets, value, call = s
-                targets = targets and tuple(names.get(t, t) for t in targets)
-                if targets and call:
-                    lines = self.site(call, names, ns, before, targets)
-                    if isinstance(lines, str):  # left a call
-                        lines = [f"{', '.join(targets)} = {lines}"]
+                return out + before + [_assign(target, value)]
+            elif kind is ast.Assign and len(s.targets) == 1:
+                lhs = self.conditional(s.targets[0])
+                if _plain_call(s.value) and (type(lhs) is ast.Name or type(
+                        lhs) is ast.Tuple and all(type(t) is ast.Name
+                                                  for t in lhs.elts)):
+                    new = self.site(s.value, lhs)
                 else:
-                    lhs = (", ".join(targets) if targets else
-                           self.text(group, names, ns, None))
-                    lines = [f"{lhs} = "
-                             + self.text(value, names, ns, before)]
-                out += before + lines
+                    new = [_with(s, targets=[lhs], value=self.visit(s.value))]
+                out += before + new
             else:
-                line = self.text(s[1], names, ns, before)
-                out += before + [line]
+                # Another compound statement is kept as it is written: no law
+                # call in it is moved ahead of it.
+                new = self.visit(s) if kind is ast.Expr else self.conditional(s)
+                out += before + [new]
         if target is not None:
             raise _KeepCall  # a path of a law ends with no value
         return out
 
-    def text(self, group, names: dict, ns: dict, before) -> str:
-        """The source of a group, with `names` renamed and its law calls
-        written in."""
-        out = []
-        for piece in group:
-            if type(piece) is _Name:
-                out.append(names.get(piece, piece))
-            elif type(piece) is _Call:
-                out.append(self.site(piece, names, ns, before))
-            else:
-                out.append(piece)
-        return "".join(out)
+    def conditional(self, node):
+        """`node` visited as a part that may not run: nothing is hoisted."""
+        before, self.before = self.before, None
+        node = self.visit(node)
+        self.before = before
+        return node
 
-    def site(self, call: _Call, names, ns, before, target=None):
-        """A call written in: the lines assigning a law's value to `target`,
-        else the text standing for the call."""
-        hoist = None if call.conditional else before
-        args = [self.text(g, names, ns, hoist) for g in call.args]
-        name = call.name
-        if name not in names and name in ns:
+    def visit(self, node):
+        kind = type(node)
+        if kind is ast.Name:
+            new = self.names.get(node.id, node)
+            if new is node or type(node.ctx) is ast.Load:
+                return new
+            return ast.Name(new.id, node.ctx)  # a local, renamed
+        if kind in _LEAVES or kind in _OWN_SCOPE or not (
+                self.names or node in self.calling):
+            return node  # nothing in it to rename or write in
+        return self.visitors.get(kind, _LawWriter.generic_visit)(self, node)
+
+    def generic_visit(self, node):
+        fields = {}
+        for field in node._fields:
+            old = getattr(node, field)
+            if type(old) is list:
+                fields[field] = [self.visit(x) if isinstance(x, ast.AST)
+                                 else x for x in old]
+            elif isinstance(old, ast.AST) and type(old) not in _LEAVES:
+                fields[field] = self.visit(old)
+        return _with(node, **fields)
+
+    def visit_IfExp(self, node):
+        return _with(node, test=self.visit(node.test),
+                     body=self.conditional(node.body),
+                     orelse=self.conditional(node.orelse))
+
+    def visit_BoolOp(self, node):
+        first, *rest = node.values
+        return _with(node, values=[self.visit(first)]
+                     + [self.conditional(v) for v in rest])
+
+    def visit_Call(self, node):
+        return self.site(node) if _plain_call(node) else self.generic_visit(
+            node)
+
+    visitors = {ast.IfExp: visit_IfExp, ast.BoolOp: visit_BoolOp,
+                ast.Call: visit_Call}
+
+    def site(self, node: ast.Call, target=None):
+        """A call written in: with a `target`, the statements assigning its
+        value to it, else the expression standing for the call."""
+        args = [self.visit(a) for a in node.args]
+        name, ns = node.func.id, self.ns
+        if name not in self.names and name in ns:
             self.calls.append((ns, name, ns[name]))
             try:
-                return self.law(ns[name], args, hoist, target)
+                return self.law(ns[name], args, target)
             except _KeepCall:
                 self.kept.append((ns, name, ns[name]))
-        seps = call.seps
-        return (names.get(name, name) + seps[0]
-                + "".join(a + sep for a, sep in zip(args, seps[1:])))
+        call = _with(node, func=self.visit(node.func), args=args)
+        return call if target is None else [_assign(target, call)]
 
-    def law(self, law, args: list, before, target):
-        """`law`'s body for arguments `args`: the text of a law of one
-        `return` with no argument to bind, else its lines, returned with a
-        `target`, or put in `before` with the name of their value. A name,
+    def law(self, law, args: list, target):
+        """`law`'s body for arguments `args`: the expression of a law of one
+        `return` with no argument to bind, else its statements, returned with
+        a `target`, or put in `before` with the name of their value. A name,
         or an attribute of one read at most once, is written where its
         parameter is read; any other argument is bound to a local first.
         Parameters and locals take a prefix of their own per call."""
@@ -396,36 +364,36 @@ class _LawWriter:
         prefix = f"_{law.__name__.lstrip('_')}{site}_"
         names, binds = {}, []
         for param, arg in zip(form.params, args):
-            if param not in form.stored and (arg.isidentifier() or (
-                    form.reads.get(param, 0) <= 1 and _LOAD.fullmatch(arg))):
+            if param not in form.stored and (type(arg) is ast.Name or (
+                    form.reads.get(param, 0) <= 1 and _loads_once(arg))):
                 names[param] = arg
             else:
-                names[param] = prefix + param
-                binds.append(f"{prefix}{param} = {arg}")
-        names.update((local, prefix + local) for local in form.stored)
-        kept, body, hoisted = len(self.kept), form.body, []
-        one_line = (not binds and len(body) == 1 and body[0][0] == "return"
-                    and body[0][1])
-        if one_line:
-            text = self.text(body[0][1], names, ns,
-                             None if before is None else hoisted)
-        elif target is None and before is None:
-            raise _KeepCall
-        else:
-            hoisted = binds + self.lines(body, names, ns,
-                                         target or (prefix[:-1],))
+                names[param] = _name(prefix + param)
+                binds.append(_assign(_name(prefix + param, ast.Store), arg))
+        names.update((local, _name(prefix + local)) for local in form.stored)
+        kept, body, before = len(self.kept), form.statements, self.before
+        one_line = (not binds and len(body) == 1
+                    and type(body[0]) is ast.Return and body[0].value)
+        saved = self.names, self.ns, self.calling
+        self.names, self.ns, self.calling = names, ns, form.calling
+        try:
+            hoisted = []
+            if one_line:
+                self.before = None if before is None else hoisted
+                value = self.visit(body[0].value)
+            elif target is None and before is None:
+                raise _KeepCall
+            else:
+                hoisted = binds + self.body(body, target or _name(
+                    prefix[:-1], ast.Store))
+        finally:
+            (self.names, self.ns, self.calling), self.before = saved, before
         if any(n is ns and (name in self.kernel_locals
                             or self.kernel_globals.get(name) is not obj)
                for n, name, obj in self.kept[kept:]):
             raise _KeepCall  # a call the kernel would resolve elsewhere
-        if one_line and target is not None:
-            return hoisted + [f"{', '.join(target)} = {text}"]
         if target is not None:
-            return hoisted
+            return hoisted + [_assign(target, value)] if one_line else hoisted
         if hoisted:
             before += hoisted
-        return f"({text})" if one_line else prefix[:-1]
-
-
-def _indented(lines: list) -> list:
-    return [f"    {line}" for line in lines]
+        return value if one_line else _name(prefix[:-1])

@@ -18,7 +18,7 @@ from . import smc
 from .engine import MAX_LOG_ROWS, integrate
 from .errors import (BlowdownError, IntegrationError, ParameterError,
                      ScenarioError)
-from .scenario_io import (default_scenario, load_scenario, load_yaml,
+from .scenario_io import (_read_document, default_scenario, load_scenario,
                           parse_scenario, write_manifold, write_trajectory)
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def _run_to_csv(scenario, out_dir: Path) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    doc = load_yaml(Path(args.scenario).read_text()) if args.scenario else {}
+    doc = _read_document(args.scenario) if args.scenario else {}
     for _, key, _ in _SIMULATE_KEYS:
         if (value := getattr(args, key)) is not None:
             _set_path(doc, key, value)
@@ -142,7 +142,7 @@ def _cmd_sweep(args) -> int:
         raise ScenarioError("--values must name at least one value")
     if len(named) < len(tokens):  # a run's directory is its token as typed
         raise ScenarioError(f"--values {args.values!r} names a value twice")
-    base = load_yaml(Path(args.scenario).read_text()) if args.scenario else {}
+    base = _read_document(args.scenario) if args.scenario else {}
 
     runs = []
     for value, token in named.items():

@@ -41,7 +41,9 @@ The kernel `assemble_rhs` and `evaluate_snapshot` run is generated from the
 public laws, once per process, by the first run: `_generate_kernel` has
 `_kernel_writer` write `_evaluate` with each call of a law (and of
 `_bounded`) as the law's body, nested laws included, with the same
-operations in the same order, so every float is the same. Until then the
+operations in the same order, so every float is the same. The writer
+transforms the syntax trees of `_evaluate` and the laws with `ast` and
+prints the kernel's `def` with `ast.unparse`. Until then the
 kernel is `_evaluate` itself, so parsing a scenario builds nothing; it
 stays `_evaluate` if the writer fails, or if `_evaluate`'s source cannot be
 read or does not compile to the code that is loaded. A law that `engine` or

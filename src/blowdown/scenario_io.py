@@ -73,7 +73,10 @@ def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvariantViolation(path, f"expected a number, got {value!r}"
                                  + _exponent_hint(value))
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond every float
+        v = math.inf if value > 0 else -math.inf
     if not math.isfinite(v):
         raise InvariantViolation(path, f"must be finite, got {v!r}")
     return v
@@ -189,7 +192,19 @@ def parse_scenario(document: Union[str, dict, None]) -> Scenario:
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
     """Parse a scenario document from a file path."""
-    return parse_scenario(Path(path).read_text())
+    return parse_scenario(_read_document(path))
+
+
+def _read_document(path: Union[str, Path]) -> dict:
+    """The mapping a scenario file holds. A file that is not UTF-8 text
+    raises ScenarioSyntaxError naming it; one that cannot be read, OSError."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioSyntaxError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return load_yaml(text)
 
 
 def default_scenario() -> Scenario:

@@ -134,6 +134,9 @@ def manifold_grid(e_range, xi_range, lambda_q: float, steps: int = 41):
     x_lo, x_hi = float(xi_range[0]), float(xi_range[1])
     if not (e_hi > e_lo and x_hi > x_lo):
         raise ParameterError("degenerate grid ranges")
+    if not (math.isfinite(e_hi - e_lo) and math.isfinite(x_hi - x_lo)):
+        raise ParameterError(f"grid ranges must be finite, got e "
+                             f"[{e_lo}, {e_hi}] and xi [{x_lo}, {x_hi}]")
     e = np.linspace(e_lo, e_hi, steps)
     xi = np.linspace(x_lo, x_hi, steps)
     e_grid, xi_grid = np.meshgrid(e, xi, indexing="ij")

@@ -130,23 +130,36 @@ class TestUsageErrors:
 class TestRefusedInput:
     """Every refused input exits 1 with a one-line message, no traceback."""
 
-    @pytest.mark.parametrize("argv", [
-        ["manifold", "--out", "{dir}/m.csv", "--steps", "1"],
-        ["manifold", "--out", "{dir}/m.csv", "--e-range", "1", "0"],
-        ["simulate", "--out", "{file}"],
-        ["simulate", "--scenario", "{dir}", "--out", "{dir}/run"],
-        ["sweep", "--param", "parameters.k_smc", "--values", "1",
-         "--out", "{file}"]],
+    @pytest.mark.parametrize("argv, kind", [
+        (["manifold", "--out", "{dir}/m.csv", "--steps", "1"], "error"),
+        (["manifold", "--out", "{dir}/m.csv", "--e-range", "1", "0"],
+         "error"),
+        (["simulate", "--out", "{file}"], "error"),
+        (["simulate", "--scenario", "{dir}", "--out", "{dir}/run"], "error"),
+        (["sweep", "--param", "parameters.k_smc", "--values", "1",
+          "--out", "{file}"], "error"),
+        (["simulate", "--scenario", "{utf16}", "--out", "{dir}/run"],
+         "scenario error"),
+        (["sweep", "--scenario", "{utf16}", "--param", "parameters.k_smc",
+          "--values", "1", "--out", "{dir}/sweep"], "scenario error"),
+        (["check", "--scenario", "{utf16}"], "scenario error"),
+        (["manifold", "--out", "{dir}/m.csv", "--e-range", "0", "inf",
+          "--steps", "3"], "error")],
         ids=["manifold-steps", "manifold-e-range", "simulate-out-file",
-             "simulate-scenario-dir", "sweep-out-file"])
-    def test_exit_1(self, tmp_path, capsys, argv):
+             "simulate-scenario-dir", "sweep-out-file", "simulate-not-utf8",
+             "sweep-not-utf8", "check-not-utf8", "manifold-e-inf"])
+    def test_exit_1(self, tmp_path, capsys, argv, kind):
         file = tmp_path / "file"
         file.write_text("")
-        code = main([arg.format(dir=tmp_path, file=file) for arg in argv])
+        utf16 = tmp_path / "utf16.yaml"  # a byte-order mark, then UTF-16
+        utf16.write_bytes("t_end: 200.0\n".encode("utf-16"))
+        code = main([arg.format(dir=tmp_path, file=file, utf16=utf16)
+                     for arg in argv])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("blowdown: error: ")
+        assert err.startswith(f"blowdown: {kind}: ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestManifold:

@@ -12,10 +12,12 @@ floats bit for bit, and raise its errors word for word.
 Property tests use Hypothesis (MacIver et al., JOSS 2019).
 """
 
+import ast
 import functools
 import inspect
 import linecache
 import math
+import operator
 import struct
 import traceback
 from collections import Counter
@@ -433,15 +435,23 @@ def guard(C, C_max, alpha_sig):
 '''
 
 
-@pytest.mark.parametrize("form", ["module level", "indented", "unread"])
+@pytest.mark.parametrize("form", ["module level", "indented", "unread",
+                                  "shadowed"])
 def test_a_law_of_another_form(monkeypatch, form):
     # A law is written in from the source `linecache` holds for it; one
-    # written inside a block, or whose source cannot be read, stays a call.
-    # Either way the kernel gives `_evaluate`'s bytes.
+    # written inside a block, whose source cannot be read, or that reads a
+    # global the kernel would shadow with a parameter of `_evaluate` stays a
+    # call. Either way the kernel gives `_evaluate`'s bytes.
     filename = f"<smc.consistency_guard, {form}>"
     source = SYNTHETIC.replace("guard", form.replace(" ", "_"))
     if form == "indented":
         source = "if True:\n" + source.replace("\n", "\n    ")
+    if form == "shadowed":  # in the kernel, `p` is the parameters
+        one = 1.0
+        monkeypatch.setitem(vars(smc), "p", one)
+        monkeypatch.setitem(vars(engine), "p", one)
+        source = source.replace("1.0 / (1.0 + math.exp(-x))",
+                                "p / (p + math.exp(-x))")
     if form != "unread":
         monkeypatch.setitem(linecache.cache, filename, (
             len(source), None, source.splitlines(True), filename))
@@ -456,19 +466,45 @@ def test_a_law_of_another_form(monkeypatch, form):
 
 def test_a_law_whose_source_is_not_its_code(monkeypatch):
     # Source that does not compile to the loaded code (a file edited after
-    # import) is not written in: the law stays a call, with its own floats.
+    # import) is not written in: an edited law stays a call, with its own
+    # floats, and with `_evaluate` edited the kernel is `_evaluate` itself.
+    from blowdown import _kernel_writer
     filename = "<smc.consistency_guard, edited>"
     source = SYNTHETIC.replace("guard", "edited_guard")
     exec(compile(source, filename, "exec"), vars(smc), defined := {})
     edited = source.replace("1.0 / (1.0 + math.exp(-x))",
                             "1.0 / (1.0 + math.exp(x))")
-    monkeypatch.setitem(linecache.cache, filename, (
-        len(edited), None, edited.splitlines(True), filename))
-    monkeypatch.setattr(engine, "consistency_guard", defined.popitem()[1])
-    kernel = engine._refresh_kernel()
-    assert "consistency_guard" in kernel.__code__.co_names
-    for (y, p, u), _ in BRANCH_CASES.values():
-        assert outcome(kernel, y, p, u) == outcome(engine._evaluate, y, p, u)
+    engine_file = engine._evaluate.__code__.co_filename
+    edited_engine = [line.replace("f_ex = p.rho_fl * u.f_fl",
+                                  "f_ex = p.rho_fl * u.f_fl * 2.0")
+                     for line in linecache.getlines(engine_file)]
+    assert edited_engine != linecache.getlines(engine_file)
+    for edited_function in ("law", "_evaluate"):
+        try:
+            with monkeypatch.context() as patch:
+                if edited_function == "law":
+                    patch.setitem(linecache.cache, filename, (
+                        len(edited), None, edited.splitlines(True), filename))
+                    patch.setattr(engine, "consistency_guard",
+                                  defined["edited_guard"])
+                else:  # the kernel generated again, from the edited file
+                    patch.setitem(linecache.cache, engine_file, (
+                        0, None, edited_engine, engine_file))
+                    patch.setattr(engine, "_kernel", engine._kernel)
+                    patch.setattr(engine, "_kernel_calls", None)
+                    _kernel_writer._source.cache_clear()
+                    _kernel_writer._form.cache_clear()
+                kernel = engine._refresh_kernel()
+                if edited_function == "law":
+                    assert "consistency_guard" in kernel.__code__.co_names
+                else:
+                    assert kernel is engine._evaluate
+                for (y, p, u), _ in BRANCH_CASES.values():
+                    assert outcome(kernel, y, p, u) == outcome(
+                        engine._evaluate, y, p, u)
+        finally:  # read the loaded source again
+            _kernel_writer._source.cache_clear()
+            _kernel_writer._form.cache_clear()
 
 
 def test_a_fault_of_the_writer_leaves_evaluate_the_kernel(monkeypatch):
@@ -522,7 +558,8 @@ def test_the_writer_reads_code_as_python_3_10_has_it():
     for fn in functions:
         form = _kernel_writer._form(fn)
         assert form is not None, fn
-        assert _kernel_writer._form(Function3_10(fn)) == form, fn
+        assert ast.dump(_kernel_writer._form(Function3_10(fn))) == ast.dump(
+            form), fn
 
 
 @pytest.mark.parametrize("generated, name, head", [
@@ -532,9 +569,12 @@ def test_the_writer_reads_code_as_python_3_10_has_it():
     (engine._dopri5_attempt, "_dopri5_attempt",
      "def attempt(rhs, p, u, t, h, y, k1, atol, rtol):")])
 def test_generated_source_can_be_read(generated, name, head):
-    # Tracebacks, profiles and `inspect` read the generated lines.
+    # Tracebacks, profiles and `inspect` read the generated lines, and they
+    # are the code that runs.
     fn = generated()
     assert fn.__code__.co_filename == f"<blowdown.engine.{name}>"
     source = inspect.getsource(fn)
     assert source.startswith(head + "\n")
-    assert compile(source, "<check>", "exec")
+    exec(compile(source, "<check>", "exec"), {}, filed := {})
+    does = operator.attrgetter("co_code", "co_consts", "co_names")
+    assert does(filed.popitem()[1].__code__) == does(fn.__code__)

@@ -89,6 +89,16 @@ class TestParsing:
                            r"the exponent with a sign, as in 1\.0e-6"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("key", [
+        "t_end: {big}", "parameters: {{k_smc: {big}}}",
+        "initial_state: {{M_s: {big}}}", "schedule: [{{t: 0, f_in: -{big}}}]",
+        "tolerances: {{rtol: {big}}}"],
+        ids=["t_end", "parameters", "initial_state", "schedule", "tolerances"])
+    def test_integer_too_large_for_a_float(self, key):
+        # YAML reads it as an int that float() cannot convert.
+        with pytest.raises(InvariantViolation, match="must be finite"):
+            parse_scenario(key.format(big="1" + "0" * 400))
+
     def test_load_scenario_round_trip(self, tmp_path):
         doc = tmp_path / "scn.yaml"
         doc.write_text("t_end: 1234.0\nparameters:\n  k_smc: 2.5\n")

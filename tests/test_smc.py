@@ -171,3 +171,9 @@ class TestManifoldGrid:
             smc.manifold_grid((1.0, 1.0), (0.0, 1.0), 1e-4)
         with pytest.raises(ParameterError):
             smc.manifold_grid((0.0, 1.0), (0.0, 1.0), 1e-4, steps=1)
+        # Ranges no float spans, which linspace would fill with NaN.
+        for e_range, xi_range in [((0.0, np.inf), (0.0, 1.0)),
+                                  ((0.0, 1.0), (-np.inf, 0.0)),
+                                  ((-1e308, 1e308), (0.0, 1.0))]:
+            with pytest.raises(ParameterError, match="must be finite"):
+                smc.manifold_grid(e_range, xi_range, 1e-4, steps=3)
