@@ -7,15 +7,18 @@ writer parses `_evaluate` and each law it calls with `ast`, once per
 function, from its source sliced from its file by its code object, and uses
 the tree only if it compiles to that code, so a file edited after import is
 not read as the code that runs. One syntax-tree transform, `_LawWriter`,
-writes each call of a law as the law's body: the parameters replaced by the
-call's arguments, the locals renamed per call (`_consistency_guard1_x`),
-each `return` an assignment, and an `if` that returns taking the statements
-after it as its `else`; nested laws are written in the same way. The
+writes a law's body where its call stands, and moves nothing. A law called
+as the whole value of an assignment (`x = law(...)`, `a, b = law(...)`) is
+written in place of that assignment: the parameters replaced by the call's
+arguments, the locals renamed per call (`_consistency_guard1_x`), each
+`return` an assignment to the target, and an `if` that returns taking the
+statements after it as its `else`. A law of one `return` whose arguments
+are names, or attributes read once, is written in place of its call. Any
+other call stays a call; nested laws are placed by the same rule. The
 kernel's `def` is `_evaluate`'s own, renamed and printed with `ast.unparse`.
 The operations and their order are those of `_evaluate`, so every float is
-the same. A law held as a wrapper (`__wrapped__`) or a replacement, a law
-whose source cannot be read or is not that of its code, and a law needing
-statements in a branch that may not run stay calls.
+the same. A law held as a wrapper (`__wrapped__`) or a replacement, and a
+law whose source cannot be read or is not that of its code, stay calls.
 
 `engine` imports this module when it generates the kernel, at the first
 run, so importing the package or parsing a scenario compiles none of it.
@@ -187,6 +190,12 @@ def _loads_once(node) -> bool:
     return type(node) is ast.Name
 
 
+def _names(target) -> bool:
+    """Whether `target` is a name or a tuple of names."""
+    return type(target) is ast.Name or type(target) is ast.Tuple and all(
+        type(t) is ast.Name for t in target.elts)
+
+
 def _returns(statement) -> bool:
     """Whether `statement` returns, or is an `if` with a branch that does."""
     return type(statement) is ast.Return or type(statement) is ast.If and any(
@@ -225,10 +234,10 @@ class _LawWriter(ast.NodeTransformer):
     a call; `sites` counts the calls of each law written in. `names` maps
     each parameter and local of the law being written to the node written
     for it, and `calling` holds the nodes of its tree that hold a call by
-    name: the rest of a tree whose names are not renamed is kept. A law
-    whose body needs statements puts them in `before`, the statements run
-    ahead of the one that calls it; where `before` is None the call may not
-    run, and only a law of one `return` is written in there.
+    name: the rest of a tree whose names are not renamed is kept. Nothing is
+    moved: a law called as the whole value of an assignment is written in
+    place of that assignment, a law of one `return` whose arguments need no
+    local is written in place of its call, and any other call stays a call.
     """
 
     def __init__(self, kernel_globals: dict, kernel):
@@ -236,8 +245,7 @@ class _LawWriter(ast.NodeTransformer):
         self.kernel_globals = kernel_globals
         self.kernel_locals = kernel.stored.union(kernel.params)
         self.calls, self.kept, self.sites = [], [], {}
-        self.names, self.ns, self.before = {}, kernel_globals, None
-        self.calling = kernel.calling
+        self.names, self.ns, self.calling = {}, kernel_globals, kernel.calling
 
     def body(self, statements, target=None) -> list:
         """`statements` written out. With a `target`, each `return v`
@@ -245,48 +253,30 @@ class _LawWriter(ast.NodeTransformer):
         it as its `else`."""
         out = []
         for i, s in enumerate(statements):
-            self.before = before = []
             kind = type(s)
             if kind is ast.If:
-                test = self.visit(s.test)
                 branch = target if _returns(s) else None
                 orelse = s.orelse + statements[i + 1:] if branch else s.orelse
-                out += before
-                out.append(_with(s, test=test, body=self.body(s.body, branch),
+                out.append(_with(s, test=self.visit(s.test),
+                                 body=self.body(s.body, branch),
                                  orelse=self.body(orelse, branch)))
                 if branch:
                     return out
             elif kind is ast.Return:
                 value = s.value and self.visit(s.value)
                 if target is None:
-                    return out + before + [_with(s, value=value)]
+                    return out + [_with(s, value=value)]
                 if value is None:
                     raise _KeepCall  # a law with no value
-                return out + before + [_assign(target, value)]
-            elif kind is ast.Assign and len(s.targets) == 1:
-                lhs = self.conditional(s.targets[0])
-                if _plain_call(s.value) and (type(lhs) is ast.Name or type(
-                        lhs) is ast.Tuple and all(type(t) is ast.Name
-                                                  for t in lhs.elts)):
-                    new = self.site(s.value, lhs)
-                else:
-                    new = [_with(s, targets=[lhs], value=self.visit(s.value))]
-                out += before + new
+                return out + [_assign(target, value)]
+            elif (kind is ast.Assign and len(s.targets) == 1
+                  and _plain_call(s.value) and _names(s.targets[0])):
+                out += self.site(s.value, self.visit(s.targets[0]))
             else:
-                # Another compound statement is kept as it is written: no law
-                # call in it is moved ahead of it.
-                new = self.visit(s) if kind is ast.Expr else self.conditional(s)
-                out += before + [new]
+                out.append(self.visit(s))
         if target is not None:
             raise _KeepCall  # a path of a law ends with no value
         return out
-
-    def conditional(self, node):
-        """`node` visited as a part that may not run: nothing is hoisted."""
-        before, self.before = self.before, None
-        node = self.visit(node)
-        self.before = before
-        return node
 
     def visit(self, node):
         kind = type(node)
@@ -298,7 +288,9 @@ class _LawWriter(ast.NodeTransformer):
         if kind in _LEAVES or kind in _OWN_SCOPE or not (
                 self.names or node in self.calling):
             return node  # nothing in it to rename or write in
-        return self.visitors.get(kind, _LawWriter.generic_visit)(self, node)
+        if kind is ast.Call and _plain_call(node):
+            return self.site(node)
+        return self.generic_visit(node)
 
     def generic_visit(self, node):
         fields = {}
@@ -310,23 +302,6 @@ class _LawWriter(ast.NodeTransformer):
             elif isinstance(old, ast.AST) and type(old) not in _LEAVES:
                 fields[field] = self.visit(old)
         return _with(node, **fields)
-
-    def visit_IfExp(self, node):
-        return _with(node, test=self.visit(node.test),
-                     body=self.conditional(node.body),
-                     orelse=self.conditional(node.orelse))
-
-    def visit_BoolOp(self, node):
-        first, *rest = node.values
-        return _with(node, values=[self.visit(first)]
-                     + [self.conditional(v) for v in rest])
-
-    def visit_Call(self, node):
-        return self.site(node) if _plain_call(node) else self.generic_visit(
-            node)
-
-    visitors = {ast.IfExp: visit_IfExp, ast.BoolOp: visit_BoolOp,
-                ast.Call: visit_Call}
 
     def site(self, node: ast.Call, target=None):
         """A call written in: with a `target`, the statements assigning its
@@ -343,12 +318,12 @@ class _LawWriter(ast.NodeTransformer):
         return call if target is None else [_assign(target, call)]
 
     def law(self, law, args: list, target):
-        """`law`'s body for arguments `args`: the expression of a law of one
-        `return` with no argument to bind, else its statements, returned with
-        a `target`, or put in `before` with the name of their value. A name,
-        or an attribute of one read at most once, is written where its
-        parameter is read; any other argument is bound to a local first.
-        Parameters and locals take a prefix of their own per call."""
+        """`law`'s body for arguments `args`: with a `target`, its statements
+        assigning its value to it; else the expression of a law of one
+        `return` with no argument to bind. A name, or an attribute of one
+        read at most once, is written where its parameter is read; any other
+        argument is bound to a local first. Parameters and locals take a
+        prefix of their own per call."""
         form = _is_law(law) and _form(law)
         if not form or not form.plain or len(args) != len(form.params):
             raise _KeepCall
@@ -371,29 +346,19 @@ class _LawWriter(ast.NodeTransformer):
                 names[param] = _name(prefix + param)
                 binds.append(_assign(_name(prefix + param, ast.Store), arg))
         names.update((local, _name(prefix + local)) for local in form.stored)
-        kept, body, before = len(self.kept), form.statements, self.before
-        one_line = (not binds and len(body) == 1
-                    and type(body[0]) is ast.Return and body[0].value)
-        saved = self.names, self.ns, self.calling
+        body = form.statements
+        if target is None and (binds or len(body) != 1 or type(
+                body[0]) is not ast.Return or body[0].value is None):
+            raise _KeepCall
+        kept, saved = len(self.kept), (self.names, self.ns, self.calling)
         self.names, self.ns, self.calling = names, ns, form.calling
         try:
-            hoisted = []
-            if one_line:
-                self.before = None if before is None else hoisted
-                value = self.visit(body[0].value)
-            elif target is None and before is None:
-                raise _KeepCall
-            else:
-                hoisted = binds + self.body(body, target or _name(
-                    prefix[:-1], ast.Store))
+            written = (self.visit(body[0].value) if target is None
+                       else binds + self.body(body, target))
         finally:
-            (self.names, self.ns, self.calling), self.before = saved, before
+            self.names, self.ns, self.calling = saved
         if any(n is ns and (name in self.kernel_locals
                             or self.kernel_globals.get(name) is not obj)
                for n, name, obj in self.kept[kept:]):
             raise _KeepCall  # a call the kernel would resolve elsewhere
-        if target is not None:
-            return hoisted + [_assign(target, value)] if one_line else hoisted
-        if hoisted:
-            before += hoisted
-        return value if one_line else _name(prefix[:-1])
+        return written

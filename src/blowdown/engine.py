@@ -43,11 +43,15 @@ public laws, once per process, by the first run: `_generate_kernel` has
 `_bounded`) as the law's body, nested laws included, with the same
 operations in the same order, so every float is the same. The writer
 transforms the syntax trees of `_evaluate` and the laws with `ast` and
-prints the kernel's `def` with `ast.unparse`. Until then the
-kernel is `_evaluate` itself, so parsing a scenario builds nothing; it
-stays `_evaluate` if the writer fails, or if `_evaluate`'s source cannot be
-read or does not compile to the code that is loaded. A law that `engine` or
-a law's module holds as a wrapper (`__wrapped__`) or a replacement, or
+prints the kernel's `def` with `ast.unparse`. It moves no code: a law is
+written in where it is the whole value of an assignment, or where it is
+one `return` called with names or attributes, and stays a call anywhere
+else; so `_evaluate` assigns every law it calls with statements, the
+snapshot's `V` and `eta_h` included. Until the first run the kernel is
+`_evaluate` itself, so parsing a scenario builds nothing; it stays
+`_evaluate` if the writer fails, or if `_evaluate`'s source cannot be read
+or does not compile to the code that is loaded. A law that `engine` or a
+law's module holds as a wrapper (`__wrapped__`) or a replacement, or
 whose source is not that of its loaded code, stays a call. `_drive`
 checks once per run whether such a law changed, and the kernel is generated
 again if so; a direct `assemble_rhs` or `evaluate_snapshot` call sees a law
@@ -332,12 +336,13 @@ def _evaluate(y, p: Parameters, u: ExogenousInputs, full: bool):
     # [0, q_p_max] and the masses are finite.
     gamma_dot = shear_rate(q_p, p.D_pipe)
     tau = hb_stress(gamma_dot, p.tau_y, p.K_HB, p.n)
+    _, _, V, _ = phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)
+    eta_h = efficiency(P_useful, P_h, p.eps)
     return derivs, (  # SNAPSHOT_COLUMNS order
-        C, rho_mix, phase_volumes(M_s, M_fl, p.rho_s, p.rho_fl, p.w)[2], C_n,
-        H_static, q_alg, e_q, s_q, sigma_C, H_eq, H0s, f_s, f_liq, gamma_dot,
-        tau, viscous_dissipation(tau, gamma_dot) if q_p > 0 else 0.0, P_h,
-        P_useful, P_elec, efficiency(P_useful, P_h, p.eps),
-        lyapunov_value(s_q))
+        C, rho_mix, V, C_n, H_static, q_alg, e_q, s_q, sigma_C, H_eq, H0s,
+        f_s, f_liq, gamma_dot, tau,
+        viscous_dissipation(tau, gamma_dot) if q_p > 0 else 0.0, P_h,
+        P_useful, P_elec, eta_h, lyapunov_value(s_q))
 
 
 def _raise_non_finite(checked, states) -> None:

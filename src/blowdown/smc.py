@@ -77,7 +77,8 @@ def control_law(H_eq: float, s_q: float, k_smc: float, phi_q: float,
     of min(max(raw, 0.0), H0_max), NaN and -0.0 included, without the cost
     of the builtin calls.
     """
-    raw = H_eq - k_smc * saturation(s_q / phi_q)
+    sat = saturation(s_q / phi_q)
+    raw = H_eq - k_smc * sat
     low = 0.0 if raw < 0.0 else raw
     return raw, H0_max if low > H0_max else low
 

@@ -507,6 +507,54 @@ def test_a_law_whose_source_is_not_its_code(monkeypatch):
             _kernel_writer._form.cache_clear()
 
 
+#: A law of two statements, and functions calling it where the call may not
+#: run, where it is an argument of a call that is not a law, and as the whole
+#: value of an assignment.
+INVERSE = '''
+def inv(a):
+    b = 1.0 / a
+    return b
+'''
+PROBES = {
+    "chained comparison": "return 0.0 < x < inv(x)",
+    "and": "return x and inv(x)",
+    "if expression": "return inv(x) if x else 0.0",
+    "argument": "return abs(inv(x))",
+    "assignment": "y = inv(x)\n    return y"}
+
+
+def run_probe(fn, x):
+    try:
+        return fn(x)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("position", PROBES)
+def test_a_law_is_written_in_only_where_its_call_stands(monkeypatch,
+                                                        position):
+    # Nothing is moved: a law with statements is written in only in place of
+    # a whole assignment, so a call that may not run stays a call, and the
+    # written function returns what its source returns.
+    from blowdown import _kernel_writer
+    source = f"def probe(x):\n    {PROBES[position]}\n"
+    for filename, text in (("<inv>", INVERSE), ("<probe>", source)):
+        monkeypatch.setitem(linecache.cache, filename, (
+            len(text), None, text.splitlines(True), filename))
+    exec(compile(INVERSE, "<inv>", "exec"), dict(vars(smc)), law := {})
+    namespace = {"inv": law["inv"]}
+    exec(compile(source, "<probe>", "exec"), namespace)
+    written, calls = _kernel_writer.write(namespace["probe"], "written",
+                                          namespace)
+    assert [name for _, name, _ in calls] == ["inv"]
+    exec(compile(written, "<written>", "exec"), namespace)
+    for x in (0.0, 2.0):
+        assert run_probe(namespace["written"], x) == run_probe(
+            namespace["probe"], x), written
+    assert ("inv" in namespace["written"].__code__.co_names) == (
+        position != "assignment"), written
+
+
 def test_a_fault_of_the_writer_leaves_evaluate_the_kernel(monkeypatch):
     from blowdown import _kernel_writer
 
