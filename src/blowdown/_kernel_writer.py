@@ -20,6 +20,16 @@ The operations and their order are those of `_evaluate`, so every float is
 the same. A law held as a wrapper (`__wrapped__`) or a replacement, and a
 law whose source cannot be read or is not that of its code, stay calls.
 
+`write_row` writes `engine`'s row writer from a template, `_ROW`, around
+one of two bodies. The fused body is built from the kernel's parsed `def`:
+`_protect`'s refusal of a non-finite state, taken from its tree, then the
+kernel's statements with its `if not full` return dropped; the names its
+`_bounded` assignment binds are the logged states, and their comparison
+with the states `_bounded` reads gives the protection bits; its return's
+reconstructions are bound to their columns' names. The other body calls
+`_protect` and `evaluate_snapshot`. dV/dt is `lyapunov_rate`, placed by
+the rule for laws.
+
 `engine` imports this module when it generates the kernel, at the first
 run, so importing the package or parsing a scenario compiles none of it.
 """
@@ -45,14 +55,127 @@ def write(fn, name: str, kernel_globals: dict):
     form = _form(fn)
     if form is None:
         return None, []
-    writer = _LawWriter(kernel_globals, form)
-    doc = ast.Expr(ast.Constant(
-        f"`{fn.__name__}` with each law's body written in."))
     kernel = _with(form, name=name, decorator_list=[], returns=None,
                    args=_with(form.args, args=[
-                       _with(a, annotation=None) for a in form.args.args]),
-                   body=[doc] + writer.body(form.statements))
-    return ast.unparse(kernel) + "\n", writer.calls
+                       _with(a, annotation=None) for a in form.args.args]))
+    doc = f"`{fn.__name__}` with each law's body written in."
+    return _written(kernel, doc, kernel_globals)
+
+
+def _written(fn, doc: str, kernel_globals: dict):
+    """(source, calls) of `fn`, a `def` read by `_facts`, with the docstring
+    `doc` and each law's body written in."""
+    writer = _LawWriter(kernel_globals, fn)
+    body = [ast.Expr(ast.Constant(doc))] + writer.body(fn.statements)
+    return ast.unparse(_with(fn, body=body)) + "\n", writer.calls
+
+
+#: The row writer around its body, which binds `m`, the protection bits
+#: the state needs, and each `SNAPSHOT_COLUMNS` name; `{s_q}` is the column
+#: of s_q and `{size}` the bytes of a row. The pack's values are added from
+#: `TRAJECTORY_COLUMNS`.
+_ROW = """def _log_row(table, i, t, y, p, u, mask):
+    y = y if type(y) is list else y.tolist()
+    dVdt = 0.0
+    if i and t > (t_prev := table.item(i - 1, 0)):
+        dVdt = lyapunov_rate(s_q, table.item(i - 1, {s_q}), t - t_prev)
+    _pack_into(table, i * {size})
+"""
+
+
+def write_row(kernel_source, g: dict):
+    """(source, calls): `_log_row(table, i, t, y, p, u, mask)`, which writes
+    row `i` of a trajectory table, the row logged at `t`, with one
+    `_pack_into` call in `TRAJECTORY_COLUMNS` order: the protected state,
+    the inputs `u`, the reconstructions, dV/dt against row `i - 1`, and
+    `mask` with the bits the state needs. `g` is `engine`'s namespace, which
+    the writer runs in. With `kernel_source`, the generated kernel's, the
+    body is fused with the kernel (`_fused`); with None it is
+    `y, m = _protect(y, p)` and one `evaluate_snapshot(y, p, u)`. Either way
+    `lyapunov_rate` is placed by the rule for laws."""
+    columns, snapshot = g["TRAJECTORY_COLUMNS"], g["SNAPSHOT_COLUMNS"]
+    row = ast.parse(_ROW.format(s_q=columns.index("s_q"),
+                                size=8 * len(columns))).body[0]
+    states = {name: ast.Subscript(_name("y"), ast.Constant(k), ast.Load())
+              for k, name in enumerate(g["_STATE_NAMES"])}
+    if kernel_source is None:
+        doc = "Row `i` of `table`, calling `_protect` and `evaluate_snapshot`."
+        body = ast.parse(f"y, m = _protect(y, p)\n{', '.join(snapshot)} = "
+                         f"evaluate_snapshot(y, p, u)").body
+    else:
+        doc = "Row `i` of `table`, with the kernel's statements written in."
+        body = _fused(kernel_source, row, states, g)
+    values = {"t": _name("t"), "dVdt": _name("dVdt"),
+              "protection_mask": ast.BinOp(_name("mask"), ast.BitOr(),
+                                           _name("m")),
+              **states, **{name: _name(name) for name in snapshot},
+              **{name: ast.Attribute(_name("u"), name, ast.Load())
+                 for name in g["_INPUT_NAMES"]}}
+    convert, *rest, pack = row.body
+    pack.value.args += [values[name] for name in columns]
+    row.body = [convert, *body, *rest, pack]
+    return _written(_facts(row), doc, g)
+
+
+def _fused(kernel_source: str, row, states: dict, g: dict) -> list:
+    """The fused body of the row writer `row`: `_protect`'s refusal of a
+    non-finite state, then the statements of the kernel `kernel_source`
+    for a snapshot, its `if not full` return dropped. The kernel's
+    `_bounded` assignment gives the logged states, put in `states`, and
+    `m`, their comparison with the states `_bounded` reads; its return's
+    reconstructions are bound to their columns' names. ValueError if the
+    kernel or `_protect` is of another form."""
+    kernel = _facts(ast.parse(kernel_source).body[0])
+    *params, full = kernel.params
+    protect = _form(g["_protect"])
+    refusal = protect.statements[0]
+    _require(type(refusal) is ast.If and not refusal.orelse
+             and [type(s) for s in refusal.body] == [ast.Raise]
+             and protect.params[0] == "y",
+             "`_protect(y, p)` begins with its refusal")
+    [bounding] = [s for s in _form(g["_evaluate"]).statements
+                  if type(s) is ast.Assign and _plain_call(s.value)
+                  and s.value.func.id == "_bounded"]
+    y, bounded = bounding.value.args[0], bounding.targets[0]
+    reads = _form(g["_bounded"]).statements[0].value.elts
+    _require(params == ["y", "p", "u"] and _is_name(y, "y")
+             and type(bounded) is ast.Tuple and _names(bounded)
+             and all(type(r) is ast.Subscript and type(r.slice) is ast.Constant
+                     for r in reads), "`_bounded(y, p)` reads `y[k]`")
+    *statements, last = kept = [s for s in kernel.statements if not (
+        type(s) is ast.If and not s.orelse and type(s.test) is ast.UnaryOp
+        and type(s.test.op) is ast.Not and _is_name(s.test.operand, full))]
+    _require(kernel.reads.get(full, 0) == len(kernel.statements) - len(kept),
+             "`full` is read only by an `if not full` dropped")
+    _require(type(last) is ast.Return and type(last.value) is ast.Tuple
+             and len(last.value.elts) == 2
+             and type(last.value.elts[1]) is ast.Tuple,
+             "the kernel returns (derivatives, snapshot)")
+    bits = None
+    for i, (state, read) in enumerate(zip(bounded.elts, reads, strict=True)):
+        bit = ast.Compare(ast.Subscript(y, read.slice, ast.Load()),
+                          [ast.NotEq()], [_name(state.id)])
+        bit = ast.BinOp(bit, ast.LShift(), ast.Constant(i)) if i else bit
+        bits = bit if bits is None else ast.BinOp(bits, ast.BitOr(), bit)
+        states[g["_STATE_NAMES"][read.slice.value]] = _name(state.id)
+    binds = [_assign(_name(name, ast.Store), value) for name, value in zip(
+        g["SNAPSHOT_COLUMNS"], last.value.elts[1].elts, strict=True)
+        if not _is_name(value, name)]
+    own = {a.arg for a in row.args.args} | {"m"} | {
+        n.id for n in ast.walk(row) if type(n) is ast.Name
+        and type(n.ctx) is ast.Store} | {b.targets[0].id for b in binds}
+    _require(not (own - set(params)) & (kernel.stored | kernel.reads.keys()),
+             "the kernel uses none of the row writer's own names")
+    return [refusal, *statements, _assign(_name("m", ast.Store), bits), *binds]
+
+
+def _require(condition: bool, form: str) -> None:
+    if not condition:
+        raise ValueError(f"not of the form a row writer fuses: {form}")
+
+
+def _is_name(node, name: str) -> bool:
+    return type(node) is ast.Name and node.id == name
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,6 +230,11 @@ def _form(function):
     fn = tree.body[0] if len(tree.body) == 1 else None
     if not isinstance(fn, ast.FunctionDef) or not _loaded(tree, function):
         return None
+    return _facts(fn)
+
+
+def _facts(fn: ast.FunctionDef) -> ast.FunctionDef:
+    """`fn` with the facts `_form` lists read into it."""
     a = fn.args
     fn.statements = fn.body[ast.get_docstring(fn, clean=False) is not None:]
     fn.params = tuple(arg.arg for arg in a.args)

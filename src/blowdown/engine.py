@@ -24,9 +24,18 @@ A run is one float table, allocated from the log grid before the first
 step, with a row per logged instant and a column per name in
 `TRAJECTORY_COLUMNS`: the differential states, the held inputs, the
 `SNAPSHOT_COLUMNS` of `evaluate_snapshot`, dV/dt and the protection mask.
-Every integrator logs through the same row builder, `_log_row`, which packs
-each row straight into its place in column order, in one call, with a packer
-generated once from `TRAJECTORY_COLUMNS`.
+Every integrator logs through the same row writer, `_log_row(table, i, t,
+y, p, u, mask)`, generated with the kernel: it protects the state,
+reconstructs the row, takes dV/dt against row `i - 1` and packs the row
+into its place in column order, with one `pack_into` call. Its body is
+fused, or calls through. Fused, it holds `_protect`'s refusal of a
+non-finite state, then the kernel's statements for a snapshot: the states
+the kernel bounds are the logged ones, and compared with the raw states
+they give the protection bits, so a row bounds its state once. Calling
+through, it calls `_protect` and `evaluate_snapshot` once each; so it does
+while the kernel is `_evaluate` itself, while `evaluate_snapshot` is a
+wrapper or a replacement (the bench tracer counts its calls), and if
+fusing fails. Both write the same bytes.
 
 The right-hand side and the logged reconstructions come from one kernel,
 written once as `_evaluate`, which calls the one public function of each
@@ -53,11 +62,11 @@ snapshot's `V` and `eta_h` included. Until the first run the kernel is
 or does not compile to the code that is loaded. A law that `engine` or a
 law's module holds as a wrapper (`__wrapped__`) or a replacement, or
 whose source is not that of its loaded code, stays a call. `_drive`
-checks once per run whether such a law changed, and the kernel is generated
-again if so; a direct `assemble_rhs` or `evaluate_snapshot` call sees a law
-wrapped or replaced after the kernel was generated only from the next run
-on. The generated
-kernel, the DOPRI5 step and the row packer are compiled under names of
+checks once per run whether such a law, or `evaluate_snapshot`, changed,
+and the kernel and the row writer are generated again if so; a direct
+`assemble_rhs` or `evaluate_snapshot` call sees a law wrapped or replaced
+after the kernel was generated only from the next run on. The generated
+kernel, the row writer and the DOPRI5 step are compiled under names of
 their own, with their source in `linecache`, so tracebacks, profiles and
 `inspect` show them.
 """
@@ -70,6 +79,7 @@ import linecache
 import math
 import operator
 import struct
+import types
 from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple
 
@@ -191,8 +201,9 @@ _INPUT_NAMES = tuple(f.name for f in fields(ExogenousInputs))
 #: mask, in column order: those `evaluate_snapshot` returns.
 SNAPSHOT_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS if c not in {
     "t", *_STATE_NAMES, *_INPUT_NAMES, "dVdt", "protection_mask"})
-_S_Q = _COLUMN_INDEX["s_q"]
-_SNAP_S_Q = SNAPSHOT_COLUMNS.index("s_q")
+#: Packs one row of floats, given in `TRAJECTORY_COLUMNS` order, into a
+#: float table at a byte offset.
+_pack_into = struct.Struct(f"{len(TRAJECTORY_COLUMNS)}d").pack_into
 _TIME = operator.itemgetter(0)  # breakpoint time of a schedule entry
 
 
@@ -385,8 +396,11 @@ def _protect(y: List[float], p: Parameters) -> Tuple[List[float], int]:
         return y, 0
     out = list(y)
     out[0], out[1], out[2], out[4], out[5] = bounded
-    return out, sum(1 << i for i, (a, b) in enumerate(zip(states, bounded))
-                    if a != b)
+    mask = 0  # no scope of its own: the row writer reads `_protect`'s tree
+    for i, (a, b) in enumerate(zip(states, bounded)):
+        if a != b:
+            mask |= 1 << i
+    return out, mask
 
 
 def _log_grid(scenario: Scenario) -> List[float]:
@@ -395,42 +409,6 @@ def _log_grid(scenario: Scenario) -> List[float]:
     pts = {k * step for k in range(int(t_end // step) + 2) if k * step <= t_end}
     pts.update(t for t, _ in scenario.schedule if 0.0 <= t <= t_end)
     return sorted(pts | {0.0, t_end})
-
-
-def _log_row(table: np.ndarray, i: int, t: float, y_raw: Sequence[float],
-             p: Parameters, u: ExogenousInputs, mask: int) -> None:
-    """Write row `i` of the trajectory table, the row logged at `t`.
-
-    The row holds the protected state, the inputs `u` (the caller's, held at
-    `t`), the reconstructions of `evaluate_snapshot`, dV/dt against row
-    `i - 1`, and `mask` with the protections this state itself needs. They
-    are packed into the C-contiguous float table in column order, in one
-    call, with no row tuple built first.
-    """
-    y, m = _protect(y_raw if type(y_raw) is list else y_raw.tolist(), p)
-    snap = evaluate_snapshot(y, p, u)
-    dVdt = 0.0
-    if i and t > (t_prev := table.item(i - 1, 0)):
-        dVdt = lyapunov_rate(snap[_SNAP_S_Q], table.item(i - 1, _S_Q),
-                             t - t_prev)
-    _row_packer()(table, i, t, y, u, dVdt, m | mask, snap)
-
-
-@functools.lru_cache(maxsize=None)
-def _row_packer():
-    """`pack(table, i, t, y, u, dVdt, mask, snap)` writes row `i` of a float
-    table with one `pack_into` call, its arguments read in
-    `TRAJECTORY_COLUMNS` order: `y[k]` for a state, `u.<name>` for an input,
-    `snap[k]` for a `SNAPSHOT_COLUMNS` entry. Built on first use."""
-    row = struct.Struct(f"{len(TRAJECTORY_COLUMNS)}d")
-    source = {"t": "t", "dVdt": "dVdt", "protection_mask": "mask",
-              **{n: f"y[{k}]" for k, n in enumerate(_STATE_NAMES)},
-              **{n: f"u.{n}" for n in _INPUT_NAMES},
-              **{n: f"snap[{k}]" for k, n in enumerate(SNAPSHOT_COLUMNS)}}
-    values = ", ".join(source[n] for n in TRAJECTORY_COLUMNS)
-    return _compiled(f"def pack(table, i, t, y, u, dVdt, mask, snap):\n"
-                     f"    pack_into(table, i * {row.size}, {values})\n",
-                     "_row_packer", {"pack_into": row.pack_into})
 
 
 def _compiled(source: str, generator: str, namespace: dict):
@@ -448,29 +426,54 @@ def _compiled(source: str, generator: str, namespace: dict):
 # same floats, and parsing a scenario builds nothing.
 _kernel = _evaluate
 _kernel_calls = None  # (namespace, name, object) of each call the kernel read
+_log_row = None  # the row writer, generated with the kernel
+_row_calls = ()  # and each call it read, `evaluate_snapshot` included
 
 
 def _refresh_kernel():
-    """The generated kernel, generated on the first run and again if a
-    function it read a call of has changed since: `_drive` checks once per
-    run, never per call."""
-    global _kernel, _kernel_calls
-    if _kernel_calls is None or any(ns.get(name) is not obj
-                                   for ns, name, obj in _kernel_calls):
-        _kernel, _kernel_calls = _generate_kernel()
+    """The generated kernel, generated with the row writer `_log_row` on the
+    first run, and again if a function either read a call of has changed
+    since: `_drive` checks once per run, never per call."""
+    global _kernel, _kernel_calls, _log_row, _row_calls
+    if _kernel_calls is None or any(ns.get(name) is not obj for ns, name, obj
+                                    in (*_kernel_calls, *_row_calls)):
+        _kernel, _kernel_calls, source = _generate_kernel()
+        _log_row, _row_calls = _generate_row_writer(source)
     return _kernel
 
 
 def _generate_kernel():
-    """(kernel, the calls it read): `_evaluate` with its laws written in."""
+    """(kernel, the calls it read, its source): `_evaluate` with its laws
+    written in; `_evaluate` itself, with no source, if that fails."""
     from . import _kernel_writer
     try:
         source, calls = _kernel_writer.write(_evaluate, "_kernel", globals())
         if source is not None:
-            return _compiled(source, "_kernel", globals()), calls
+            return _compiled(source, "_kernel", globals()), calls, source
     except Exception:  # a fault of the writer: the run goes on, unfused
         pass
-    return _evaluate, []  # the same floats, each law called
+    return _evaluate, [], None  # the same floats, each law called
+
+
+def _generate_row_writer(kernel_source):
+    """(`_log_row`, the calls it read, the kernel's included): the row writer
+    fused with the kernel written as `kernel_source`; or, if there is none,
+    if `evaluate_snapshot` is a wrapper or a replacement, or if fusing
+    fails, calling `_protect` and `evaluate_snapshot` for each row."""
+    from . import _kernel_writer
+    read = [(globals(), "_kernel", _kernel),
+            (globals(), "evaluate_snapshot", evaluate_snapshot)]
+    if (kernel_source is not None
+            and type(evaluate_snapshot) is types.FunctionType
+            and evaluate_snapshot.__module__ == __name__
+            and not hasattr(evaluate_snapshot, "__wrapped__")):
+        try:
+            source, calls = _kernel_writer.write_row(kernel_source, globals())
+            return _compiled(source, "_log_row", globals()), calls + read
+        except Exception:  # a fault of the writer: rows call through
+            pass
+    source, calls = _kernel_writer.write_row(None, globals())
+    return _compiled(source, "_log_row", globals()), calls + read
 
 
 def _drive(scenario: Scenario, segment, method: str,

@@ -239,6 +239,9 @@ _BLOCK_ROWS = 256
 #: hashes were made with: the correctly rounded float(10**j) differs from it
 #: by an ulp at j = 106, 130, 136 and 149 (numpy 2.4 on x86-64).
 _POWERS_OF_TEN = 10.0 ** np.arange(167.0)
+#: The trailing decimal zeros of each integer below 10**4; 4 for 0.
+_TRAILING_ZEROS = sum((np.arange(10_000) % 10 ** d == 0).astype(np.int64)
+                      for d in range(1, 5))
 
 
 def _decimals(v: np.ndarray):
@@ -252,8 +255,9 @@ def _decimals(v: np.ndarray):
     by at most a few ulp (< 1e-6), so an x within 1e-6 of a half may round
     either way. 0 <= k <= 332: just below 1e9, where log10 rounds up to 9,
     k is raised from -1 to 0 and x carries like its neighbours. The
-    trailing zeros of the 9-digit mantissa are counted in halving passes of
-    8, 4, 2 and 1 digits.
+    9-digit mantissa m is at least 1e8, so it ends in at most 8 zeros: they
+    are looked up in `_TRAILING_ZEROS` for its last four digits, and for
+    the four before them only where the last four are all zeros.
     """
     a = np.abs(v)
     plain = a < 1e9  # False for inf and nan
@@ -266,14 +270,11 @@ def _decimals(v: np.ndarray):
     # log10 fell just short of an integer at a power of ten.
     carry = m >= 1e9
     m = np.where(carry, 1e8, m).astype(np.int64)
-    places = k - carry
-    for digits in (8, 4, 2, 1):
-        scale = 10 ** digits
-        q = m // scale
-        zeros = q * scale == m
-        m = np.where(zeros, q, m)
-        places -= digits * zeros
-    return np.maximum(places, 0), deferred
+    low = m % 10_000
+    zeros = _TRAILING_ZEROS[low]
+    high = low == 0
+    zeros[high] += _TRAILING_ZEROS[m[high] // 10_000 % 10_000]
+    return np.maximum(k - carry - zeros, 0), deferred
 
 
 def _fold_constants(block: np.ndarray, row_format: str):

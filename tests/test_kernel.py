@@ -8,7 +8,9 @@ of operations, and composes the laws the way the closed loop is documented
 (clamps, resistance floor, density clamp, bounded head command with
 anti-windup, depletion caps), so equality with `==` shows that the kernel
 computes the model's floats. The generated kernel must give `_evaluate`'s
-floats bit for bit, and raise its errors word for word.
+floats bit for bit, and raise its errors word for word; the row writer
+fused with it must write the bytes, and raise the errors, of the one that
+calls `_protect` and `evaluate_snapshot`.
 Property tests use Hypothesis (MacIver et al., JOSS 2019).
 """
 
@@ -419,6 +421,99 @@ class TestGeneratedKernel:
         assert np.array_equal(restored, plain)
 
 
+@functools.lru_cache(maxsize=None)
+def row_writers():
+    """(fused, call-through): the row writer with the kernel's statements
+    written in, and the one calling `_protect` and `evaluate_snapshot`, both
+    compiled from the writer's source to run in `engine`'s namespace."""
+    from blowdown import _kernel_writer
+    kernel_source, _ = _kernel_writer.write(engine._evaluate, "_kernel",
+                                            vars(engine))
+    writers = []
+    for source in (kernel_source, None):
+        row, _ = _kernel_writer.write_row(source, vars(engine))
+        exec(compile(row, "<row writer>", "exec"), vars(engine), defined := {})
+        writers.append(defined["_log_row"])
+    return tuple(writers)
+
+
+S_Q = engine.TRAJECTORY_COLUMNS.index("s_q")
+MASK = engine.TRAJECTORY_COLUMNS.index("protection_mask")
+
+
+def row_outcome(writer, y, p, u, i=1, t=2.0, t_prev=1.0, s_prev=1e-4,
+                mask=0):
+    """The bytes of a table after `writer` wrote its row `i`, or the text of
+    the IntegrationError it raised."""
+    table = np.full((3, len(engine.TRAJECTORY_COLUMNS)), 0.5)
+    table[i - 1, 0], table[i - 1, S_Q] = t_prev, s_prev  # i = 0 reads none
+    try:
+        writer(table, i, t, y, p, u, mask)
+    except IntegrationError as exc:
+        return f"IntegrationError: {exc}"
+    return table.tobytes()
+
+
+class TestRowWriter:
+    """The fused row writer against the one that calls through."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_cases(), st.data())
+    def test_same_row_as_calling_through(self, case, data):
+        y, p, u = case
+        t_prev = data.draw(st.floats(0.0, 1.0e5))
+        row = dict(i=data.draw(st.sampled_from([0, 1, 2])), t_prev=t_prev,
+                   t=t_prev + data.draw(st.sampled_from([0.0])
+                                        | st.floats(0.0, 1.0e4)),
+                   s_prev=data.draw(st.floats(-1e-3, 1e-3)),
+                   mask=data.draw(st.integers(0, 31)))
+        if data.draw(st.booleans()):  # as LSODA's interpolant gives it
+            y = np.array(y)
+        fused, through = row_writers()
+        expected = row_outcome(through, y, p, u, **row)
+        assert row_outcome(fused, y, p, u, **row) == expected
+        table = np.frombuffer(expected).reshape(3, -1)
+        protected, bits = engine._protect(list(y), p)
+        assert table[row["i"], MASK] == row["mask"] | bits
+        assert list(table[row["i"], 1:3]) == protected[:2]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(9))
+    def test_same_error_for_a_non_finite_state(self, index, value):
+        y, p, u = make_case()
+        y[index] = value
+        fused, through = row_writers()
+        expected = row_outcome(through, y, p, u)
+        assert expected == ("IntegrationError: protection cannot repair a "
+                            "non-finite state")
+        assert row_outcome(fused, y, p, u) == expected
+
+    def test_wrapping_evaluate_snapshot_calls_it_per_row(self, monkeypatch):
+        # The bench tracer wraps `engine.evaluate_snapshot` and counts its
+        # calls: the next run's rows call it, one call a row, and once it
+        # is restored the rows are fused again.
+        scenario = replace(default_scenario(), t_end=400.0)
+        fused = integrate(scenario).data.copy()
+        calling = {"_protect", "evaluate_snapshot"}
+        assert not calling & set(engine._log_row.__code__.co_names)
+        snapshot, calls = engine.evaluate_snapshot, []
+
+        @functools.wraps(snapshot)
+        def counted(*args):
+            calls.append(args)
+            return snapshot(*args)
+
+        monkeypatch.setattr(engine, "evaluate_snapshot", counted)
+        traj = integrate(scenario)
+        assert len(calls) == len(traj) and np.array_equal(traj.data, fused)
+        assert calling <= set(engine._log_row.__code__.co_names)
+        monkeypatch.undo()
+        calls.clear()
+        assert np.array_equal(integrate(scenario).data, fused)
+        assert not calls
+        assert not calling & set(engine._log_row.__code__.co_names)
+
+
 #: `consistency_guard` in forms the shipped laws do not take: a parameter read
 #: twice and in a keyword argument, and a result built over several lines,
 #: the last of which holds no code.
@@ -562,9 +657,30 @@ def test_a_fault_of_the_writer_leaves_evaluate_the_kernel(monkeypatch):
         raise AssertionError("a fault of the writer")
 
     monkeypatch.setattr(_kernel_writer, "write", fault)
+    monkeypatch.setattr(engine, "_kernel", engine._kernel)
     monkeypatch.setattr(engine, "_kernel_calls", None)
     assert engine._refresh_kernel() is engine._evaluate
     assert integrate(default_scenario()).data.shape[0] > 0
+    assert "evaluate_snapshot" in engine._log_row.__code__.co_names
+
+
+def test_a_fault_of_the_row_writer_leaves_rows_calling_through(monkeypatch):
+    from blowdown import _kernel_writer
+    scenario = replace(default_scenario(), t_end=400.0)
+    fused = integrate(scenario).data.copy()
+    write_row = _kernel_writer.write_row
+
+    def fault(kernel_source, g):
+        if kernel_source is not None:
+            raise AssertionError("a fault of the row writer")
+        return write_row(kernel_source, g)
+
+    monkeypatch.setattr(_kernel_writer, "write_row", fault)
+    monkeypatch.setattr(engine, "_kernel", engine._kernel)
+    monkeypatch.setattr(engine, "_kernel_calls", None)
+    assert np.array_equal(integrate(scenario).data, fused)
+    assert engine._kernel is not engine._evaluate
+    assert "evaluate_snapshot" in engine._log_row.__code__.co_names
 
 
 #: The attributes of a code object in Python 3.10, the oldest Python that
@@ -610,10 +726,15 @@ def test_the_writer_reads_code_as_python_3_10_has_it():
             form), fn
 
 
+def generated_row_writer():
+    engine._refresh_kernel()
+    return engine._log_row
+
+
 @pytest.mark.parametrize("generated, name, head", [
     (engine._refresh_kernel, "_kernel", "def _kernel(y, p, u, full):"),
-    (engine._row_packer, "_row_packer",
-     "def pack(table, i, t, y, u, dVdt, mask, snap):"),
+    (generated_row_writer, "_log_row",
+     "def _log_row(table, i, t, y, p, u, mask):"),
     (engine._dopri5_attempt, "_dopri5_attempt",
      "def attempt(rhs, p, u, t, h, y, k1, atol, rtol):")])
 def test_generated_source_can_be_read(generated, name, head):

@@ -34,6 +34,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +44,7 @@ import pytest
 from blowdown import engine
 from blowdown.cli import EXIT_OK, main
 from blowdown.scenario_io import default_scenario
+from blowdown.smc import lyapunov_rate
 from blowdown.state import ExogenousInputs, Parameters
 
 PHYSICS = ("state", "rheology", "hydraulics", "smc", "energetics")
@@ -171,8 +173,33 @@ def callers(name: str):
             and getattr(node.func, "id", None) == name}
 
 
+def row_writer_sources():
+    """{body: source} of the generated row writer: fused with the kernel's
+    statements, or calling `_protect` and `evaluate_snapshot`."""
+    from blowdown import _kernel_writer
+    kernel, _ = _kernel_writer.write(engine._evaluate, "_kernel",
+                                     vars(engine))
+    return {body: _kernel_writer.write_row(source, vars(engine))[0]
+            for body, source in (("fused", kernel), ("call-through", None))}
+
+
+def called(source: str):
+    """The names `source` calls, by name or as an attribute, with counts."""
+    return Counter(getattr(node.func, "id", getattr(node.func, "attr", None))
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call))
+
+
 def test_only_the_driver_protects():
-    assert callers("_protect") == {"_drive", "_log_row"}
+    # `_drive` protects each step end; a row writer protects its row, by
+    # one call of `_protect` or, fused, by its refusal and the kernel's one
+    # `_bounded` rule written in.
+    assert callers("_protect") == {"_drive"}
+    sources = row_writer_sources()
+    assert called(sources["call-through"])["_protect"] == 1
+    assert called(sources["fused"])["_protect"] == 0
+    assert sources["fused"].count("'protection cannot repair") == 1
+    assert set(re.findall(r"\b_bounded(\d+)_", sources["fused"])) == {"1"}
 
 
 def test_one_rule_bounds_the_states():
@@ -242,21 +269,28 @@ def test_steppers_yield_time_state_and_interpolant():
 def test_a_row_is_given_its_inputs():
     # `_drive` hands each row the inputs it holds; only a row at a segment
     # end looks them up.
-    log_row = next(f for f in functions("engine") if f.name == "_log_row")
-    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
-              for node in ast.walk(log_row) if isinstance(node, ast.Call)}
-    assert "inputs_at" not in called
+    for body, source in row_writer_sources().items():
+        assert "inputs_at" not in called(source), body
 
 
 def test_a_row_is_packed_in_column_order():
-    # Distinct sentinels through the packer come back under their names.
+    # Distinct sentinels through the generated row writer come back under
+    # their names: its body, calling `_protect` and `evaluate_snapshot`, is
+    # given stand-ins that return them.
+    from blowdown import _kernel_writer
     table = np.zeros((3, len(engine.TRAJECTORY_COLUMNS)))
     y = [100.0 + k for k in range(len(engine._STATE_NAMES))]
     u = ExogenousInputs(**{name: 200.0 + k
                            for k, name in enumerate(engine._INPUT_NAMES)})
     snap = tuple(300.0 + k for k in range(len(engine.SNAPSHOT_COLUMNS)))
-    engine._row_packer()(table, 1, 1.5, y, u, -7.0, 0x15, snap)
-    expected = {"t": 1.5, "dVdt": -7.0, "protection_mask": 0x15,
+    namespace = {**vars(engine), "_protect": lambda y, p: (y, 0x10),
+                 "evaluate_snapshot": lambda y, p, u: snap}
+    source, _ = _kernel_writer.write_row(None, vars(engine))
+    exec(compile(source, "<row writer>", "exec"), namespace)
+    namespace["_log_row"](table, 1, 1.5, y, None, u, 0x05)
+    s_q = dict(zip(engine.SNAPSHOT_COLUMNS, snap))["s_q"]
+    expected = {"t": 1.5, "dVdt": lyapunov_rate(s_q, 0.0, 1.5),
+                "protection_mask": 0x15,
                 **dict(zip(engine._STATE_NAMES, y)),
                 **{name: getattr(u, name) for name in engine._INPUT_NAMES},
                 **dict(zip(engine.SNAPSHOT_COLUMNS, snap))}
@@ -268,13 +302,19 @@ def test_a_row_is_packed_in_column_order():
 
 
 def test_a_row_is_built_by_no_tuple():
-    # `_log_row` hands its values to the packer as they are: no starred
-    # call and no itemgetter or attrgetter building a row tuple.
-    log_row = next(f for f in functions("engine") if f.name == "_log_row")
-    for node in ast.walk(log_row):
+    # The fused row writer hands its values to one `_pack_into` call as
+    # they are: no starred call, no itemgetter or attrgetter and no tuple
+    # building a row, and no call of `evaluate_snapshot` to return one.
+    source = row_writer_sources()["fused"]
+    calls = called(source)
+    assert calls["_pack_into"] == 1
+    assert not calls.keys() & {"evaluate_snapshot", "_protect", "_bounded"}
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             assert not any(isinstance(a, ast.Starred) for a in node.args), (
                 ast.unparse(node))
+            if getattr(node.func, "id", None) == "_pack_into":
+                assert not any(isinstance(a, ast.Tuple) for a in node.args)
         name = getattr(node, "id", getattr(node, "attr", None))
         assert name not in ("itemgetter", "attrgetter"), ast.unparse(node)
         assert not isinstance(getattr(engine, name or "", None),
