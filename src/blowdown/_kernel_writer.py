@@ -20,15 +20,15 @@ The operations and their order are those of `_evaluate`, so every float is
 the same. A law held as a wrapper (`__wrapped__`) or a replacement, and a
 law whose source cannot be read or is not that of its code, stay calls.
 
-`write_row` writes `engine`'s row writer from a template, `_ROW`, around
-one of two bodies. The fused body is built from the kernel's parsed `def`:
-`_protect`'s refusal of a non-finite state, taken from its tree, then the
-kernel's statements with its `if not full` return dropped; the names its
-`_bounded` assignment binds are the logged states, and their comparison
-with the states `_bounded` reads gives the protection bits; its return's
-reconstructions are bound to their columns' names. The other body calls
-`_protect` and `evaluate_snapshot`. dV/dt is `lyapunov_rate`, placed by
-the rule for laws.
+`write` hands back the kernel's `def` with its source, and `write_row`
+writes `engine`'s row writer from a template, `_ROW`, that calls
+`_protect` and `evaluate_snapshot`. Fused, the two calls give way to
+statements built from that tree, never parsed again: `_protect`'s refusal
+of a non-finite state, then the kernel's statements with its `if not
+full` return dropped; the names its `_bounded` assignment binds are the
+logged states, and compared with the states `_bounded` reads they give
+the protection bits. The law rule places `lyapunov_rate` for dV/dt and
+visits nothing of the kernel's statements.
 
 `engine` imports this module when it generates the kernel, at the first
 run, so importing the package or parsing a scenario compiles none of it.
@@ -48,84 +48,81 @@ _BOUNDED = (f"{__package__}.engine", "_bounded")
 
 
 def write(fn, name: str, kernel_globals: dict):
-    """(source, calls): the source of a function `name`, `fn` with each
-    law's body written in, to run with `kernel_globals`, and the (namespace,
-    name, object) of each call it looked up. (None, []) if the source of
-    `fn` cannot be read or is not that of its code."""
+    """(source, tree, calls): the source of a function `name`, `fn` with
+    each law's body written in, to run with `kernel_globals`; its `def`,
+    read by `_facts`, which `write_row` fuses with the row writer; and the
+    (namespace, name, object) of each call it looked up. ValueError if the
+    source of `fn` cannot be read or is not that of its code."""
     form = _form(fn)
     if form is None:
-        return None, []
-    kernel = _with(form, name=name, decorator_list=[], returns=None,
-                   args=_with(form.args, args=[
-                       _with(a, annotation=None) for a in form.args.args]))
+        raise ValueError(f"the source of {fn.__name__} is not its code")
+    writer = _LawWriter(kernel_globals, form)
     doc = f"`{fn.__name__}` with each law's body written in."
-    return _written(kernel, doc, kernel_globals)
+    args = _with(form.args, args=[_with(a, annotation=None)
+                                  for a in form.args.args])
+    kernel = _facts(_with(form, name=name, decorator_list=[], returns=None,
+                          args=args, body=[ast.Expr(ast.Constant(doc)),
+                                           *writer.body(form.statements)]))
+    return ast.unparse(kernel) + "\n", kernel, writer.calls
 
 
-def _written(fn, doc: str, kernel_globals: dict):
-    """(source, calls) of `fn`, a `def` read by `_facts`, with the docstring
-    `doc` and each law's body written in."""
-    writer = _LawWriter(kernel_globals, fn)
-    body = [ast.Expr(ast.Constant(doc))] + writer.body(fn.statements)
-    return ast.unparse(_with(fn, body=body)) + "\n", writer.calls
-
-
-#: The row writer around its body, which binds `m`, the protection bits
-#: the state needs, and each `SNAPSHOT_COLUMNS` name; `{s_q}` is the column
-#: of s_q and `{size}` the bytes of a row. The pack's values are added from
-#: `TRAJECTORY_COLUMNS`.
-_ROW = """def _log_row(table, i, t, y, p, u, mask):
+#: The row writer calling through: `{doc}` ends its docstring, `{snapshot}`
+#: names the `SNAPSHOT_COLUMNS`, `{s_q}` is the column of s_q, `{size}` the
+#: bytes of a row and `{values}` its values in `TRAJECTORY_COLUMNS` order.
+_ROW = '''def _log_row(table, i, t, y, p, u, mask):
+    """Row `i` of `table`, {doc}."""
     y = y if type(y) is list else y.tolist()
+    y, m = _protect(y, p)
+    {snapshot} = evaluate_snapshot(y, p, u)
     dVdt = 0.0
     if i and t > (t_prev := table.item(i - 1, 0)):
         dVdt = lyapunov_rate(s_q, table.item(i - 1, {s_q}), t - t_prev)
-    _pack_into(table, i * {size})
-"""
+    _pack_into(table, i * {size}, {values})
+'''
 
 
-def write_row(kernel_source, g: dict):
+def write_row(kernel, g: dict):
     """(source, calls): `_log_row(table, i, t, y, p, u, mask)`, which writes
     row `i` of a trajectory table, the row logged at `t`, with one
     `_pack_into` call in `TRAJECTORY_COLUMNS` order: the protected state,
     the inputs `u`, the reconstructions, dV/dt against row `i - 1`, and
     `mask` with the bits the state needs. `g` is `engine`'s namespace, which
-    the writer runs in. With `kernel_source`, the generated kernel's, the
-    body is fused with the kernel (`_fused`); with None it is
-    `y, m = _protect(y, p)` and one `evaluate_snapshot(y, p, u)`. Either way
-    `lyapunov_rate` is placed by the rule for laws."""
+    the writer runs in. With None for `kernel`, the row calls `_protect` and
+    `evaluate_snapshot`; with the tree `write` gave, it is fused with the
+    kernel's statements (`_fused`), taken as they are. `lyapunov_rate` is
+    placed by the rule for laws, and `calls` are those it looked up."""
     columns, snapshot = g["TRAJECTORY_COLUMNS"], g["SNAPSHOT_COLUMNS"]
-    row = ast.parse(_ROW.format(s_q=columns.index("s_q"),
-                                size=8 * len(columns))).body[0]
-    states = {name: ast.Subscript(_name("y"), ast.Constant(k), ast.Load())
-              for k, name in enumerate(g["_STATE_NAMES"])}
-    if kernel_source is None:
-        doc = "Row `i` of `table`, calling `_protect` and `evaluate_snapshot`."
-        body = ast.parse(f"y, m = _protect(y, p)\n{', '.join(snapshot)} = "
-                         f"evaluate_snapshot(y, p, u)").body
-    else:
-        doc = "Row `i` of `table`, with the kernel's statements written in."
-        body = _fused(kernel_source, row, states, g)
-    values = {"t": _name("t"), "dVdt": _name("dVdt"),
-              "protection_mask": ast.BinOp(_name("mask"), ast.BitOr(),
-                                           _name("m")),
-              **states, **{name: _name(name) for name in snapshot},
-              **{name: ast.Attribute(_name("u"), name, ast.Load())
-                 for name in g["_INPUT_NAMES"]}}
-    convert, *rest, pack = row.body
-    pack.value.args += [values[name] for name in columns]
-    row.body = [convert, *body, *rest, pack]
-    return _written(_facts(row), doc, g)
+    values = {"protection_mask": "mask | m",  # else the column's own name
+              **{name: f"y[{k}]" for k, name in enumerate(g["_STATE_NAMES"])},
+              **{name: f"u.{name}" for name in g["_INPUT_NAMES"]}}
+    fused = kernel is not None and _fused(kernel, values, g)
+    [row] = ast.parse(_ROW.format(
+        doc="with the kernel's statements written in" if fused
+        else "calling `_protect` and `evaluate_snapshot`",
+        snapshot=", ".join(snapshot), s_q=columns.index("s_q"),
+        size=8 * len(columns),
+        values=", ".join(values.get(name, name) for name in columns))).body
+    doc, convert, *own, zero, rate, pack = row.body
+    written, own = fused or ([], own)
+    row.body = [convert, *own, zero, rate, pack]  # not the kernel's
+    writer = _LawWriter(g, _facts(row))
+    if fused:
+        _require(not (writer.kernel_locals - set(kernel.params))
+                 & (kernel.stored | kernel.reads.keys()),
+                 "the kernel uses none of the row writer's own names")
+        writer.kernel_locals |= kernel.stored
+    row.body = [doc, convert, *written, *own, *writer.body([zero, rate]), pack]
+    return ast.unparse(row) + "\n", writer.calls
 
 
-def _fused(kernel_source: str, row, states: dict, g: dict) -> list:
-    """The fused body of the row writer `row`: `_protect`'s refusal of a
-    non-finite state, then the statements of the kernel `kernel_source`
-    for a snapshot, its `if not full` return dropped. The kernel's
-    `_bounded` assignment gives the logged states, put in `states`, and
-    `m`, their comparison with the states `_bounded` reads; its return's
-    reconstructions are bound to their columns' names. ValueError if the
-    kernel or `_protect` is of another form."""
-    kernel = _facts(ast.parse(kernel_source).body[0])
+def _fused(kernel, values: dict, g: dict):
+    """(written, own): the fused row writer's body around `kernel`, the tree
+    `write` gave. `written` is `_protect`'s refusal of a non-finite state,
+    then the kernel's statements for a snapshot, its `if not full` return
+    dropped. The kernel's `_bounded` assignment gives the logged states, put
+    in `values`; `own` binds `m`, their comparison with the states
+    `_bounded` reads, and its return's reconstructions to their columns'
+    names. ValueError if the kernel or `_protect` is of another form."""
     *params, full = kernel.params
     protect = _form(g["_protect"])
     refusal = protect.statements[0]
@@ -157,16 +154,12 @@ def _fused(kernel_source: str, row, states: dict, g: dict) -> list:
                           [ast.NotEq()], [_name(state.id)])
         bit = ast.BinOp(bit, ast.LShift(), ast.Constant(i)) if i else bit
         bits = bit if bits is None else ast.BinOp(bits, ast.BitOr(), bit)
-        states[g["_STATE_NAMES"][read.slice.value]] = _name(state.id)
+        values[g["_STATE_NAMES"][read.slice.value]] = state.id
     binds = [_assign(_name(name, ast.Store), value) for name, value in zip(
         g["SNAPSHOT_COLUMNS"], last.value.elts[1].elts, strict=True)
         if not _is_name(value, name)]
-    own = {a.arg for a in row.args.args} | {"m"} | {
-        n.id for n in ast.walk(row) if type(n) is ast.Name
-        and type(n.ctx) is ast.Store} | {b.targets[0].id for b in binds}
-    _require(not (own - set(params)) & (kernel.stored | kernel.reads.keys()),
-             "the kernel uses none of the row writer's own names")
-    return [refusal, *statements, _assign(_name("m", ast.Store), bits), *binds]
+    return [refusal, *statements], [_assign(_name("m", ast.Store), bits),
+                                    *binds]
 
 
 def _require(condition: bool, form: str) -> None:

@@ -25,17 +25,17 @@ step, with a row per logged instant and a column per name in
 `TRAJECTORY_COLUMNS`: the differential states, the held inputs, the
 `SNAPSHOT_COLUMNS` of `evaluate_snapshot`, dV/dt and the protection mask.
 Every integrator logs through the same row writer, `_log_row(table, i, t,
-y, p, u, mask)`, generated with the kernel: it protects the state,
+y, p, u, mask)`, generated from the kernel: it protects the state,
 reconstructs the row, takes dV/dt against row `i - 1` and packs the row
 into its place in column order, with one `pack_into` call. Its body is
-fused, or calls through. Fused, it holds `_protect`'s refusal of a
-non-finite state, then the kernel's statements for a snapshot: the states
-the kernel bounds are the logged ones, and compared with the raw states
-they give the protection bits, so a row bounds its state once. Calling
-through, it calls `_protect` and `evaluate_snapshot` once each; so it does
-while the kernel is `_evaluate` itself, while `evaluate_snapshot` is a
-wrapper or a replacement (the bench tracer counts its calls), and if
-fusing fails. Both write the same bytes.
+fused, or calls through. Fused, it is built from the kernel's syntax tree
+and holds `_protect`'s refusal of a non-finite state, then the kernel's
+statements for a snapshot: the states the kernel bounds are the logged
+ones, and compared with the raw states they give the protection bits, so a
+row bounds its state once. Calling through, it calls `_protect` and
+`evaluate_snapshot` once each; so it does while the kernel is `_evaluate`
+itself, while `evaluate_snapshot` is a wrapper or a replacement (the bench
+tracer counts its calls), and if fusing fails. Both write the same bytes.
 
 The right-hand side and the logged reconstructions come from one kernel,
 written once as `_evaluate`, which calls the one public function of each
@@ -62,13 +62,15 @@ snapshot's `V` and `eta_h` included. Until the first run the kernel is
 or does not compile to the code that is loaded. A law that `engine` or a
 law's module holds as a wrapper (`__wrapped__`) or a replacement, or
 whose source is not that of its loaded code, stays a call. `_drive`
-checks once per run whether such a law, or `evaluate_snapshot`, changed,
-and the kernel and the row writer are generated again if so; a direct
-`assemble_rhs` or `evaluate_snapshot` call sees a law wrapped or replaced
-after the kernel was generated only from the next run on. The generated
-kernel, the row writer and the DOPRI5 step are compiled under names of
-their own, with their source in `linecache`, so tracebacks, profiles and
-`inspect` show them.
+checks once per run whether a call either function read has changed: the
+kernel is generated again only if one of its own did (its laws,
+`_bounded`, `_raise_non_finite`), and the row writer if the kernel or one
+of its own did (`evaluate_snapshot`, `_protect`, `lyapunov_rate`). A
+direct `assemble_rhs` or `evaluate_snapshot` call sees a law wrapped or
+replaced after the kernel was generated only from the next run on. The
+generated kernel, the row writer and the DOPRI5 step are compiled under
+names of their own, with their source in `linecache`, so tracebacks,
+profiles and `inspect` show them.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ import linecache
 import math
 import operator
 import struct
-import types
 from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple
 
@@ -426,49 +427,54 @@ def _compiled(source: str, generator: str, namespace: dict):
 # same floats, and parsing a scenario builds nothing.
 _kernel = _evaluate
 _kernel_calls = None  # (namespace, name, object) of each call the kernel read
-_log_row = None  # the row writer, generated with the kernel
-_row_calls = ()  # and each call it read, `evaluate_snapshot` included
+_log_row = None  # the row writer, generated from the kernel
+_row_calls = None  # and each call it read, the kernel included
+_snapshot = evaluate_snapshot  # rows are fused only while it is this one
 
 
 def _refresh_kernel():
-    """The generated kernel, generated with the row writer `_log_row` on the
-    first run, and again if a function either read a call of has changed
-    since: `_drive` checks once per run, never per call."""
+    """The kernel, generated on the first run and again once a call it read
+    has changed; and the row writer `_log_row`, generated again once the
+    kernel or a call it read has. `_drive` checks once per run."""
     global _kernel, _kernel_calls, _log_row, _row_calls
-    if _kernel_calls is None or any(ns.get(name) is not obj for ns, name, obj
-                                    in (*_kernel_calls, *_row_calls)):
-        _kernel, _kernel_calls, source = _generate_kernel()
-        _log_row, _row_calls = _generate_row_writer(source)
+    if _stale(_kernel_calls):
+        _kernel, _kernel_calls = _generate_kernel()
+    if _stale(_row_calls):
+        _log_row, _row_calls = _generate_row_writer()
     return _kernel
 
 
+def _stale(calls) -> bool:
+    return calls is None or any(ns.get(name) is not obj
+                                for ns, name, obj in calls)
+
+
 def _generate_kernel():
-    """(kernel, the calls it read, its source): `_evaluate` with its laws
-    written in; `_evaluate` itself, with no source, if that fails."""
+    """(kernel, the calls it read): `_evaluate` with its laws written in,
+    holding as `tree` the syntax tree it was printed from; `_evaluate`
+    itself if that fails."""
     from . import _kernel_writer
     try:
-        source, calls = _kernel_writer.write(_evaluate, "_kernel", globals())
-        if source is not None:
-            return _compiled(source, "_kernel", globals()), calls, source
+        source, tree, calls = _kernel_writer.write(_evaluate, "_kernel",
+                                                   globals())
+        kernel = _compiled(source, "_kernel", globals())
+        kernel.tree = tree
+        return kernel, calls
     except Exception:  # a fault of the writer: the run goes on, unfused
-        pass
-    return _evaluate, [], None  # the same floats, each law called
+        return _evaluate, []  # the same floats, each law called
 
 
-def _generate_row_writer(kernel_source):
+def _generate_row_writer():
     """(`_log_row`, the calls it read, the kernel's included): the row writer
-    fused with the kernel written as `kernel_source`; or, if there is none,
-    if `evaluate_snapshot` is a wrapper or a replacement, or if fusing
-    fails, calling `_protect` and `evaluate_snapshot` for each row."""
+    fused with the kernel's tree; or, if the kernel has none (it is
+    `_evaluate`), if `evaluate_snapshot` is a wrapper or a replacement, or if
+    fusing fails, calling `_protect` and `evaluate_snapshot` for each row."""
     from . import _kernel_writer
-    read = [(globals(), "_kernel", _kernel),
-            (globals(), "evaluate_snapshot", evaluate_snapshot)]
-    if (kernel_source is not None
-            and type(evaluate_snapshot) is types.FunctionType
-            and evaluate_snapshot.__module__ == __name__
-            and not hasattr(evaluate_snapshot, "__wrapped__")):
+    read = [(globals(), name, globals()[name])
+            for name in ("_kernel", "evaluate_snapshot", "_protect")]
+    if hasattr(_kernel, "tree") and evaluate_snapshot is _snapshot:
         try:
-            source, calls = _kernel_writer.write_row(kernel_source, globals())
+            source, calls = _kernel_writer.write_row(_kernel.tree, globals())
             return _compiled(source, "_log_row", globals()), calls + read
         except Exception:  # a fault of the writer: rows call through
             pass

@@ -427,11 +427,11 @@ def row_writers():
     written in, and the one calling `_protect` and `evaluate_snapshot`, both
     compiled from the writer's source to run in `engine`'s namespace."""
     from blowdown import _kernel_writer
-    kernel_source, _ = _kernel_writer.write(engine._evaluate, "_kernel",
-                                            vars(engine))
+    _, kernel, _ = _kernel_writer.write(engine._evaluate, "_kernel",
+                                        vars(engine))
     writers = []
-    for source in (kernel_source, None):
-        row, _ = _kernel_writer.write_row(source, vars(engine))
+    for tree in (kernel, None):
+        row, _ = _kernel_writer.write_row(tree, vars(engine))
         exec(compile(row, "<row writer>", "exec"), vars(engine), defined := {})
         writers.append(defined["_log_row"])
     return tuple(writers)
@@ -491,11 +491,13 @@ class TestRowWriter:
     def test_wrapping_evaluate_snapshot_calls_it_per_row(self, monkeypatch):
         # The bench tracer wraps `engine.evaluate_snapshot` and counts its
         # calls: the next run's rows call it, one call a row, and once it
-        # is restored the rows are fused again.
+        # is restored the rows are fused again. The kernel, which does not
+        # read it, is not generated again.
         scenario = replace(default_scenario(), t_end=400.0)
         fused = integrate(scenario).data.copy()
         calling = {"_protect", "evaluate_snapshot"}
         assert not calling & set(engine._log_row.__code__.co_names)
+        kernel, row_writer = engine._kernel, engine._log_row
         snapshot, calls = engine.evaluate_snapshot, []
 
         @functools.wraps(snapshot)
@@ -507,11 +509,42 @@ class TestRowWriter:
         traj = integrate(scenario)
         assert len(calls) == len(traj) and np.array_equal(traj.data, fused)
         assert calling <= set(engine._log_row.__code__.co_names)
+        assert engine._kernel is kernel and engine._log_row is not row_writer
         monkeypatch.undo()
         calls.clear()
         assert np.array_equal(integrate(scenario).data, fused)
         assert not calls
         assert not calling & set(engine._log_row.__code__.co_names)
+        assert engine._kernel is kernel
+
+    def test_wrapping_a_law_writes_both_again(self, monkeypatch):
+        # A law wrapped stays a call in the kernel and, through the kernel's
+        # statements, in the fused row writer; once it is restored, both
+        # are written again with the law written in.
+        scenario = replace(default_scenario(), t_end=400.0)
+        fused = integrate(scenario).data.copy()
+        kernel, row_writer = engine._kernel, engine._log_row
+        guard, calls = engine.consistency_guard, []
+
+        @functools.wraps(guard)
+        def counted(*args):
+            calls.append(args)
+            return guard(*args)
+
+        monkeypatch.setattr(engine, "consistency_guard", counted)
+        traj = integrate(scenario)
+        assert calls and np.array_equal(traj.data, fused)
+        assert engine._kernel is not kernel
+        assert engine._log_row is not row_writer
+        for generated in (engine._kernel, engine._log_row):
+            assert "consistency_guard" in generated.__code__.co_names
+        assert "evaluate_snapshot" not in engine._log_row.__code__.co_names
+        monkeypatch.undo()
+        calls.clear()
+        assert np.array_equal(integrate(scenario).data, fused)
+        assert not calls
+        for generated in (engine._kernel, engine._log_row):
+            assert "consistency_guard" not in generated.__code__.co_names
 
 
 #: `consistency_guard` in forms the shipped laws do not take: a parameter read
@@ -639,8 +672,8 @@ def test_a_law_is_written_in_only_where_its_call_stands(monkeypatch,
     exec(compile(INVERSE, "<inv>", "exec"), dict(vars(smc)), law := {})
     namespace = {"inv": law["inv"]}
     exec(compile(source, "<probe>", "exec"), namespace)
-    written, calls = _kernel_writer.write(namespace["probe"], "written",
-                                          namespace)
+    written, _, calls = _kernel_writer.write(namespace["probe"], "written",
+                                             namespace)
     assert [name for _, name, _ in calls] == ["inv"]
     exec(compile(written, "<written>", "exec"), namespace)
     for x in (0.0, 2.0):
@@ -670,10 +703,10 @@ def test_a_fault_of_the_row_writer_leaves_rows_calling_through(monkeypatch):
     fused = integrate(scenario).data.copy()
     write_row = _kernel_writer.write_row
 
-    def fault(kernel_source, g):
-        if kernel_source is not None:
+    def fault(kernel, g):
+        if kernel is not None:
             raise AssertionError("a fault of the row writer")
-        return write_row(kernel_source, g)
+        return write_row(kernel, g)
 
     monkeypatch.setattr(_kernel_writer, "write_row", fault)
     monkeypatch.setattr(engine, "_kernel", engine._kernel)
@@ -681,6 +714,28 @@ def test_a_fault_of_the_row_writer_leaves_rows_calling_through(monkeypatch):
     assert np.array_equal(integrate(scenario).data, fused)
     assert engine._kernel is not engine._evaluate
     assert "evaluate_snapshot" in engine._log_row.__code__.co_names
+
+
+def test_the_row_writer_is_fused_from_the_kernels_tree(monkeypatch):
+    # `write` hands the row writer the kernel's syntax tree: generating both
+    # parses no printed kernel.
+    parsed, parse = [], ast.parse
+
+    def recording(source, *args, **kwargs):
+        parsed.append(source)
+        return parse(source, *args, **kwargs)
+
+    engine._refresh_kernel()
+    row_writer = engine._log_row
+    monkeypatch.setattr(ast, "parse", recording)
+    monkeypatch.setattr(engine, "_kernel", engine._kernel)
+    monkeypatch.setattr(engine, "_kernel_calls", None)
+    engine._refresh_kernel()
+    assert engine._log_row is not row_writer
+    assert "evaluate_snapshot" not in engine._log_row.__code__.co_names
+    kernel_source = "".join(linecache.getlines("<blowdown.engine._kernel>"))
+    assert kernel_source.startswith("def _kernel(y, p, u, full):")
+    assert parsed and kernel_source not in parsed
 
 
 #: The attributes of a code object in Python 3.10, the oldest Python that

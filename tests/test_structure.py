@@ -177,10 +177,10 @@ def row_writer_sources():
     """{body: source} of the generated row writer: fused with the kernel's
     statements, or calling `_protect` and `evaluate_snapshot`."""
     from blowdown import _kernel_writer
-    kernel, _ = _kernel_writer.write(engine._evaluate, "_kernel",
-                                     vars(engine))
-    return {body: _kernel_writer.write_row(source, vars(engine))[0]
-            for body, source in (("fused", kernel), ("call-through", None))}
+    _, kernel, _ = _kernel_writer.write(engine._evaluate, "_kernel",
+                                        vars(engine))
+    return {body: _kernel_writer.write_row(tree, vars(engine))[0]
+            for body, tree in (("fused", kernel), ("call-through", None))}
 
 
 def called(source: str):
