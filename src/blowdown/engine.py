@@ -81,6 +81,7 @@ import linecache
 import math
 import operator
 import struct
+import warnings
 from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple
 
@@ -544,8 +545,12 @@ def integrate(scenario: Scenario) -> Trajectory:
     Deterministic: an identical scenario produces a bit-identical trajectory.
     """
     scenario.validate()
-    return _drive(scenario, _STEPPERS[scenario.method](scenario),
-                  scenario.method)
+    with warnings.catch_warnings():  # once a run: the filters are global
+        # scipy reports a failed LSODA step with a warning that names its
+        # reason; raised, it becomes the run's IntegrationError.
+        warnings.filterwarnings("error", "lsoda: ", UserWarning)
+        return _drive(scenario, _STEPPERS[scenario.method](scenario),
+                      scenario.method)
 
 
 def _lsoda(scenario: Scenario):
@@ -561,13 +566,22 @@ def _lsoda(scenario: Scenario):
             yield tb, y, None  # the state holds over a few ulp
             return
         solver = LSODA(fun, ta, y, tb, rtol=rtol, atol=atol)
+        t = ta
         while solver.status == "running":
-            msg = solver.step()
-            if solver.status == "failed":
+            try:
+                msg = solver.step()
+            except UserWarning as exc:  # raised by `integrate`'s filter
+                msg = str(exc)
+            if msg is not None:
                 raise IntegrationError(
                     f"integration step failed: {msg}", t=solver.t,
                     state=ProcessState.from_array(solver.y))
-            yield solver.t, solver.y.tolist(), solver.dense_output
+            if solver.t == t:  # a step of 0 s, as on a horizon of 1e-200 s
+                raise IntegrationError(
+                    "an LSODA step did not advance t; use method: DOPRI5",
+                    t=t, state=ProcessState.from_array(solver.y))
+            t = solver.t
+            yield t, solver.y.tolist(), solver.dense_output
     return segment
 
 

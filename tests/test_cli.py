@@ -1,9 +1,12 @@
 """Command-line surface: subcommands, outputs, exit codes."""
 
+import re
+import warnings
+
 import pytest
 
 from blowdown import engine, smc
-from blowdown.cli import (EXIT_OK, EXIT_USAGE, main)
+from blowdown.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from blowdown.errors import ScenarioSyntaxError
 from blowdown.scenario_io import (TRAJECTORY_COLUMNS, parse_scenario,
                                   read_trajectory)
@@ -96,6 +99,22 @@ class TestSimulate:
         code = main(["simulate", "--out", str(tmp_path / "run"), flag, value])
         assert code == EXIT_USAGE
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["--t-end", "1e308", "--log-every", "1e308"],
+         r"integration step failed: lsoda: Repeated convergence failures "
+         r"\(perhaps bad Jacobian or tolerances\)\. \(at t = [^)]+\)"),
+        (["--t-end", "1e-200"], r"an LSODA step did not advance t; use "
+         r"method: DOPRI5 \(at t = 0 s\)")], ids=["failed-step", "no-step"])
+    def test_lsoda_failure_is_one_line(self, tmp_path, capsys, argv, reason):
+        # scipy warns of a failed LSODA step: its reason is the error's,
+        # and no warning reaches stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--out", str(tmp_path / "run")] + argv)
+        assert code == EXIT_NUMERICAL and caught == []
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"blowdown: numerical failure: {reason}\n", err)
 
     def test_too_many_log_rows(self, tmp_path, capsys, monkeypatch):
         def no_grid(scenario):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import MISSING, fields, replace
@@ -417,6 +418,20 @@ class TestSolverChoices:
                          for i in range(199)],
             "t_end": 2.0e4, "log_interval": 1.0e3, "method": method}))
         assert traj.times[-1] == 2.0e4
+
+    @pytest.mark.parametrize("t_end", [1.0e-200, 1.0e-250, 1.0e-310])
+    def test_lsoda_refuses_a_step_that_does_not_advance(self, t_end):
+        # On such a horizon scipy's LSODA steps by 0 s and reports success:
+        # it took 100,000 such steps, in about 1 s, to fail on the budget.
+        from scipy.integrate import LSODA  # noqa: F401 (imported untimed)
+        scenario = parse_scenario({"t_end": t_end})
+        start = time.perf_counter()
+        with pytest.raises(IntegrationError, match=r"^an LSODA step did not "
+                           r"advance t; use method: DOPRI5 \(at t = 0 s\)$"):
+            integrate(scenario)
+        assert time.perf_counter() - start < 0.1
+        traj = integrate(replace(scenario, method="DOPRI5"))
+        assert traj.times.tolist() == [0.0, t_end]
 
     def test_fixed_step_grid_is_within_budget(self):
         # 200,000 steps of 0.5 s, 80,000 of them between two breakpoints.

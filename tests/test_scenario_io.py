@@ -248,6 +248,13 @@ CONSTANTS = st.sampled_from([1e9, 1.5e12, np.inf, -np.inf, 2.5, 5e-324,
                              31.0]) | st.floats()
 
 
+#: Cells of 7 to 28 places, |v| from 1e-20 to 1e-6 of either sign: the
+#: writer prints those past 16 places through Python ints.
+SMALL = st.builds(lambda m, e, s: s * m * 10.0 ** e,
+                  st.floats(1.0, 10.0, exclude_max=True),
+                  st.integers(-20, -7), st.sampled_from([-1.0, 1.0]))
+
+
 @st.composite
 def tables_with_constant_columns(draw):
     """A table of 2-600 rows, so that blocks split, whose every column is
@@ -307,7 +314,12 @@ class TestFormatValue:
              -0.0, 2.0 ** 53, 1e9, 1.5e12, 1e300, np.inf, np.nan, 1e-310,
              np.nextafter(1e9, 0.0),  # log10 rounds up to 9
             # mantissas ending in 8, 7, 1 and 0 zeros
-            1e8, 120000000.0, 1.5, 123456789.0],
+            1e8, 120000000.0, 1.5, 123456789.0,
+            # 16 places, the last printed through int64, and 17, the first
+            # through a Python int
+            1.23456789e-8, 1.23456789e-9, 1e-16, 1e-17, 1.2e-15, 1.2e-16,
+            # a carry at the ninth digit below 1, and places clipped to 0
+            0.99999999997, 9.999999999e-9, 999999999.7, 1200.0],
             # ninth digit followed by 5 in decimal, not exactly in binary
             [12345678.05, 12345678.95, 123456.7895, 0.1234567805],
             np.arange(32.0)])  # every protection_mask value
@@ -330,6 +342,29 @@ class TestFormatValue:
                            [12345678.05, 0.0, 2.0 ** 53, -1.0, 1e-310, 31.0]])
         assert_writer_matches_format_value(
             np.repeat(values, 256, axis=0)[:600])
+
+    @settings(deadline=None)
+    @given(st.lists(SMALL, min_size=2, max_size=300))
+    def test_small_cells_match_format_value(self, cells):
+        # A column, so that no block folds it unless every cell is equal.
+        assert_writer_matches_format_value(np.array(cells)[:, None])
+
+    def test_block_without_places(self):
+        # Integers of up to 10 digits, 1e9 and more (deferred) and values
+        # whose places all trim away: no "." to write into the block.
+        column = np.arange(600.0)
+        table = np.column_stack([
+            column, -7.0 * column, 1200.0 + column, 1e8 * (column % 9),
+            np.where(column % 2 == 0, 999999999.7, 1.5e12)])
+        assert_writer_matches_format_value(table)
+
+    def test_deferred_and_wide_cells_in_one_block(self):
+        column = 1.0 + np.arange(600.0)
+        table = np.column_stack([
+            1.23456789e-20 * column, -3e-17 * column, 1e12 * column,
+            np.where(column % 3 == 0, np.inf, np.nan),
+            12345678.05 + 0.1 * (column % 2), 5e-324 * column])
+        assert_writer_matches_format_value(table)
 
     def test_no_constant_column(self):
         rng = np.random.default_rng(5)

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowdown import engine
+from blowdown import engine, scenario_io
 from blowdown.cli import EXIT_OK, main
 from blowdown.scenario_io import default_scenario
 from blowdown.smc import lyapunov_rate
@@ -361,6 +361,29 @@ def validate_calls():
     for path in SOURCE.glob("*.py"):
         visit(ast.parse(path.read_text()), "")
     return calls
+
+
+def test_one_percent_a_csv_block(monkeypatch):
+    # Each block is printed by one `%` of "%d" cells ("%s" for a deferred
+    # one), a statement of `_block_text` outside any loop, and no "%.*f"
+    # is left to print a float.
+    [block_text] = [f for f in functions("scenario_io")
+                    if f.name == "_block_text"]
+    [format_] = [node for node in ast.walk(block_text)
+                 if isinstance(node, ast.BinOp)
+                 and isinstance(node.op, ast.Mod)]
+    assert format_ in [stmt.value for stmt in block_text.body
+                       if isinstance(stmt, ast.Assign)]
+    assert not [node.value for node in ast.walk(tree("scenario_io"))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and "%." in node.value]
+    blocks = []
+    block = scenario_io._block_text
+    monkeypatch.setattr(scenario_io, "_block_text", lambda *args: (
+        blocks.append(args[0]) or block(*args)))
+    table = np.random.default_rng(3).standard_normal((600, 4))
+    assert len(list(scenario_io._csv_text(list("abcd"), table))) == 1 + 3
+    assert blocks == ["%d,%d,%d,%d\n"] * 3
 
 
 def test_one_boundary_validates():
