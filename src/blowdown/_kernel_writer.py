@@ -174,22 +174,12 @@ def _is_name(node, name: str) -> bool:
 @functools.lru_cache(maxsize=None)
 def _source(code) -> str:
     """A function's source, sliced once from its file by its code object:
-    its lines up to the last that holds code, and those after it indented
-    deeper than its `def`, which end a statement written over lines."""
+    from its `def` to the last line any of its instructions spans. (Under
+    `-X no_debug_ranges` an instruction spans only its first line, so a
+    function ending in a statement written over lines does not parse.)"""
+    end = max(filter(None, map(operator.itemgetter(1), code.co_positions())))
     lines = linecache.getlines(code.co_filename)
-    first = code.co_firstlineno - 1
-    if first >= len(lines):
-        return ""
-    depth = _depth(lines[first])
-    end = max(filter(None, map(operator.itemgetter(2), code.co_lines())))
-    while end < len(lines) and (_depth(lines[end]) > depth
-                                or not lines[end].strip()):
-        end += 1
-    return "".join(lines[first:end])
-
-
-def _depth(line: str) -> int:
-    return len(line) - len(line.lstrip())
+    return "".join(lines[code.co_firstlineno - 1:end])
 
 
 #: Expressions with a scope of their own: kept as they are written.
@@ -213,9 +203,8 @@ def _form(function):
     cannot be read or does not compile to the function's code. It carries
     what the writer reads of it, walked once: `statements`, its body after
     the docstring; `params`; the names it assigns, `stored`; the times it
-    reads each name, `reads`; the names it calls, `calls`; the nodes that
-    hold a call by name, `calling`; and whether it is `plain`, holding only
-    assignments, `if`, `return` and expressions."""
+    reads each name, `reads`; the names it calls, `calls`; and whether it
+    is `plain`, holding only assignments, `if`, `return` and expressions."""
     try:
         tree = ast.parse(_source(function.__code__))
     except SyntaxError:  # a function written indented, inside a block
@@ -231,7 +220,7 @@ def _facts(fn: ast.FunctionDef) -> ast.FunctionDef:
     a = fn.args
     fn.statements = fn.body[ast.get_docstring(fn, clean=False) is not None:]
     fn.params = tuple(arg.arg for arg in a.args)
-    fn.stored, fn.calls, fn.calling, fn.reads = set(), set(), set(), {}
+    fn.stored, fn.calls, fn.reads = set(), set(), {}
     fn.plain = not (a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg
                     or a.defaults)
     for statement in fn.statements:
@@ -239,31 +228,24 @@ def _facts(fn: ast.FunctionDef) -> ast.FunctionDef:
     return fn
 
 
-def _read(node, fn) -> bool:
-    """Reads `node` into the facts of `fn`, the `def` that holds it, adding
-    it to `fn.calling` if it holds a call by name: what else the writer
-    visits of a function whose names it does not rename is left as it is."""
+def _read(node, fn) -> None:
+    """Reads `node` into the facts of `fn`, the `def` that holds it."""
     kind = type(node)
     if kind is ast.Name:
         if type(node.ctx) is ast.Load:
             fn.reads[node.id] = fn.reads.get(node.id, 0) + 1
         else:
             fn.stored.add(node.id)
-        return False
-    calling = kind is ast.Call and _plain_call(node)
-    if calling:
+        return
+    if kind is ast.Call and _plain_call(node):
         fn.calls.add(node.func.id)
     elif kind in _NOT_PLAIN or kind is ast.Assign and len(node.targets) != 1:
         fn.plain = False
     for field in node._fields:
         value = getattr(node, field)
         for child in value if type(value) is list else (value,):
-            if (isinstance(child, ast.AST) and type(child) not in _LEAVES
-                    and _read(child, fn)):
-                calling = True
-    if calling:
-        fn.calling.add(node)
-    return calling
+            if isinstance(child, ast.AST) and type(child) not in _LEAVES:
+                _read(child, fn)
 
 
 #: What a code object does, as the writer compares a function's source with
@@ -354,11 +336,10 @@ class _LawWriter(ast.NodeTransformer):
     the (namespace, name, object) of each call looked up, and of each left
     a call; `sites` counts the calls of each law written in. `names` maps
     each parameter and local of the law being written to the node written
-    for it, and `calling` holds the nodes of its tree that hold a call by
-    name: the rest of a tree whose names are not renamed is kept. Nothing is
-    moved: a law called as the whole value of an assignment is written in
-    place of that assignment, a law of one `return` whose arguments need no
-    local is written in place of its call, and any other call stays a call.
+    for it. Nothing is moved: a law called as the whole value of an
+    assignment is written in place of that assignment, a law of one
+    `return` whose arguments need no local is written in place of its call,
+    and any other call stays a call.
     """
 
     def __init__(self, kernel_globals: dict, kernel):
@@ -366,7 +347,7 @@ class _LawWriter(ast.NodeTransformer):
         self.kernel_globals = kernel_globals
         self.kernel_locals = kernel.stored.union(kernel.params)
         self.calls, self.kept, self.sites = [], [], {}
-        self.names, self.ns, self.calling = {}, kernel_globals, kernel.calling
+        self.names, self.ns = {}, kernel_globals
 
     def body(self, statements, target=None) -> list:
         """`statements` written out. With a `target`, each `return v`
@@ -406,8 +387,7 @@ class _LawWriter(ast.NodeTransformer):
             if new is node or type(node.ctx) is ast.Load:
                 return new
             return ast.Name(new.id, node.ctx)  # a local, renamed
-        if kind in _LEAVES or kind in _OWN_SCOPE or not (
-                self.names or node in self.calling):
+        if kind in _LEAVES or kind in _OWN_SCOPE:
             return node  # nothing in it to rename or write in
         if kind is ast.Call and _plain_call(node):
             return self.site(node)
@@ -471,13 +451,13 @@ class _LawWriter(ast.NodeTransformer):
         if target is None and (binds or len(body) != 1 or type(
                 body[0]) is not ast.Return or body[0].value is None):
             raise _KeepCall
-        kept, saved = len(self.kept), (self.names, self.ns, self.calling)
-        self.names, self.ns, self.calling = names, ns, form.calling
+        kept, saved = len(self.kept), (self.names, self.ns)
+        self.names, self.ns = names, ns
         try:
             written = (self.visit(body[0].value) if target is None
                        else binds + self.body(body, target))
         finally:
-            self.names, self.ns, self.calling = saved
+            self.names, self.ns = saved
         if any(n is ns and (name in self.kernel_locals
                             or self.kernel_globals.get(name) is not obj)
                for n, name, obj in self.kept[kept:]):

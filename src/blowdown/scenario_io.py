@@ -231,8 +231,9 @@ def format_value(value) -> str:
 
 #: Rows per formatting block: one C-level `%` per block keeps the per-cell
 #: work out of the interpreter, while the argument tuple stays small (one
-#: tuple for the whole table raised peak memory). Each cell is one `%d` of
-#: an int, which CPython prints about three times as fast as a `%.*f`.
+#: tuple for the whole table raised peak memory). Each cell is one `%s`:
+#: of a deferred cell's text, or of an int, which it prints as fast as `%d`
+#: and about three times as fast as `%.*f` prints a float.
 _BLOCK_ROWS = 256
 
 
@@ -249,15 +250,15 @@ _INT_POWERS = 10 ** np.arange(17, dtype=np.int64)
 
 
 def _cells(v: np.ndarray):
-    """Each cell of the flat array `v` as one integer that `%d` prints.
+    """Each cell of the flat array `v` as one integer that `%s` prints.
 
     A cell of p places (9 significant digits, trailing zeros trimmed) that
     rounds to n / 10**p is N = n + 10**p * (9 * (n // 10**p) + 1), signed
     as the cell: its text with the "." printed as the digit 1. A cell that
     rounds below 1 prints its "0." as "11": N = n + 11 * 10**p. Past 16
     places N is a Python int. Returns the N, each cell's width and places,
-    a mask of the cells printed "0.", and the indices of the deferred
-    cells, whose N is the text of `format_value` and whose places are 0.
+    and a mask of the cells printed "0."; a deferred cell's N is the text
+    of `format_value`, and its places are 0.
 
     A cell is deferred where this float arithmetic cannot settle it:
     non-finite values, |v| >= 1e9 (digits past the ninth print as zeros)
@@ -316,7 +317,7 @@ def _cells(v: np.ndarray):
     for i in deferred.tolist():
         numbers[i] = format_value(v[i])
         widths[i] = len(numbers[i])
-    return numbers, widths, places, below_one, deferred.tolist()
+    return numbers, widths, places, below_one
 
 
 def _fold_constants(block: np.ndarray, row_format: str):
@@ -332,7 +333,7 @@ def _fold_constants(block: np.ndarray, row_format: str):
     constant = (block == row).all(axis=0)
     if not constant.any():
         return row_format, block
-    cells = ["%d"] * len(row)
+    cells = ["%s"] * len(row)
     for i in np.flatnonzero(constant).tolist():
         cells[i] = format_value(row[i])
     text = ",".join(cells) + "\n"
@@ -342,25 +343,19 @@ def _fold_constants(block: np.ndarray, row_format: str):
 
 
 def _block_text(row_format: str, block: np.ndarray) -> str:
-    """The rows of `block` printed through `row_format`, one "%d" a cell.
+    """The rows of `block` printed through `row_format`, one "%s" a cell.
 
     The one `%` prints each cell's integer (`_cells`). Then the "." and the
     "0" of "0." it printed as digits are written into the text's bytes, each
     at its cell's end less its places: the ends are one cumulative sum of
     the cell widths and the lengths of the row format's own text.
     """
-    numbers, widths, places, below_one, deferred = _cells(block.ravel())
-    block_format = row_format * len(block)
-    if deferred:  # a deferred cell prints its `format_value` text via "%s"
-        head, *cells = block_format.split("%")  # "d,..." or "d\n..."
-        for i in deferred:
-            cells[i] = "s" + cells[i][1:]
-        block_format = head + "%" + "%".join(cells)
-    text = block_format % tuple(numbers)
+    numbers, widths, places, below_one = _cells(block.ravel())
+    text = row_format * len(block) % tuple(numbers)
     if not places.any():
         return text
-    del numbers, block_format  # freed before the text is copied
-    head, *tails = row_format.split("%")  # "d" and the text up to a cell
+    del numbers  # freed before the text is copied
+    head, *tails = row_format.split("%")  # "s" and the text up to a cell
     gaps = [len(tail) - 1 for tail in tails]
     # Before each row's first cell stand its head and the last row's tail.
     ends = np.cumsum(widths.reshape(len(block), -1)
@@ -377,9 +372,9 @@ def _csv_text(columns, table: np.ndarray) -> Iterator[str]:
     """CSV text in pieces: a header line, then blocks of `_BLOCK_ROWS` rows
     with each cell as `format_value` prints it. A column that holds one
     value over a block is formatted once, into that block's row format;
-    `_block_text` prints the other cells, one integer `%d` a cell."""
+    `_block_text` prints the other cells, one integer `%s` a cell."""
     table = np.asarray(table, dtype=float)
-    row_format = ",".join(["%d"] * len(columns)) + "\n"
+    row_format = ",".join(["%s"] * len(columns)) + "\n"
     yield ",".join(columns) + "\n"
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start:start + _BLOCK_ROWS] + 0.0  # -0.0 prints as 0

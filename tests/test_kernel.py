@@ -24,7 +24,6 @@ import struct
 import traceback
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -736,49 +735,6 @@ def test_the_row_writer_is_fused_from_the_kernels_tree(monkeypatch):
     kernel_source = "".join(linecache.getlines("<blowdown.engine._kernel>"))
     assert kernel_source.startswith("def _kernel(y, p, u, full):")
     assert parsed and kernel_source not in parsed
-
-
-#: The attributes of a code object in Python 3.10, the oldest Python that
-#: `pyproject.toml` declares (`requires-python`).
-CODE_ATTRIBUTES_3_10 = frozenset((
-    "co_argcount", "co_posonlyargcount", "co_kwonlyargcount", "co_nlocals",
-    "co_stacksize", "co_flags", "co_code", "co_consts", "co_names",
-    "co_varnames", "co_freevars", "co_cellvars", "co_filename", "co_name",
-    "co_firstlineno", "co_lnotab", "co_linetable", "co_lines", "replace"))
-
-
-class Code3_10:
-    """A code object showing only the attributes that Python 3.10's has."""
-
-    def __init__(self, code):
-        self.code = code
-
-    def __getattr__(self, name):
-        if name not in CODE_ATTRIBUTES_3_10:
-            raise AttributeError(name)
-        return getattr(self.code, name)
-
-
-class Function3_10:
-    """A function whose code object shows only what Python 3.10's has."""
-
-    def __init__(self, fn):
-        self.__code__, self.__globals__ = Code3_10(fn.__code__), fn.__globals__
-
-
-def test_the_writer_reads_code_as_python_3_10_has_it():
-    pyproject = Path(__file__).parents[1] / "pyproject.toml"
-    assert 'requires-python = ">=3.10"' in pyproject.read_text()
-    from blowdown import _kernel_writer
-    engine._refresh_kernel()
-    functions = {engine._evaluate} | {
-        obj for _, _, obj in engine._kernel_calls}
-    assert len(functions) > 20
-    for fn in functions:
-        form = _kernel_writer._form(fn)
-        assert form is not None, fn
-        assert ast.dump(_kernel_writer._form(Function3_10(fn))) == ast.dump(
-            form), fn
 
 
 def generated_row_writer():

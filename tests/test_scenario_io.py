@@ -30,6 +30,15 @@ def per_cell_csv(columns, rows) -> str:
                    [",".join(map(format_value, row)) + "\n" for row in rows])
 
 
+def assert_same_csv(text: str, expected: str) -> None:
+    """`text == expected`, failing on the first line that differs: pytest
+    explains a mismatch of two whole CSV texts with difflib, for minutes."""
+    lines, expected_lines = text.splitlines(True), expected.splitlines(True)
+    for i, (line, expected_line) in enumerate(zip(lines, expected_lines)):
+        assert line == expected_line, f"line {i} differs"
+    assert len(lines) == len(expected_lines)
+
+
 class TestParsing:
     def test_empty_document_gives_defaults(self):
         scenario = parse_scenario({})
@@ -280,8 +289,8 @@ def tables_with_constant_columns(draw):
 
 def assert_writer_matches_format_value(table):
     columns = [f"c{i}" for i in range(table.shape[1])]
-    assert ("".join(_csv_text(columns, table))
-            == per_cell_csv(columns, table.tolist()))
+    assert_same_csv("".join(_csv_text(columns, table)),
+                    per_cell_csv(columns, table.tolist()))
 
 
 class TestFormatValue:
@@ -303,8 +312,8 @@ class TestFormatValue:
                     min_size=1, max_size=64))
     def test_block_formatter_matches_format_value(self, row):
         columns = [f"c{i}" for i in range(len(row))]
-        assert ("".join(_csv_text(columns, [row]))
-                == per_cell_csv(columns, [row]))
+        assert_same_csv("".join(_csv_text(columns, [row])),
+                        per_cell_csv(columns, [row]))
 
     def test_block_formatter_edge_cases(self):
         powers = 10.0 ** np.arange(-300, 9)
@@ -326,8 +335,8 @@ class TestFormatValue:
         cells = np.concatenate([cells, -cells])
         table = cells.reshape(-1, 2)  # rows span several blocks
         columns = ["a", "b"]
-        assert ("".join(_csv_text(columns, table))
-                == per_cell_csv(columns, table.tolist()))
+        assert_same_csv("".join(_csv_text(columns, table)),
+                        per_cell_csv(columns, table.tolist()))
         assert format_value(-0.0) == "0"
 
     @settings(deadline=None)
@@ -410,8 +419,8 @@ class TestTrajectoryCsv:
         assert list(cols) == TRAJECTORY_COLUMNS
         # Re-serializing the parsed values reproduces the same text.
         rows = zip(*(cols[name] for name in TRAJECTORY_COLUMNS))
-        assert per_cell_csv(TRAJECTORY_COLUMNS, rows) == \
-            trajectory_csv(short_traj)
+        assert_same_csv(per_cell_csv(TRAJECTORY_COLUMNS, rows),
+                        trajectory_csv(short_traj))
 
     def test_header_only_reads_every_column_empty(self, tmp_path):
         target = tmp_path / "traj.csv"
@@ -447,8 +456,8 @@ class TestTrajectoryCsv:
     def test_matches_per_cell_reference(self, default_traj):
         rk4 = integrate_fixed_rk4(parse_scenario({"t_end": 2000.0}), dt=1.0)
         for traj in (default_traj, rk4):
-            assert trajectory_csv(traj) == per_cell_csv(
-                TRAJECTORY_COLUMNS, traj.data.tolist())
+            assert_same_csv(trajectory_csv(traj), per_cell_csv(
+                TRAJECTORY_COLUMNS, traj.data.tolist()))
 
     def test_protection_mask_prints_as_integer(self, default_traj):
         traj = default_traj
@@ -475,5 +484,5 @@ class TestManifoldCsv:
         assert lines[0].split(",") == MANIFOLD_COLUMNS
         assert lines[1] == "0,0,0"
         assert len(lines) == 1 + 25
-        assert target.read_text() == per_cell_csv(
-            MANIFOLD_COLUMNS, zip(*map(np.ravel, grids)))
+        assert_same_csv(target.read_text(), per_cell_csv(
+            MANIFOLD_COLUMNS, zip(*map(np.ravel, grids))))

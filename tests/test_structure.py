@@ -364,9 +364,9 @@ def validate_calls():
 
 
 def test_one_percent_a_csv_block(monkeypatch):
-    # Each block is printed by one `%` of "%d" cells ("%s" for a deferred
-    # one), a statement of `_block_text` outside any loop, and no "%.*f"
-    # is left to print a float.
+    # Each block is printed by one `%` of "%s" cells, a statement of
+    # `_block_text` outside any loop, and no "%.*f" is left to print a
+    # float.
     [block_text] = [f for f in functions("scenario_io")
                     if f.name == "_block_text"]
     [format_] = [node for node in ast.walk(block_text)
@@ -383,7 +383,7 @@ def test_one_percent_a_csv_block(monkeypatch):
         blocks.append(args[0]) or block(*args)))
     table = np.random.default_rng(3).standard_normal((600, 4))
     assert len(list(scenario_io._csv_text(list("abcd"), table))) == 1 + 3
-    assert blocks == ["%d,%d,%d,%d\n"] * 3
+    assert blocks == ["%s,%s,%s,%s\n"] * 3
 
 
 def test_one_boundary_validates():
