@@ -20,15 +20,16 @@ The operations and their order are those of `_evaluate`, so every float is
 the same. A law held as a wrapper (`__wrapped__`) or a replacement, and a
 law whose source cannot be read or is not that of its code, stay calls.
 
-`write` hands back the kernel's `def` with its source, and `write_row`
-writes `engine`'s row writer from a template, `_ROW`, that calls
-`_protect` and `evaluate_snapshot`. Fused, the two calls give way to
-statements built from that tree, never parsed again: `_protect`'s refusal
-of a non-finite state, then the kernel's statements with its `if not
-full` return dropped; the names its `_bounded` assignment binds are the
-logged states, and compared with the states `_bounded` reads they give
-the protection bits. The law rule places `lyapunov_rate` for dV/dt and
-visits nothing of the kernel's statements.
+`write` hands back the kernel's `def` with its source, and `write_block`
+writes `engine`'s block filler from that tree, never parsed again, and a
+template, `_BLOCK`: the kernel's statements with its `if not full` return
+dropped, written over a block of rows by `_Lines`; the names its
+`_bounded` assignment binds are the logged states, and compared with the
+states `_bounded` reads they give the protection bits. `_Lines` prints
+each operation in parentheses, in the order of the tree: `+ - * /` and
+comparisons run in numpy, `**` and `math.exp` on Python floats one element
+at a time, and each `if` on the rows that take each branch, so every float
+is the kernel's. The law rule places `lyapunov_rate` for dV/dt.
 
 `engine` imports this module when it generates the kernel, at the first
 run, so importing the package or parsing a scenario compiles none of it.
@@ -39,6 +40,7 @@ from __future__ import annotations
 import ast
 import functools
 import linecache
+import math
 import operator
 import types
 
@@ -50,7 +52,7 @@ _BOUNDED = (f"{__package__}.engine", "_bounded")
 def write(fn, name: str, kernel_globals: dict):
     """(source, tree, calls): the source of a function `name`, `fn` with
     each law's body written in, to run with `kernel_globals`; its `def`,
-    read by `_facts`, which `write_row` fuses with the row writer; and the
+    read by `_facts`, which `write_block` writes over rows; and the
     (namespace, name, object) of each call it looked up. ValueError if the
     source of `fn` cannot be read or is not that of its code."""
     form = _form(fn)
@@ -66,70 +68,93 @@ def write(fn, name: str, kernel_globals: dict):
     return ast.unparse(kernel) + "\n", kernel, writer.calls
 
 
-#: The row writer calling through: `{doc}` ends its docstring, `{snapshot}`
-#: names the `SNAPSHOT_COLUMNS`, `{s_q}` is the column of s_q, `{size}` the
-#: bytes of a row and `{values}` its values in `TRAJECTORY_COLUMNS` order.
-_ROW = '''def _log_row(table, i, t, y, p, u, mask):
-    """Row `i` of `table`, {doc}."""
-    y = y if type(y) is list else y.tolist()
-    y, m = _protect(y, p)
-    {snapshot} = evaluate_snapshot(y, p, u)
-    dVdt = 0.0
-    if i and t > (t_prev := table.item(i - 1, 0)):
-        dVdt = lyapunov_rate(s_q, table.item(i - 1, {s_q}), t - t_prev)
-    _pack_into(table, i * {size}, {values})
+#: `engine`'s block filler. `{t}`, `{y}`, `{u}` and `{mask}` index the raw
+#: columns and `{s_q}` is the table's column of s_q. `{kernel}` stands for
+#: the kernel's statements, `{rows}` for the row's own, `_DV_DT`, both
+#: written over the block, and `{columns}` for one assignment a column.
+_BLOCK = '''def _fill_block(table, raw, start, stop, p):
+    """Rows `start` to `stop` of `table`, rebuilt from the same rows of
+    `raw`: the kernel's statements, written over a block of rows."""
+    block = raw[start:stop].T.copy()
+    if not np.isfinite(block).all():
+        raise FloatingPointError('a raw value is not finite')
+    t, y, u = block[{t}], block[{y}], block[{u}]
+    mask = block[{mask}].astype(int)
+    {kernel}
+    t_prev = np.concatenate((
+        [table.item(start - 1, 0) if start else math.inf], t[:-1]))
+    s_prev = np.concatenate((
+        [table.item(start - 1, {s_q}) if start else 0.0], s_q[:-1]))
+    {rows}
+    out = table[start:stop]
+    {columns}
 '''
+_DV_DT = """dVdt = 0.0
+    if t > t_prev:
+        dVdt = lyapunov_rate(s_q, s_prev, t - t_prev)"""
 
 
-def write_row(kernel, g: dict):
-    """(source, calls): `_log_row(table, i, t, y, p, u, mask)`, which writes
-    row `i` of a trajectory table, the row logged at `t`, with one
-    `_pack_into` call in `TRAJECTORY_COLUMNS` order: the protected state,
-    the inputs `u`, the reconstructions, dV/dt against row `i - 1`, and
-    `mask` with the bits the state needs. `g` is `engine`'s namespace, which
-    the writer runs in. With None for `kernel`, the row calls `_protect` and
-    `evaluate_snapshot`; with the tree `write` gave, it is fused with the
-    kernel's statements (`_fused`), taken as they are. `lyapunov_rate` is
-    placed by the rule for laws, and `calls` are those it looked up."""
-    columns, snapshot = g["TRAJECTORY_COLUMNS"], g["SNAPSHOT_COLUMNS"]
-    values = {"protection_mask": "mask | m",  # else the column's own name
-              **{name: f"y[{k}]" for k, name in enumerate(g["_STATE_NAMES"])},
-              **{name: f"u.{name}" for name in g["_INPUT_NAMES"]}}
-    fused = kernel is not None and _fused(kernel, values, g)
-    [row] = ast.parse(_ROW.format(
-        doc="with the kernel's statements written in" if fused
-        else "calling `_protect` and `evaluate_snapshot`",
-        snapshot=", ".join(snapshot), s_q=columns.index("s_q"),
-        size=8 * len(columns),
-        values=", ".join(values.get(name, name) for name in columns))).body
-    doc, convert, *own, zero, rate, pack = row.body
-    written, own = fused or ([], own)
-    row.body = [convert, *own, zero, rate, pack]  # not the kernel's
-    writer = _LawWriter(g, _facts(row))
-    if fused:
-        _require(not (writer.kernel_locals - set(kernel.params))
-                 & (kernel.stored | kernel.reads.keys()),
-                 "the kernel uses none of the row writer's own names")
-        writer.kernel_locals |= kernel.stored
-    row.body = [doc, convert, *written, *own, *writer.body([zero, rate]), pack]
-    return ast.unparse(row) + "\n", writer.calls
+def write_block(kernel, g: dict):
+    """(source, calls): `_fill_block(table, raw, start, stop, p)`, which
+    fills rows `start` to `stop` of a trajectory table from the raw rows
+    `engine._drive` packed (`_RAW_COLUMNS`: the time, the state, the held
+    inputs and the protection bits gathered): the state within its bounds,
+    the inputs, the reconstructions, dV/dt against the row before and the
+    mask with the bits the state needs, one column at a time. `kernel` is
+    the tree `write` gave, taken as it is, and `g` is `engine`'s namespace,
+    which the filler runs in. `_Lines` writes the kernel's statements and
+    the row's own over the block; `lyapunov_rate` is placed by the rule for
+    laws first, and `calls` are those it looked up. ValueError if the
+    kernel, `_bounded` or a statement is of a form the filler cannot
+    take."""
+    raw, columns = g["_RAW_COLUMNS"], g["TRAJECTORY_COLUMNS"]
+    y, u = raw.index(g["_STATE_NAMES"][0]), raw.index(g["_INPUT_NAMES"][0])
+    at = dict(t=raw.index("t"), y=f"{y}:{y + len(g['_STATE_NAMES'])}",
+              u=f"{u}:{u + len(g['_INPUT_NAMES'])}",
+              mask=raw.index("protection_mask"), s_q=columns.index("s_q"))
+    [fill] = ast.parse(_BLOCK.format(**at, kernel="pass", rows=_DV_DT,
+                                     columns="pass")).body
+    statements, binds, values = _over_rows(kernel, g)
+    *_, zero, rate, _, _ = fill.body
+    fill.body[5:6] = binds  # in place of `{kernel}`
+    writer = _LawWriter(g, _facts(fill))
+    own = writer.kernel_locals - set(kernel.params)
+    _require(not own & (kernel.stored | kernel.reads.keys()),
+             "the kernel uses none of the filler's own names")
+    writer.kernel_locals |= kernel.stored
+    rows = _Lines(g, {"t": None, "y": (), "u": g["_INPUT_NAMES"],
+                      "mask": None})
+    kernel_rows = rows.statements(statements + binds)
+    rows.scope.bound.update(t_prev=("t_prev", True), s_prev=("s_prev", True))
+    row_rows = rows.statements(writer.body([zero, rate]))
+    _require(not rows.fresh & (kernel.stored | kernel.reads.keys() | own),
+             "the filler's names are its own")
+    lines = "\n    ".join
+    source = _BLOCK.format(**at, kernel=lines(kernel_rows),
+                           rows=lines(row_rows), columns=lines(
+                               f"out[:, {k}] = {values.get(name, name)}"
+                               for k, name in enumerate(columns)))
+    return source, writer.calls
 
 
-def _fused(kernel, values: dict, g: dict):
-    """(written, own): the fused row writer's body around `kernel`, the tree
-    `write` gave. `written` is `_protect`'s refusal of a non-finite state,
-    then the kernel's statements for a snapshot, its `if not full` return
-    dropped. The kernel's `_bounded` assignment gives the logged states, put
-    in `values`; `own` binds `m`, their comparison with the states
-    `_bounded` reads, and its return's reconstructions to their columns'
-    names. ValueError if the kernel or `_protect` is of another form."""
+def _over_rows(kernel, g: dict):
+    """(statements, binds, values): the kernel's statements for a snapshot,
+    its list of `y` and its `if not full` return dropped; statements
+    binding its return's reconstructions to their columns' names, `m`, the
+    protection bits, and `protection_mask`; and the value written to each
+    column not of that name. The kernel's `_bounded` assignment gives the
+    logged states, and compared with the states `_bounded` reads they give
+    the bits. ValueError if the kernel or `_bounded` is of another form."""
     *params, full = kernel.params
-    protect = _form(g["_protect"])
-    refusal = protect.statements[0]
-    _require(type(refusal) is ast.If and not refusal.orelse
-             and [type(s) for s in refusal.body] == [ast.Raise]
-             and protect.params[0] == "y",
-             "`_protect(y, p)` begins with its refusal")
+    listed, *statements, last = [s for s in kernel.statements if not (
+        type(s) is ast.If and not s.orelse and type(s.test) is ast.UnaryOp
+        and type(s.test.op) is ast.Not and _is_name(s.test.operand, full))]
+    _require(kernel.reads.get(full, 0)
+             == len(kernel.statements) - len(statements) - 2,
+             "`full` is read only by an `if not full` dropped")
+    _require(type(listed) is ast.Assign
+             and _is_name(listed.targets[0], "y"),
+             "the kernel first makes a list of `y`")
     [bounding] = [s for s in _form(g["_evaluate"]).statements
                   if type(s) is ast.Assign and _plain_call(s.value)
                   and s.value.func.id == "_bounded"]
@@ -139,15 +164,13 @@ def _fused(kernel, values: dict, g: dict):
              and type(bounded) is ast.Tuple and _names(bounded)
              and all(type(r) is ast.Subscript and type(r.slice) is ast.Constant
                      for r in reads), "`_bounded(y, p)` reads `y[k]`")
-    *statements, last = kept = [s for s in kernel.statements if not (
-        type(s) is ast.If and not s.orelse and type(s.test) is ast.UnaryOp
-        and type(s.test.op) is ast.Not and _is_name(s.test.operand, full))]
-    _require(kernel.reads.get(full, 0) == len(kernel.statements) - len(kept),
-             "`full` is read only by an `if not full` dropped")
     _require(type(last) is ast.Return and type(last.value) is ast.Tuple
              and len(last.value.elts) == 2
              and type(last.value.elts[1]) is ast.Tuple,
              "the kernel returns (derivatives, snapshot)")
+    values = {name: f"y[{k}]" for k, name in enumerate(g["_STATE_NAMES"])}
+    values.update((name, f"u[{k}]")
+                  for k, name in enumerate(g["_INPUT_NAMES"]))
     bits = None
     for i, (state, read) in enumerate(zip(bounded.elts, reads, strict=True)):
         bit = ast.Compare(ast.Subscript(y, read.slice, ast.Load()),
@@ -158,13 +181,14 @@ def _fused(kernel, values: dict, g: dict):
     binds = [_assign(_name(name, ast.Store), value) for name, value in zip(
         g["SNAPSHOT_COLUMNS"], last.value.elts[1].elts, strict=True)
         if not _is_name(value, name)]
-    return [refusal, *statements], [_assign(_name("m", ast.Store), bits),
-                                    *binds]
+    return statements, [*binds, _assign(_name("m", ast.Store), bits), _assign(
+        _name("protection_mask", ast.Store),
+        ast.BinOp(_name("mask"), ast.BitOr(), _name("m")))], values
 
 
 def _require(condition: bool, form: str) -> None:
     if not condition:
-        raise ValueError(f"not of the form a row writer fuses: {form}")
+        raise ValueError(f"not of the form the writer takes: {form}")
 
 
 def _is_name(node, name: str) -> bool:
@@ -463,3 +487,245 @@ class _LawWriter(ast.NodeTransformer):
                for n, name, obj in self.kept[kept:]):
             raise _KeepCall  # a call the kernel would resolve elsewhere
         return written
+
+
+def _is_math(node, name: str, g: dict) -> bool:
+    """Whether `node` is `math.name`, with `math` the module."""
+    return (type(node) is ast.Attribute and node.attr == name
+            and _is_name(node.value, "math") and g.get("math") is math)
+
+
+def _arithmetic(node) -> bool:
+    """Whether `node` holds no call and no `**`: what may run on every row
+    of a block, whichever value a row takes."""
+    return not any(type(n) in (ast.Call, ast.Pow) for n in ast.walk(node))
+
+
+def _tuple(items) -> str:
+    return ", ".join(items) + ("," if len(items) == 1 else "")
+
+
+#: The symbol of each operator the filler writes. Numpy runs those of
+#: `_NUMPY` on vectors as Python runs them on floats, bools and ints.
+_SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+            ast.Pow: "**", ast.BitOr: "|", ast.BitAnd: "&", ast.LShift: "<<",
+            ast.USub: "-", ast.UAdd: "+", ast.Not: "not ", ast.Lt: "<",
+            ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
+            ast.NotEq: "!=", ast.And: "and", ast.Or: "or"}
+_NUMPY = frozenset(("+", "-", "*", "/", "|", "&", "<<", "<", "<=", ">", ">=",
+                    "==", "!="))
+
+
+class _Scope:
+    """The names bound in a block's statements, or in a branch of an `if`
+    that runs on the rows `rows` marks: each to (name written, vector?),
+    with None for a tuple of vectors and (None, None) for a name bound on
+    some rows only. `stored` lists the names the scope assigns, `copies`
+    the branch's copies of the vectors it reads from outside."""
+
+    def __init__(self, outer=None, rows=None):
+        self.outer, self.rows = outer, rows
+        self.bound, self.stored, self.copies = {}, [], []
+
+
+class _Lines:
+    """Writes scalar statements over a block of rows, as lines of source,
+    each operation in parentheses in the order of the tree.
+
+    A name holds a vector, one value a row, or one value for all rows; a
+    table of `tables` holds a vector a state (`y[k]`) or a field
+    (`u.name`). `+ - * /`, comparisons and the bit operators run in numpy,
+    which, like Python's floats, follows IEEE. `**` and `math.exp` of a
+    vector run on Python floats, one element at a time (`engine._pow`,
+    `_exp`): numpy's `power` and `exp` round otherwise. An `if` over vectors
+    runs each branch on the rows that take it alone, on copies of the
+    vectors it reads, and joins the names it binds with `engine._merged`. A
+    conditional expression, `and` or `or` over names, constants and
+    arithmetic becomes `np.where`, `&` or `|`. An `if not math.isfinite(x)`
+    raises FloatingPointError unless x is finite on every row, and the
+    block is then done row by row. Anything else over vectors raises
+    ValueError.
+    """
+
+    def __init__(self, g: dict, tables: dict):
+        self.g, self.tables, self.fresh = g, tables, set()
+        self.scope = _Scope()
+        self.scope.bound.update((name, (name, True)) for name in tables)
+
+    def new(self, name: str) -> str:
+        written = f"_{name.lstrip('_')}_{len(self.fresh)}"
+        self.fresh.add(written)
+        return written
+
+    def defined(self, name: str) -> bool:
+        scope = self.scope
+        while scope is not None:
+            if name in scope.bound:
+                return scope.bound[name][1] is not None
+            scope = scope.outer
+        return False
+
+    def load(self, name: str, scope=None):
+        """(name written, vector?) of `name` read in `scope`: a branch
+        reads a copy of an outer vector on its own rows."""
+        scope = scope or self.scope
+        if name in scope.bound:
+            written, vector = scope.bound[name]
+        elif scope.outer is None:
+            return name, False  # a global or a parameter
+        else:
+            written, vector = self.load(name, scope.outer)
+            if vector:
+                copy = self.new(name)
+                scope.copies.append(f"{copy} = {written}[..., {scope.rows}]")
+                written = copy
+            scope.bound[name] = written, vector
+        _require(vector is not None, f"`{name}` is bound on every row")
+        return written, vector
+
+    def store(self, name: str, vector) -> str:
+        scope = self.scope
+        written = name if scope.outer is None else self.new(name)
+        scope.bound[name] = written, vector
+        if name not in scope.stored:
+            scope.stored.append(name)
+        return written
+
+    def statements(self, statements) -> list:
+        out = []
+        for s in statements:
+            kind = type(s)
+            if kind is ast.Assign and len(s.targets) == 1:
+                out.append(self.assign(s.targets[0], s.value))
+            elif kind is ast.If and not s.orelse and type(
+                    s.test) is ast.UnaryOp and type(s.test.op) is ast.Not and (
+                    type(s.test.operand) is ast.Call) and _is_math(
+                    s.test.operand.func, "isfinite", self.g):
+                [value] = s.test.operand.args
+                out.append(f"if not np.isfinite({self.expr(value)[0]}).all():"
+                           " raise FloatingPointError('not finite on every"
+                           " row')")
+            elif kind is ast.If:
+                out += self.branches(s)
+            else:
+                raise ValueError(f"not a statement over rows: {ast.dump(s)}")
+        return out
+
+    def assign(self, target, value) -> str:
+        if type(target) is ast.Name:
+            text, vector = self.expr(value)
+            if vector and type(value) is ast.Tuple:
+                vector = None
+            return f"{self.store(target.id, vector)} = {text}"
+        _require(_names(target), "a name or a tuple of names is assigned")
+        if type(value) is ast.Tuple and len(value.elts) == len(target.elts):
+            pairs = [self.expr(v) for v in value.elts]
+            return _tuple([self.store(t.id, vector) for t, (_, vector) in zip(
+                target.elts, pairs)]) + " = " + _tuple([v for v, _ in pairs])
+        text, vector = self.expr(value)
+        _require(not vector, "a tuple of vectors is assigned by its items")
+        return _tuple([self.store(t.id, False) for t in target.elts]) + (
+            f" = {text}")
+
+    def branches(self, s) -> list:
+        """An `if` over vectors: each branch on its own rows, then each name
+        a branch binds joined, or left unbound if some rows bind none."""
+        test, vector = self.expr(s.test)
+        _require(vector, "an `if` tests one value a row")
+        outer, taken, other = self.scope, self.new("taken"), self.new("other")
+        out, scopes = [f"{taken} = {test}", f"{other} = ~{taken}"], []
+        for rows, body in ((taken, s.body), (other, s.orelse)):
+            self.scope = _Scope(outer, rows)
+            written = self.statements(body)
+            out += self.scope.copies + written
+            scopes.append(self.scope)
+        self.scope = outer
+        for name in dict.fromkeys(scopes[0].stored + scopes[1].stored):
+            sides = [self.side(scope, name) for scope in scopes]
+            if None in sides:
+                outer.bound[name] = None, None
+                continue
+            out.append(f"{self.store(name, True)} = _merged({taken}, "
+                       f"{other}, {sides[0]}, {sides[1]})")
+        return out
+
+    def side(self, scope, name: str):
+        """The value of `name` on the rows of a branch after it ran, or None
+        if it is unbound there."""
+        if name in scope.stored:
+            written, vector = scope.bound[name]
+            return None if vector is None else written
+        if not self.defined(name):
+            return None
+        written, vector = self.load(name)
+        return f"{written}[..., {scope.rows}]" if vector else written
+
+    def expr(self, node):
+        """(source, vector?) of the expression `node`."""
+        kind = type(node)
+        if kind is ast.Constant:
+            return repr(node.value), False
+        if kind is ast.Name:
+            return self.load(node.id)
+        if kind is ast.Attribute:
+            value, vector = self.expr(node.value)
+            fields = self.tables.get(getattr(node.value, "id", None))
+            if fields:
+                return f"{value}[{fields.index(node.attr)}]", True
+            _require(not vector, "a vector has no attributes")
+            return f"{value}.{node.attr}", False
+        if kind is ast.Subscript:
+            (value, vector), (index, by_row) = map(self.expr, (
+                node.value, node.slice))
+            _require(not by_row and (not vector or self.tables.get(getattr(
+                node.value, "id", None)) == ()), "a vector is read as `y[k]`")
+            return f"{value}[{index}]", vector
+        if kind is ast.Tuple:
+            items = [self.expr(e) for e in node.elts]
+            return f"({_tuple([i for i, _ in items])})", any(
+                v for _, v in items)
+        if kind is ast.Call and not node.keywords:
+            func, args = self.expr(node.func)[0], list(map(self.expr,
+                                                           node.args))
+            if not any(v for _, v in args):
+                return f"{func}({', '.join(a for a, _ in args)})", False
+            _require(len(args) == 1 and _is_math(node.func, "exp", self.g),
+                     "a call over vectors is `math.exp`")
+            return f"_exp({args[0][0]})", True
+        if kind is ast.IfExp:
+            (test, by_row), (body, a), (orelse, b) = map(self.expr, (
+                node.test, node.body, node.orelse))
+            if not by_row:
+                return f"({body} if {test} else {orelse})", a or b
+            _require(_arithmetic(node.body) and _arithmetic(node.orelse),
+                     "a conditional expression over arithmetic")
+            return f"np.where({test}, {body}, {orelse})", True
+        if kind is ast.BoolOp:
+            values = [self.expr(v) for v in node.values]
+            vector, symbol = any(v for _, v in values), _SYMBOLS[type(node.op)]
+            if vector:
+                _require(all(type(v) in (ast.Compare, ast.BoolOp)
+                             and _arithmetic(v) for v in node.values),
+                         "`and` and `or` over comparisons")
+                symbol = "&" if symbol == "and" else "|"
+            return f"({f' {symbol} '.join(t for t, _ in values)})", vector
+        if kind in (ast.BinOp, ast.UnaryOp, ast.Compare):
+            operands, ops = (
+                ([node.left, node.right], [node.op]) if kind is ast.BinOp
+                else ([node.operand], [node.op]) if kind is ast.UnaryOp
+                else ([node.left, *node.comparators], node.ops))
+            _require(all(type(op) in _SYMBOLS for op in ops),
+                     "an operator the filler writes")
+            texts = [self.expr(x) for x in operands]
+            vector, symbols = any(v for _, v in texts), [
+                _SYMBOLS[type(op)] for op in ops]
+            if vector and symbols == ["**"]:
+                return f"_pow({texts[0][0]}, {texts[1][0]})", True
+            _require(not vector or len(symbols) == 1 and symbols[0] in _NUMPY,
+                     "an operator numpy runs as Python does")
+            if kind is ast.UnaryOp:
+                return f"({symbols[0]}{texts[0][0]})", vector
+            text = texts[0][0] + "".join(
+                f" {s} {t}" for s, (t, _) in zip(symbols, texts[1:]))
+            return f"({text})", vector
+        raise ValueError(f"not an expression over rows: {ast.dump(node)}")

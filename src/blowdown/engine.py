@@ -20,22 +20,26 @@ floats; a stiff scenario spends its budget fast, and the error names `LSODA`,
 the shipped method: scipy's solver, which switches between Adams and BDF
 formulas by itself and is imported only when a scenario uses it.
 
-A run is one float table, allocated from the log grid before the first
-step, with a row per logged instant and a column per name in
-`TRAJECTORY_COLUMNS`: the differential states, the held inputs, the
-`SNAPSHOT_COLUMNS` of `evaluate_snapshot`, dV/dt and the protection mask.
-Every integrator logs through the same row writer, `_log_row(table, i, t,
-y, p, u, mask)`, generated from the kernel: it protects the state,
-reconstructs the row, takes dV/dt against row `i - 1` and packs the row
-into its place in column order, with one `pack_into` call. Its body is
-fused, or calls through. Fused, it is built from the kernel's syntax tree
-and holds `_protect`'s refusal of a non-finite state, then the kernel's
-statements for a snapshot: the states the kernel bounds are the logged
-ones, and compared with the raw states they give the protection bits, so a
-row bounds its state once. Calling through, it calls `_protect` and
-`evaluate_snapshot` once each; so it does while the kernel is `_evaluate`
-itself, while `evaluate_snapshot` is a wrapper or a replacement (the bench
-tracer counts its calls), and if fusing fails. Both write the same bytes.
+A run is one float table with a row per logged instant and a column per
+name in `TRAJECTORY_COLUMNS`: the differential states, the held inputs,
+the `SNAPSHOT_COLUMNS` of `evaluate_snapshot`, dV/dt and the protection
+mask. While it steps, `_drive` records each logged row raw, with one
+`pack_into` call into a narrow table allocated from the log grid: the time,
+the state, the held inputs and the protection bits gathered for the row
+(`_RAW_COLUMNS`); a state read from an interpolant that is not finite is
+refused there, at the step that logs it. After the last step,
+`_reconstruct` fills every other column. `_fill_block`, generated from the
+kernel, fills `_BLOCK_ROWS` rows at a time with numpy: it bounds the
+states, gives the protection bits, reconstructs the row and takes dV/dt
+against the row before, with the same floats as the kernel (`+ - * /` and
+comparisons in numpy, `**` and `math.exp` on Python floats, each `if` on
+the rows that take each branch). `_fill_rows` fills a row at a time,
+calling `_protect` and `evaluate_snapshot` once each: for a run of fewer
+than `_BLOCK_MIN_ROWS` rows, while `engine.evaluate_snapshot` is a wrapper
+or a replacement (and `_snapshot`, the function it was, is not), while
+there is no block filler, and for any block the filler fails on, so that
+the error or the bytes are those of the rows one at a time. Both write the
+same bytes.
 
 The right-hand side and the logged reconstructions come from one kernel,
 written once as `_evaluate`, which calls the one public function of each
@@ -61,16 +65,16 @@ snapshot's `V` and `eta_h` included. Until the first run the kernel is
 `_evaluate` if the writer fails, or if `_evaluate`'s source cannot be read
 or does not compile to the code that is loaded. A law that `engine` or a
 law's module holds as a wrapper (`__wrapped__`) or a replacement, or
-whose source is not that of its loaded code, stays a call. `_drive`
-checks once per run whether a call either function read has changed: the
-kernel is generated again only if one of its own did (its laws,
-`_bounded`, `_raise_non_finite`), and the row writer if the kernel or one
-of its own did (`evaluate_snapshot`, `_protect`, `lyapunov_rate`). A
-direct `assemble_rhs` or `evaluate_snapshot` call sees a law wrapped or
-replaced after the kernel was generated only from the next run on. The
-generated kernel, the row writer and the DOPRI5 step are compiled under
-names of their own, with their source in `linecache`, so tracebacks,
-profiles and `inspect` show them.
+whose source is not that of its loaded code, stays a call, and the rows
+are then filled one at a time. `_drive` checks once per run whether a call
+either function read has changed: the kernel is generated again only if
+one of its own did (its laws, `_bounded`, `_raise_non_finite`), and the
+block filler if the kernel or `lyapunov_rate` did. A direct `assemble_rhs`
+or `evaluate_snapshot` call sees a law wrapped or replaced after the kernel
+was generated only from the next run on. The generated kernel, the block
+filler and the DOPRI5 step are compiled under names of their own, with
+their source in `linecache`, so tracebacks, profiles and `inspect` show
+them.
 """
 
 from __future__ import annotations
@@ -206,6 +210,21 @@ SNAPSHOT_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS if c not in {
 #: Packs one row of floats, given in `TRAJECTORY_COLUMNS` order, into a
 #: float table at a byte offset.
 _pack_into = struct.Struct(f"{len(TRAJECTORY_COLUMNS)}d").pack_into
+#: What `_drive` records of a logged row, and packs the same way into a raw
+#: table: the time, the state, the held inputs and the protection bits
+#: gathered for the row.
+_RAW_COLUMNS = ("t", *_STATE_NAMES, *_INPUT_NAMES, "protection_mask")
+_pack_raw = struct.Struct(f"{len(_RAW_COLUMNS)}d").pack_into
+_held = operator.attrgetter(*_INPUT_NAMES)  # the inputs a row records
+#: The values of a row `_fill_rows` builds, in `TRAJECTORY_COLUMNS` order.
+_in_column_order = operator.itemgetter(*map((
+    "t", *_STATE_NAMES, *_INPUT_NAMES, *SNAPSHOT_COLUMNS, "dVdt",
+    "protection_mask").index, TRAJECTORY_COLUMNS))
+#: Rows `_fill_block` fills at a time: its arrays grow with this, not with
+#: the run. A run of fewer rows than `_BLOCK_MIN_ROWS` is filled a row at a
+#: time, which costs about 6 us a row against about 150 us for a block.
+_BLOCK_ROWS = 2048
+_BLOCK_MIN_ROWS = 25
 _TIME = operator.itemgetter(0)  # breakpoint time of a schedule entry
 
 
@@ -383,22 +402,28 @@ def _bounded(y: Sequence[float], p: Parameters) -> Tuple[float, ...]:
             0.0 if q_cmd < 0.0 else q_p_max if q_cmd > q_p_max else q_cmd)
 
 
+def _refuse(y: List[float]) -> None:
+    """IntegrationError if a state is not finite. A non-finite term makes
+    the sum non-finite; a finite state whose sum overflows is then checked
+    term by term."""
+    if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
+        raise IntegrationError("protection cannot repair a non-finite state")
+
+
 def _protect(y: List[float], p: Parameters) -> Tuple[List[float], int]:
     """The state with every crossed hard bound clamped, and the bits crossed.
 
     Returns `y` itself when no bound is crossed, else a clamped copy. A
-    non-finite term makes the sum non-finite; a finite state whose sum
-    overflows is then checked term by term.
+    state that is not finite is refused.
     """
-    if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
-        raise IntegrationError("protection cannot repair a non-finite state")
+    _refuse(y)
     states = (y[0], y[1], y[2], y[4], y[5])
     bounded = _bounded(y, p)
     if bounded == states:
         return y, 0
     out = list(y)
     out[0], out[1], out[2], out[4], out[5] = bounded
-    mask = 0  # no scope of its own: the row writer reads `_protect`'s tree
+    mask = 0
     for i, (a, b) in enumerate(zip(states, bounded)):
         if a != b:
             mask |= 1 << i
@@ -428,20 +453,20 @@ def _compiled(source: str, generator: str, namespace: dict):
 # same floats, and parsing a scenario builds nothing.
 _kernel = _evaluate
 _kernel_calls = None  # (namespace, name, object) of each call the kernel read
-_log_row = None  # the row writer, generated from the kernel
-_row_calls = None  # and each call it read, the kernel included
-_snapshot = evaluate_snapshot  # rows are fused only while it is this one
+_fill_block = None  # the block filler, generated from the kernel
+_fill_calls = None  # and each call it read, the kernel included
+_snapshot = evaluate_snapshot  # blocks are filled only while it is this one
 
 
 def _refresh_kernel():
     """The kernel, generated on the first run and again once a call it read
-    has changed; and the row writer `_log_row`, generated again once the
-    kernel or a call it read has. `_drive` checks once per run."""
-    global _kernel, _kernel_calls, _log_row, _row_calls
+    has changed; and the block filler `_fill_block`, generated again once
+    the kernel or a call it read has. `_drive` checks once per run."""
+    global _kernel, _kernel_calls, _fill_block, _fill_calls
     if _stale(_kernel_calls):
         _kernel, _kernel_calls = _generate_kernel()
-    if _stale(_row_calls):
-        _log_row, _row_calls = _generate_row_writer()
+    if _stale(_fill_calls):
+        _fill_block, _fill_calls = _generate_filler()
     return _kernel
 
 
@@ -465,22 +490,88 @@ def _generate_kernel():
         return _evaluate, []  # the same floats, each law called
 
 
-def _generate_row_writer():
-    """(`_log_row`, the calls it read, the kernel's included): the row writer
-    fused with the kernel's tree; or, if the kernel has none (it is
-    `_evaluate`), if `evaluate_snapshot` is a wrapper or a replacement, or if
-    fusing fails, calling `_protect` and `evaluate_snapshot` for each row."""
+def _generate_filler():
+    """(`_fill_block`, the calls it read, the kernel's included): the block
+    filler written from the kernel's tree; None if the kernel has none (it
+    is `_evaluate`) or the writer fails, and rows are then filled one at a
+    time."""
     from . import _kernel_writer
-    read = [(globals(), name, globals()[name])
-            for name in ("_kernel", "evaluate_snapshot", "_protect")]
-    if hasattr(_kernel, "tree") and evaluate_snapshot is _snapshot:
+    read = [(globals(), "_kernel", _kernel)]
+    if hasattr(_kernel, "tree"):
         try:
-            source, calls = _kernel_writer.write_row(_kernel.tree, globals())
-            return _compiled(source, "_log_row", globals()), calls + read
-        except Exception:  # a fault of the writer: rows call through
+            source, calls = _kernel_writer.write_block(_kernel.tree,
+                                                       globals())
+            return _compiled(source, "_fill_block", globals()), calls + read
+        except Exception:  # a fault of the writer: rows one at a time
             pass
-    source, calls = _kernel_writer.write_row(None, globals())
-    return _compiled(source, "_log_row", globals()), calls + read
+    return None, read
+
+
+def _pow(a, b):
+    """`a ** b` on Python floats, one element of a vector at a time: numpy's
+    `power` rounds otherwise."""
+    if type(b) is not np.ndarray:
+        return np.array([x ** b for x in a.tolist()], float)
+    if type(a) is not np.ndarray:
+        return np.array([a ** x for x in b.tolist()], float)
+    return np.array(list(map(pow, a.tolist(), b.tolist())), float)
+
+
+def _exp(x):
+    """`math.exp` of each element of a vector: numpy's `exp` rounds
+    otherwise."""
+    return np.array(list(map(math.exp, x.tolist())), float)
+
+
+def _merged(taken, other, a, b):
+    """One value a row: `a` on the rows `taken` marks, `b` on the `other`
+    rows."""
+    out = np.empty(taken.shape, np.result_type(a, b))
+    out[taken], out[other] = a, b
+    return out
+
+
+def _fill_rows(table, raw, start: int, stop: int, p: Parameters) -> None:
+    """Rows `start` to `stop` of `table` from the same rows of `raw`, one at
+    a time: each state protected by `_protect` and reconstructed by
+    `evaluate_snapshot` with the inputs the row held, then dV/dt against
+    the row before and the bits gathered for the row and its own."""
+    states, s_q = len(_STATE_NAMES), SNAPSHOT_COLUMNS.index("s_q")
+    for i, (t, *row) in enumerate(raw[start:stop].tolist(), start):
+        y, m = _protect(row[:states], p)
+        held = row[states:-1]
+        snapshot = evaluate_snapshot(y, p, ExogenousInputs(*held))
+        dVdt = 0.0
+        if i and t > (t_prev := table.item(i - 1, 0)):
+            dVdt = lyapunov_rate(snapshot[s_q], table.item(
+                i - 1, _COLUMN_INDEX["s_q"]), t - t_prev)
+        _pack_into(table, i * table.itemsize * table.shape[1],
+                   *_in_column_order((t, *y, *held, *snapshot, dVdt,
+                                      int(row[-1]) | m)))
+
+
+def _reconstruct(raw, p: Parameters) -> np.ndarray:
+    """The trajectory table of a run's raw rows. `_fill_block` fills it a
+    block of rows at a time; `_fill_rows` fills it a row at a time for a
+    run of fewer than `_BLOCK_MIN_ROWS` rows, while `evaluate_snapshot` is
+    not `_snapshot` (a wrapper or a replacement that counts or changes each
+    row's call) or there is no block filler, and fills again any block
+    the filler fails on, so that its error or its bytes are those of its
+    rows one at a time."""
+    table = np.empty((len(raw), len(TRAJECTORY_COLUMNS)))
+    by_block = (len(raw) >= _BLOCK_MIN_ROWS and _fill_block is not None
+                and evaluate_snapshot is _snapshot)
+    for start in range(0, len(raw), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(raw))
+        if by_block:
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    _fill_block(table, raw, start, stop, p)
+                continue
+            except Exception:  # a row's error, or a value not finite
+                pass
+        _fill_rows(table, raw, start, stop, p)
+    return table
 
 
 def _drive(scenario: Scenario, segment, method: str,
@@ -488,27 +579,31 @@ def _drive(scenario: Scenario, segment, method: str,
     """The segment, logging, protection and restart loop of every integrator.
 
     `segment(ta, tb, y, u)` yields `(t, y, dense)` after each step, where
-    `dense()` interpolates inside it. Rows strictly inside a step are logged
-    from the interpolant with the protections fired since the previous row
-    (and, by `_log_row`, those their own state needs); the step end is then
-    protected, and rows at it carry those bits and its own. Nothing is
-    carried to a later row. A clamped step end before `tb` starts a new
-    segment from the clamped state. From one breakpoint to the next, a run
-    may take `MAX_STEPS` steps, restarts included, plus the grid of a
-    fixed step `dt`. Rows go into a table sized by the log grid. A row
-    before `tb` carries the segment's inputs `u`; only a row at `tb` looks
-    its inputs up, since there the left-closed hold takes the next entry."""
+    `dense()` interpolates inside it. A row strictly inside a step records
+    its state from the interpolant, refused if it is not finite, with the
+    protections fired since the previous row; the step end is then
+    protected, and rows at it record its state with those bits and its
+    own. Nothing is carried to a later row. A clamped step end before `tb`
+    starts a new segment from the clamped state. From one breakpoint to the
+    next, a run may take `MAX_STEPS` steps, restarts included, plus the grid
+    of a fixed step `dt`. Rows are recorded raw, into a table sized by the
+    log grid, and `_reconstruct` fills the trajectory from it after the
+    last step; a row's own clamps are taken there. A row before `tb` holds
+    the segment's inputs `u`; only a row at `tb` looks its inputs up, since
+    there the left-closed hold takes the next entry."""
     _refresh_kernel()
     p, schedule = scenario.parameters, scenario.schedule
     y = scenario.initial_state.as_array()
     log_times = _log_grid(scenario) + [math.inf]  # a time no step reaches
     seg_edges = sorted({t for t, _ in schedule
                         if t <= scenario.t_end} | {scenario.t_end})
-    table = np.empty((len(log_times) - 1, len(TRAJECTORY_COLUMNS)))
-    _log_row(table, 0, 0.0, y, p, inputs_at(schedule, 0.0), 0)
+    raw = np.empty((len(log_times) - 1, len(_RAW_COLUMNS)))
+    size = raw.itemsize * raw.shape[1]
+    _pack_raw(raw, 0, 0.0, *y, *_held(inputs_at(schedule, 0.0)), 0)
     accum, log_idx = 0, 1  # t = 0 already recorded
     for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
         t, u = ta, inputs_at(schedule, ta)
+        held = _held(u)
         budget = left = MAX_STEPS + math.ceil((tb - ta) / dt)
         while t < tb:  # a segment's last step ends at tb
             for t, y, dense in segment(t, tb, y, u):
@@ -522,8 +617,11 @@ def _drive(scenario: Scenario, segment, method: str,
                     sol = None  # built only for a log time inside the step
                     while (t_log := log_times[log_idx]) < t:
                         sol = sol or dense()
-                        _log_row(table, log_idx, t_log, sol(t_log), p, u,
-                                 accum)
+                        z = sol(t_log)
+                        z = z if type(z) is list else z.tolist()
+                        _refuse(z)
+                        _pack_raw(raw, log_idx * size, t_log, *z, *held,
+                                  accum)
                         accum, log_idx = 0, log_idx + 1
                 y, m = _protect(y, p)
                 accum |= m
@@ -531,12 +629,13 @@ def _drive(scenario: Scenario, segment, method: str,
                 if t_due > tb:
                     t_due = tb
                 while (t_log := log_times[log_idx]) <= t_due:
-                    _log_row(table, log_idx, t_log, y, p, u if t_log < tb
-                             else inputs_at(schedule, tb), accum)
+                    _pack_raw(raw, log_idx * size, t_log, *y, *(
+                        held if t_log < tb
+                        else _held(inputs_at(schedule, tb))), accum)
                     accum, log_idx = 0, log_idx + 1
                 if m and t < tb:
                     break  # a new segment from the clamped state
-    return Trajectory(table[:log_idx])
+    return Trajectory(_reconstruct(raw[:log_idx], p))
 
 
 def integrate(scenario: Scenario) -> Trajectory:

@@ -8,9 +8,9 @@ of operations, and composes the laws the way the closed loop is documented
 (clamps, resistance floor, density clamp, bounded head command with
 anti-windup, depletion caps), so equality with `==` shows that the kernel
 computes the model's floats. The generated kernel must give `_evaluate`'s
-floats bit for bit, and raise its errors word for word; the row writer
-fused with it must write the bytes, and raise the errors, of the one that
-calls `_protect` and `evaluate_snapshot`.
+floats bit for bit, and raise its errors word for word; the block filler
+written from it must write the bytes, and raise the errors, of the rows
+filled one at a time, calling `_protect` and `evaluate_snapshot`.
 Property tests use Hypothesis (MacIver et al., JOSS 2019).
 """
 
@@ -22,8 +22,11 @@ import math
 import operator
 import struct
 import traceback
+import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -420,83 +423,172 @@ class TestGeneratedKernel:
         assert np.array_equal(restored, plain)
 
 
-@functools.lru_cache(maxsize=None)
-def row_writers():
-    """(fused, call-through): the row writer with the kernel's statements
-    written in, and the one calling `_protect` and `evaluate_snapshot`, both
-    compiled from the writer's source to run in `engine`'s namespace."""
-    from blowdown import _kernel_writer
-    _, kernel, _ = _kernel_writer.write(engine._evaluate, "_kernel",
-                                        vars(engine))
-    writers = []
-    for tree in (kernel, None):
-        row, _ = _kernel_writer.write_row(tree, vars(engine))
-        exec(compile(row, "<row writer>", "exec"), vars(engine), defined := {})
-        writers.append(defined["_log_row"])
-    return tuple(writers)
+def raw_table(states, inputs, times, masks=None):
+    """A raw table as `_drive` packs it, a row a state, each packed as it
+    is given, a list or an array."""
+    raw = np.empty((len(states), len(engine._RAW_COLUMNS)))
+    size = raw.itemsize * raw.shape[1]
+    for i, (y, u, t) in enumerate(zip(states, inputs, times)):
+        engine._pack_raw(raw, i * size, t, *y, *engine._held(u),
+                         masks[i] if masks else 0)
+    return raw
 
 
-S_Q = engine.TRAJECTORY_COLUMNS.index("s_q")
+@st.composite
+def raw_blocks(draw):
+    """(raw, p): a raw table of 1 to 8 rows, the states and inputs of
+    `wide_cases` under the parameters of the first, whose bounds all share;
+    each state a list or, as LSODA's interpolant gives it, an array; times
+    that repeat (dV/dt 0.0) or move on, and the bits gathered."""
+    cases = draw(st.lists(wide_cases(), min_size=1, max_size=8))
+    t = draw(st.floats(0.0, 1.0e5))
+    times = []
+    for _ in cases:
+        t += draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0e4))
+        times.append(t)
+    states = [np.array(y) if draw(st.booleans()) else y for y, _, _ in cases]
+    masks = draw(st.lists(st.integers(0, 31), min_size=len(cases),
+                          max_size=len(cases)))
+    return raw_table(states, [u for _, _, u in cases], times,
+                     masks), cases[0][1]
+
+
+def filled(raw, p, **constants):
+    """The bytes of the table `_reconstruct` fills from `raw` with
+    `constants` set in `engine`, or the text of the IntegrationError it
+    raised; a RuntimeWarning is an error."""
+    engine._refresh_kernel()
+    with mock.patch.multiple(engine, **constants), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return engine._reconstruct(raw, p).tobytes()
+        except IntegrationError as exc:
+            return f"IntegrationError: {exc}"
+
+
+def by_rows(raw, p):
+    return filled(raw, p, _fill_block=None)
+
+
+def by_blocks(raw, p, rows=2):
+    """Filled by `_fill_block`, `rows` rows a block."""
+    return filled(raw, p, _BLOCK_ROWS=rows, _BLOCK_MIN_ROWS=1)
+
+
 MASK = engine.TRAJECTORY_COLUMNS.index("protection_mask")
 
 
-def row_outcome(writer, y, p, u, i=1, t=2.0, t_prev=1.0, s_prev=1e-4,
-                mask=0):
-    """The bytes of a table after `writer` wrote its row `i`, or the text of
-    the IntegrationError it raised."""
-    table = np.full((3, len(engine.TRAJECTORY_COLUMNS)), 0.5)
-    table[i - 1, 0], table[i - 1, S_Q] = t_prev, s_prev  # i = 0 reads none
-    try:
-        writer(table, i, t, y, p, u, mask)
-    except IntegrationError as exc:
-        return f"IntegrationError: {exc}"
-    return table.tobytes()
-
-
 class TestRowWriter:
-    """The fused row writer against the one that calls through."""
+    """The block filler against the rows filled one at a time, calling
+    `_protect` and `evaluate_snapshot`."""
 
     @settings(max_examples=300, deadline=None)
-    @given(wide_cases(), st.data())
-    def test_same_row_as_calling_through(self, case, data):
-        y, p, u = case
-        t_prev = data.draw(st.floats(0.0, 1.0e5))
-        row = dict(i=data.draw(st.sampled_from([0, 1, 2])), t_prev=t_prev,
-                   t=t_prev + data.draw(st.sampled_from([0.0])
-                                        | st.floats(0.0, 1.0e4)),
-                   s_prev=data.draw(st.floats(-1e-3, 1e-3)),
-                   mask=data.draw(st.integers(0, 31)))
-        if data.draw(st.booleans()):  # as LSODA's interpolant gives it
-            y = np.array(y)
-        fused, through = row_writers()
-        expected = row_outcome(through, y, p, u, **row)
-        assert row_outcome(fused, y, p, u, **row) == expected
-        table = np.frombuffer(expected).reshape(3, -1)
-        protected, bits = engine._protect(list(y), p)
-        assert table[row["i"], MASK] == row["mask"] | bits
-        assert list(table[row["i"], 1:3]) == protected[:2]
+    @given(raw_blocks(), st.sampled_from([1, 2, 3, 2048]))
+    def test_same_row_as_calling_through(self, block, rows):
+        raw, p = block
+        expected = by_rows(raw, p)
+        assert by_blocks(raw, p, rows) == expected
+        # The filler takes the whole table, unless a value overflows (as
+        # dV/dt over a step of 5e-324 s does): Python's floats give inf,
+        # numpy raises, and the rows are filled one at a time.
+        table = np.empty((len(raw), len(engine.TRAJECTORY_COLUMNS)))
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                engine._fill_block(table, raw, 0, len(raw), p)
+        except FloatingPointError:
+            return
+        assert table.tobytes() == expected
+        for row, values in zip(table, raw.tolist()):
+            protected, bits = engine._protect(values[1:10], p)
+            assert row[MASK] == int(values[-1]) | bits
+            assert list(row[1:3]) == protected[:2]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", range(9))
     def test_same_error_for_a_non_finite_state(self, index, value):
         y, p, u = make_case()
-        y[index] = value
-        fused, through = row_writers()
-        expected = row_outcome(through, y, p, u)
+        states = [list(y) for _ in range(5)]
+        states[3][index] = value  # in the second block of two rows
+        raw = raw_table(states, [u] * 5, [0.0, 1.0, 2.0, 3.0, 4.0])
+        expected = by_rows(raw, p)
         assert expected == ("IntegrationError: protection cannot repair a "
                             "non-finite state")
-        assert row_outcome(fused, y, p, u) == expected
+        assert by_blocks(raw, p) == expected
+
+    @pytest.mark.parametrize("state, raises", [
+        (dict(M_s=1.0e308, M_fl=1.0e308), True),  # the density overflows
+        (dict(M_s=1.0e308, xi_eq=1.0e308), False)])  # only the check's sum
+    @pytest.mark.parametrize("row", range(3))
+    def test_same_outcome_for_an_overflowing_state(self, state, raises, row):
+        y, p, u = make_case()
+        states = [list(y) for _ in range(3)]
+        states[row] = make_case(state)[0]
+        raw = raw_table(states, [u] * 3, [0.0, 1.0, 2.0])
+        expected = by_rows(raw, p)
+        assert by_blocks(raw, p) == expected
+        assert isinstance(expected, str) == raises
+
+    def test_a_block_the_filler_fails_on_is_filled_row_by_row(
+            self, monkeypatch):
+        # Only the check's sum overflows: the rows are finite, the block
+        # raises, and its rows alone are filled one at a time.
+        scenario = replace(default_scenario(), t_end=400.0, method="DOPRI5")
+        data = integrate(scenario).data
+        raw = np.ascontiguousarray(data[:, [engine.TRAJECTORY_COLUMNS.index(
+            name) for name in engine._RAW_COLUMNS]])
+        raw[len(raw) // 2, [1, 4]] = 1.0e308  # M_s, xi_eq
+        p = scenario.parameters
+        blocks, fill_rows = [], engine._fill_rows
+        monkeypatch.setattr(engine, "_fill_rows", lambda *args: (
+            blocks.append(args[2:4]), fill_rows(*args)))
+        assert by_blocks(raw, p, 8) == by_rows(raw, p)
+        middle = len(raw) // 2 // 8 * 8
+        assert blocks[0] == (middle, middle + 8)
+        assert blocks[1] == (0, len(raw))  # `by_rows`
+
+    @pytest.mark.parametrize("t_end, rows, filler", [
+        (1200.0, engine._BLOCK_MIN_ROWS, True),
+        (1150.0, engine._BLOCK_MIN_ROWS - 1, False)])
+    def test_few_rows_are_filled_one_at_a_time(self, monkeypatch, t_end,
+                                               rows, filler):
+        # A row at a time costs less than a block below `_BLOCK_MIN_ROWS`
+        # rows: an ensemble member logs 5.
+        engine._refresh_kernel()
+        calls, fill_block = [], engine._fill_block
+        monkeypatch.setattr(engine, "_fill_block", lambda *args: (
+            calls.append(args), fill_block(*args)))
+        traj = integrate(replace(default_scenario(), t_end=t_end))
+        assert len(traj) == rows
+        assert bool(calls) == filler
+
+    def test_reconstruction_memory_scales_with_the_block(self, monkeypatch):
+        # The filler's arrays grow with `_BLOCK_ROWS`, not with the run:
+        # filling 50,000 rows peaks at the table plus a fixed allowance.
+        y, p, u = make_case()
+        rows = 50_000
+        raw = np.tile(raw_table([y], [u], [0.0]), (rows, 1))
+        raw[:, 0] = np.arange(rows) * 2.0
+        raw[:, 1:3] *= np.random.default_rng(5).uniform(0.5, 1.5, (rows, 2))
+        engine._refresh_kernel()
+        monkeypatch.setattr(engine, "_fill_rows", None)  # never called
+        tracemalloc.start()
+        try:
+            table = engine._reconstruct(raw, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (rows, len(engine.TRAJECTORY_COLUMNS))
+        assert peak <= table.nbytes + 4 * 2**20
 
     def test_wrapping_evaluate_snapshot_calls_it_per_row(self, monkeypatch):
-        # The bench tracer wraps `engine.evaluate_snapshot` and counts its
-        # calls: the next run's rows call it, one call a row, and once it
-        # is restored the rows are fused again. The kernel, which does not
-        # read it, is not generated again.
-        scenario = replace(default_scenario(), t_end=400.0)
-        fused = integrate(scenario).data.copy()
-        calling = {"_protect", "evaluate_snapshot"}
-        assert not calling & set(engine._log_row.__code__.co_names)
-        kernel, row_writer = engine._kernel, engine._log_row
+        # A wrapper of `engine.evaluate_snapshot` that counts its calls
+        # sees one a row: the next run's rows call it, and once it is
+        # restored the rows are filled by block again. Nothing is generated
+        # again.
+        scenario = replace(default_scenario(), t_end=2000.0)
+        by_block = integrate(scenario).data.tobytes()
+        kernel, filler = engine._kernel, engine._fill_block
+        assert filler is not None
         snapshot, calls = engine.evaluate_snapshot, []
 
         @functools.wraps(snapshot)
@@ -506,23 +598,20 @@ class TestRowWriter:
 
         monkeypatch.setattr(engine, "evaluate_snapshot", counted)
         traj = integrate(scenario)
-        assert len(calls) == len(traj) and np.array_equal(traj.data, fused)
-        assert calling <= set(engine._log_row.__code__.co_names)
-        assert engine._kernel is kernel and engine._log_row is not row_writer
+        assert len(calls) == len(traj) and traj.data.tobytes() == by_block
         monkeypatch.undo()
         calls.clear()
-        assert np.array_equal(integrate(scenario).data, fused)
+        assert integrate(scenario).data.tobytes() == by_block
         assert not calls
-        assert not calling & set(engine._log_row.__code__.co_names)
-        assert engine._kernel is kernel
+        assert engine._kernel is kernel and engine._fill_block is filler
 
     def test_wrapping_a_law_writes_both_again(self, monkeypatch):
-        # A law wrapped stays a call in the kernel and, through the kernel's
-        # statements, in the fused row writer; once it is restored, both
-        # are written again with the law written in.
-        scenario = replace(default_scenario(), t_end=400.0)
-        fused = integrate(scenario).data.copy()
-        kernel, row_writer = engine._kernel, engine._log_row
+        # A law wrapped stays a call in the kernel, and the filler, which
+        # runs no call over a block, gives way to rows one at a time; once
+        # the law is restored, both are written again with it written in.
+        scenario = replace(default_scenario(), t_end=2000.0)
+        by_block = integrate(scenario).data.tobytes()
+        kernel = engine._kernel
         guard, calls = engine.consistency_guard, []
 
         @functools.wraps(guard)
@@ -532,17 +621,15 @@ class TestRowWriter:
 
         monkeypatch.setattr(engine, "consistency_guard", counted)
         traj = integrate(scenario)
-        assert calls and np.array_equal(traj.data, fused)
+        assert calls and traj.data.tobytes() == by_block
         assert engine._kernel is not kernel
-        assert engine._log_row is not row_writer
-        for generated in (engine._kernel, engine._log_row):
-            assert "consistency_guard" in generated.__code__.co_names
-        assert "evaluate_snapshot" not in engine._log_row.__code__.co_names
+        assert "consistency_guard" in engine._kernel.__code__.co_names
+        assert engine._fill_block is None
         monkeypatch.undo()
         calls.clear()
-        assert np.array_equal(integrate(scenario).data, fused)
+        assert integrate(scenario).data.tobytes() == by_block
         assert not calls
-        for generated in (engine._kernel, engine._log_row):
+        for generated in (engine._kernel, engine._fill_block):
             assert "consistency_guard" not in generated.__code__.co_names
 
 
@@ -693,31 +780,28 @@ def test_a_fault_of_the_writer_leaves_evaluate_the_kernel(monkeypatch):
     monkeypatch.setattr(engine, "_kernel_calls", None)
     assert engine._refresh_kernel() is engine._evaluate
     assert integrate(default_scenario()).data.shape[0] > 0
-    assert "evaluate_snapshot" in engine._log_row.__code__.co_names
+    assert engine._fill_block is None
 
 
 def test_a_fault_of_the_row_writer_leaves_rows_calling_through(monkeypatch):
     from blowdown import _kernel_writer
-    scenario = replace(default_scenario(), t_end=400.0)
-    fused = integrate(scenario).data.copy()
-    write_row = _kernel_writer.write_row
+    scenario = replace(default_scenario(), t_end=2000.0)
+    by_block = integrate(scenario).data.tobytes()
 
     def fault(kernel, g):
-        if kernel is not None:
-            raise AssertionError("a fault of the row writer")
-        return write_row(kernel, g)
+        raise AssertionError("a fault of the block writer")
 
-    monkeypatch.setattr(_kernel_writer, "write_row", fault)
+    monkeypatch.setattr(_kernel_writer, "write_block", fault)
     monkeypatch.setattr(engine, "_kernel", engine._kernel)
     monkeypatch.setattr(engine, "_kernel_calls", None)
-    assert np.array_equal(integrate(scenario).data, fused)
+    assert integrate(scenario).data.tobytes() == by_block
     assert engine._kernel is not engine._evaluate
-    assert "evaluate_snapshot" in engine._log_row.__code__.co_names
+    assert engine._fill_block is None
 
 
 def test_the_row_writer_is_fused_from_the_kernels_tree(monkeypatch):
-    # `write` hands the row writer the kernel's syntax tree: generating both
-    # parses no printed kernel.
+    # `write` hands the block writer the kernel's syntax tree: generating
+    # both parses no printed kernel.
     parsed, parse = [], ast.parse
 
     def recording(source, *args, **kwargs):
@@ -725,27 +809,27 @@ def test_the_row_writer_is_fused_from_the_kernels_tree(monkeypatch):
         return parse(source, *args, **kwargs)
 
     engine._refresh_kernel()
-    row_writer = engine._log_row
+    filler = engine._fill_block
     monkeypatch.setattr(ast, "parse", recording)
     monkeypatch.setattr(engine, "_kernel", engine._kernel)
     monkeypatch.setattr(engine, "_kernel_calls", None)
     engine._refresh_kernel()
-    assert engine._log_row is not row_writer
-    assert "evaluate_snapshot" not in engine._log_row.__code__.co_names
+    assert engine._fill_block is not filler
+    assert "evaluate_snapshot" not in engine._fill_block.__code__.co_names
     kernel_source = "".join(linecache.getlines("<blowdown.engine._kernel>"))
     assert kernel_source.startswith("def _kernel(y, p, u, full):")
     assert parsed and kernel_source not in parsed
 
 
-def generated_row_writer():
+def generated_block_filler():
     engine._refresh_kernel()
-    return engine._log_row
+    return engine._fill_block
 
 
 @pytest.mark.parametrize("generated, name, head", [
     (engine._refresh_kernel, "_kernel", "def _kernel(y, p, u, full):"),
-    (generated_row_writer, "_log_row",
-     "def _log_row(table, i, t, y, p, u, mask):"),
+    (generated_block_filler, "_fill_block",
+     "def _fill_block(table, raw, start, stop, p):"),
     (engine._dopri5_attempt, "_dopri5_attempt",
      "def attempt(rhs, p, u, t, h, y, k1, atol, rtol):")])
 def test_generated_source_can_be_read(generated, name, head):

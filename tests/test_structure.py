@@ -18,9 +18,10 @@ the kernel's derivative is a tuple of floats that no stepper converts.
 One loop, `engine._drive`, protects every integrator's step ends, restarts
 a stepper after a clamp and holds every method's step budget, `MAX_STEPS`
 between two breakpoints: steppers yield `(t, y, dense)` and are sent
-nothing back, so none clamps, restarts or counts steps itself. It hands
-each logged row the inputs it holds, and the row is packed into a
-C-contiguous float64 table in column order, in one call.
+nothing back, so none clamps, restarts or counts steps itself. It records
+each logged row's time, state, held inputs and protection bits, and after
+the last step the rows are filled into a C-contiguous float64 table, a
+block of rows at a time, a column at a time.
 
 One boundary checks a scenario: `Scenario.validate` alone calls the
 validators of its parts, and it runs once when a document is parsed and
@@ -173,14 +174,12 @@ def callers(name: str):
             and getattr(node.func, "id", None) == name}
 
 
-def row_writer_sources():
-    """{body: source} of the generated row writer: fused with the kernel's
-    statements, or calling `_protect` and `evaluate_snapshot`."""
+def filler_source() -> str:
+    """The source of the generated block filler."""
     from blowdown import _kernel_writer
     _, kernel, _ = _kernel_writer.write(engine._evaluate, "_kernel",
                                         vars(engine))
-    return {body: _kernel_writer.write_row(tree, vars(engine))[0]
-            for body, tree in (("fused", kernel), ("call-through", None))}
+    return _kernel_writer.write_block(kernel, vars(engine))[0]
 
 
 def called(source: str):
@@ -191,15 +190,16 @@ def called(source: str):
 
 
 def test_only_the_driver_protects():
-    # `_drive` protects each step end; a row writer protects its row, by
-    # one call of `_protect` or, fused, by its refusal and the kernel's one
-    # `_bounded` rule written in.
-    assert callers("_protect") == {"_drive"}
-    sources = row_writer_sources()
-    assert called(sources["call-through"])["_protect"] == 1
-    assert called(sources["fused"])["_protect"] == 0
-    assert sources["fused"].count("'protection cannot repair") == 1
-    assert set(re.findall(r"\b_bounded(\d+)_", sources["fused"])) == {"1"}
+    # `_drive` protects each step end and refuses a non-finite row; a row
+    # filled on its own is protected by one call of `_protect`, and the
+    # block filler bounds its rows by the kernel's one `_bounded` rule
+    # written in, and refuses a raw value that is not finite.
+    assert callers("_protect") == {"_drive", "_fill_rows"}
+    assert callers("_refuse") == {"_drive", "_protect"}
+    source = filler_source()
+    assert not called(source).keys() & {"_protect", "_refuse", "_bounded"}
+    assert source.count("np.isfinite(block)") == 1
+    assert set(re.findall(r"\b_bounded(\d+)_", source)) == {"1"}
 
 
 def test_one_rule_bounds_the_states():
@@ -267,27 +267,25 @@ def test_steppers_yield_time_state_and_interpolant():
 
 
 def test_a_row_is_given_its_inputs():
-    # `_drive` hands each row the inputs it holds; only a row at a segment
-    # end looks them up.
-    for body, source in row_writer_sources().items():
-        assert "inputs_at" not in called(source), body
+    # `_drive` records the inputs each row holds; only a row at a segment
+    # end looks them up, and no row is filled by looking them up.
+    assert callers("inputs_at") == {"_drive"}
+    assert "inputs_at" not in called(filler_source())
 
 
-def test_a_row_is_packed_in_column_order():
-    # Distinct sentinels through the generated row writer come back under
-    # their names: its body, calling `_protect` and `evaluate_snapshot`, is
-    # given stand-ins that return them.
-    from blowdown import _kernel_writer
+def test_a_row_is_packed_in_column_order(monkeypatch):
+    # Distinct sentinels through the rows filled one at a time come back
+    # under their names: `_protect` and `evaluate_snapshot` are given
+    # stand-ins that return them.
     table = np.zeros((3, len(engine.TRAJECTORY_COLUMNS)))
     y = [100.0 + k for k in range(len(engine._STATE_NAMES))]
     u = ExogenousInputs(**{name: 200.0 + k
                            for k, name in enumerate(engine._INPUT_NAMES)})
     snap = tuple(300.0 + k for k in range(len(engine.SNAPSHOT_COLUMNS)))
-    namespace = {**vars(engine), "_protect": lambda y, p: (y, 0x10),
-                 "evaluate_snapshot": lambda y, p, u: snap}
-    source, _ = _kernel_writer.write_row(None, vars(engine))
-    exec(compile(source, "<row writer>", "exec"), namespace)
-    namespace["_log_row"](table, 1, 1.5, y, None, u, 0x05)
+    raw = np.array([[1.5, *y, *engine._held(u), 0x05]] * 3)
+    monkeypatch.setattr(engine, "_protect", lambda y, p: (y, 0x10))
+    monkeypatch.setattr(engine, "evaluate_snapshot", lambda y, p, u: snap)
+    engine._fill_rows(table, raw, 1, 2, None)
     s_q = dict(zip(engine.SNAPSHOT_COLUMNS, snap))["s_q"]
     expected = {"t": 1.5, "dVdt": lyapunov_rate(s_q, 0.0, 1.5),
                 "protection_mask": 0x15,
@@ -302,27 +300,26 @@ def test_a_row_is_packed_in_column_order():
 
 
 def test_a_row_is_built_by_no_tuple():
-    # The fused row writer hands its values to one `_pack_into` call as
-    # they are: no starred call, no itemgetter or attrgetter and no tuple
-    # building a row, and no call of `evaluate_snapshot` to return one.
-    source = row_writer_sources()["fused"]
+    # The block filler builds no row: it writes each column of its block
+    # once, with one assignment of the column's vector, and calls no
+    # `evaluate_snapshot` to return a row, no `_pack_into` and no getter.
+    source = filler_source()
+    writes = [node.targets[0] for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Subscript)]
+    assert [ast.unparse(w) for w in writes] == [
+        f"out[:, {k}]" for k in range(len(engine.TRAJECTORY_COLUMNS))]
     calls = called(source)
-    assert calls["_pack_into"] == 1
-    assert not calls.keys() & {"evaluate_snapshot", "_protect", "_bounded"}
+    assert not calls.keys() & {"evaluate_snapshot", "_pack_into",
+                               "itemgetter", "attrgetter", "tuple"}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             assert not any(isinstance(a, ast.Starred) for a in node.args), (
                 ast.unparse(node))
-            if getattr(node.func, "id", None) == "_pack_into":
-                assert not any(isinstance(a, ast.Tuple) for a in node.args)
-        name = getattr(node, "id", getattr(node, "attr", None))
-        assert name not in ("itemgetter", "attrgetter"), ast.unparse(node)
-        assert not isinstance(getattr(engine, name or "", None),
-                              (operator.itemgetter, operator.attrgetter)), name
 
 
 def test_the_table_is_c_contiguous_float64():
-    # `_log_row` packs each row at its byte offset in the table.
+    # `_fill_rows` packs a row at its byte offset in the table.
     data = engine.integrate(replace(default_scenario(), t_end=200.0,
                                     method="DOPRI5")).data
     assert data.dtype == np.float64
