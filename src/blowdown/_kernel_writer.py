@@ -7,18 +7,21 @@ writer parses `_evaluate` and each law it calls with `ast`, once per
 function, from its source sliced from its file by its code object, and uses
 the tree only if it compiles to that code, so a file edited after import is
 not read as the code that runs. One syntax-tree transform, `_LawWriter`,
-writes a law's body where its call stands, and moves nothing. A law called
-as the whole value of an assignment (`x = law(...)`, `a, b = law(...)`) is
-written in place of that assignment: the parameters replaced by the call's
-arguments, the locals renamed per call (`_consistency_guard1_x`), each
-`return` an assignment to the target, and an `if` that returns taking the
-statements after it as its `else`. A law of one `return` whose arguments
-are names, or attributes read once, is written in place of its call. Any
-other call stays a call; nested laws are placed by the same rule. The
-kernel's `def` is `_evaluate`'s own, renamed and printed with `ast.unparse`.
-The operations and their order are those of `_evaluate`, so every float is
-the same. A law held as a wrapper (`__wrapped__`) or a replacement, and a
-law whose source cannot be read or is not that of its code, stay calls.
+writes a law's body where its call stands, and moves nothing. A law is
+straight-line: assignments, then one `return`, each choice a conditional
+expression. A law called as the whole value of an assignment
+(`x = law(...)`, `a, b = law(...)`) is written in place of that
+assignment: the parameters replaced by the call's arguments, the locals
+renamed per call (`_consistency_guard1_x`), and its `return` an
+assignment to the target. A law of one `return` whose arguments are names,
+or attributes read once, is written in place of its call. Any other call
+stays a call; nested laws are placed by the same rule. The kernel's `def`
+is `_evaluate`'s own, renamed and printed with `ast.unparse`. The
+operations and their order are those of `_evaluate`, so every float is the
+same. A law that holds an `if` statement, a law held as a wrapper
+(`__wrapped__`) or a replacement, and a law whose source cannot be read or
+is not that of its code, stay calls, and a run's rows are then filled one
+at a time.
 
 `write` hands back the kernel's `def` with its source, and `write_block`
 writes `engine`'s block filler from that tree, never parsed again, and a
@@ -28,8 +31,9 @@ dropped, written over a block of rows by `_Lines`; the names its
 states `_bounded` reads they give the protection bits. `_Lines` prints
 each operation in parentheses, in the order of the tree: `+ - * /` and
 comparisons run in numpy, `**` and `math.exp` on Python floats one element
-at a time, and each `if` on the rows that take each branch, so every float
-is the kernel's. The law rule places `lyapunov_rate` for dV/dt.
+at a time, and a conditional expression over arithmetic as `np.where`, so
+every float is the kernel's. The law rule places `lyapunov_rate` for
+dV/dt.
 
 `engine` imports this module when it generates the kernel, at the first
 run, so importing the package or parsing a scenario compiles none of it.
@@ -89,9 +93,9 @@ _BLOCK = '''def _fill_block(table, raw, start, stop, p):
     out = table[start:stop]
     {columns}
 '''
-_DV_DT = """dVdt = 0.0
-    if t > t_prev:
-        dVdt = lyapunov_rate(s_q, s_prev, t - t_prev)"""
+_DV_DT = """dt = t - t_prev if t > t_prev else 1.0
+    dVdt = lyapunov_rate(s_q, s_prev, dt)
+    dVdt = dVdt if t > t_prev else 0.0"""
 
 
 def write_block(kernel, g: dict):
@@ -115,7 +119,7 @@ def write_block(kernel, g: dict):
     [fill] = ast.parse(_BLOCK.format(**at, kernel="pass", rows=_DV_DT,
                                      columns="pass")).body
     statements, binds, values = _over_rows(kernel, g)
-    *_, zero, rate, _, _ = fill.body
+    dv_dt = fill.body[8:-2]  # `{rows}`
     fill.body[5:6] = binds  # in place of `{kernel}`
     writer = _LawWriter(g, _facts(fill))
     own = writer.kernel_locals - set(kernel.params)
@@ -125,10 +129,8 @@ def write_block(kernel, g: dict):
     rows = _Lines(g, {"t": None, "y": (), "u": g["_INPUT_NAMES"],
                       "mask": None})
     kernel_rows = rows.statements(statements + binds)
-    rows.scope.bound.update(t_prev=("t_prev", True), s_prev=("s_prev", True))
-    row_rows = rows.statements(writer.body([zero, rate]))
-    _require(not rows.fresh & (kernel.stored | kernel.reads.keys() | own),
-             "the filler's names are its own")
+    rows.vector.update(t_prev=True, s_prev=True)
+    row_rows = rows.statements(writer.body(dv_dt))
     lines = "\n    ".join
     source = _BLOCK.format(**at, kernel=lines(kernel_rows),
                            rows=lines(row_rows), columns=lines(
@@ -209,11 +211,11 @@ def _source(code) -> str:
 #: Expressions with a scope of their own: kept as they are written.
 _OWN_SCOPE = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
-#: What a law may not hold: a statement other than an assignment, `if`,
-#: `return` or an expression; a scope of its own; or an expression with an
-#: effect on the frame that runs it.
+#: What a law may not hold: a statement other than an assignment, `return`
+#: or an expression; a scope of its own; or an expression with an effect on
+#: the frame that runs it.
 _NOT_PLAIN = frozenset(ast.stmt.__subclasses__()).difference((
-    ast.If, ast.Return, ast.Expr, ast.Assign)).union(_OWN_SCOPE, (
+    ast.Return, ast.Expr, ast.Assign)).union(_OWN_SCOPE, (
         ast.NamedExpr, ast.Yield, ast.YieldFrom, ast.Await))
 #: Nodes the writer never changes.
 _LEAVES = frozenset(kind for base in (
@@ -228,7 +230,7 @@ def _form(function):
     what the writer reads of it, walked once: `statements`, its body after
     the docstring; `params`; the names it assigns, `stored`; the times it
     reads each name, `reads`; the names it calls, `calls`; and whether it
-    is `plain`, holding only assignments, `if`, `return` and expressions."""
+    is `plain`, holding only assignments, `return` and expressions."""
     try:
         tree = ast.parse(_source(function.__code__))
     except SyntaxError:  # a function written indented, inside a block
@@ -323,12 +325,6 @@ def _names(target) -> bool:
         type(t) is ast.Name for t in target.elts)
 
 
-def _returns(statement) -> bool:
-    """Whether `statement` returns, or is an `if` with a branch that does."""
-    return type(statement) is ast.Return or type(statement) is ast.If and any(
-        map(_returns, statement.body + statement.orelse))
-
-
 def _with(node, **fields):
     """`node` with `fields` replaced, or `node` itself if none changed: a
     parsed tree is never changed, so each law's is read again per call.
@@ -374,20 +370,15 @@ class _LawWriter(ast.NodeTransformer):
         self.names, self.ns = {}, kernel_globals
 
     def body(self, statements, target=None) -> list:
-        """`statements` written out. With a `target`, each `return v`
-        assigns v to it, and an `if` that returns takes the statements after
-        it as its `else`."""
+        """`statements` written out. With a `target`, a law's, its `return
+        v` assigns v to it."""
         out = []
-        for i, s in enumerate(statements):
+        for s in statements:
             kind = type(s)
-            if kind is ast.If:
-                branch = target if _returns(s) else None
-                orelse = s.orelse + statements[i + 1:] if branch else s.orelse
+            if kind is ast.If:  # the kernel's own: a law holds none
                 out.append(_with(s, test=self.visit(s.test),
-                                 body=self.body(s.body, branch),
-                                 orelse=self.body(orelse, branch)))
-                if branch:
-                    return out
+                                 body=self.body(s.body),
+                                 orelse=self.body(s.orelse)))
             elif kind is ast.Return:
                 value = s.value and self.visit(s.value)
                 if target is None:
@@ -401,7 +392,7 @@ class _LawWriter(ast.NodeTransformer):
             else:
                 out.append(self.visit(s))
         if target is not None:
-            raise _KeepCall  # a path of a law ends with no value
+            raise _KeepCall  # a law ends with no value
         return out
 
     def visit(self, node):
@@ -516,18 +507,6 @@ _NUMPY = frozenset(("+", "-", "*", "/", "|", "&", "<<", "<", "<=", ">", ">=",
                     "==", "!="))
 
 
-class _Scope:
-    """The names bound in a block's statements, or in a branch of an `if`
-    that runs on the rows `rows` marks: each to (name written, vector?),
-    with None for a tuple of vectors and (None, None) for a name bound on
-    some rows only. `stored` lists the names the scope assigns, `copies`
-    the branch's copies of the vectors it reads from outside."""
-
-    def __init__(self, outer=None, rows=None):
-        self.outer, self.rows = outer, rows
-        self.bound, self.stored, self.copies = {}, [], []
-
-
 class _Lines:
     """Writes scalar statements over a block of rows, as lines of source,
     each operation in parentheses in the order of the tree.
@@ -537,59 +516,25 @@ class _Lines:
     (`u.name`). `+ - * /`, comparisons and the bit operators run in numpy,
     which, like Python's floats, follows IEEE. `**` and `math.exp` of a
     vector run on Python floats, one element at a time (`engine._pow`,
-    `_exp`): numpy's `power` and `exp` round otherwise. An `if` over vectors
-    runs each branch on the rows that take it alone, on copies of the
-    vectors it reads, and joins the names it binds with `engine._merged`. A
-    conditional expression, `and` or `or` over names, constants and
-    arithmetic becomes `np.where`, `&` or `|`. An `if not math.isfinite(x)`
-    raises FloatingPointError unless x is finite on every row, and the
-    block is then done row by row. Anything else over vectors raises
-    ValueError.
+    `_exp`): numpy's `power` and `exp` round otherwise. A conditional
+    expression, `and` or `or` over names, constants and arithmetic becomes
+    `np.where`, `&` or `|`. An `if not math.isfinite(x)` raises
+    FloatingPointError unless x is finite on every row, and the block is
+    then done row by row. Any other `if`, and anything else over vectors,
+    raises ValueError.
     """
 
     def __init__(self, g: dict, tables: dict):
-        self.g, self.tables, self.fresh = g, tables, set()
-        self.scope = _Scope()
-        self.scope.bound.update((name, (name, True)) for name in tables)
+        self.g, self.tables = g, tables
+        #: Whether each name bound holds a vector; None for a tuple of them.
+        self.vector = dict.fromkeys(tables, True)
 
-    def new(self, name: str) -> str:
-        written = f"_{name.lstrip('_')}_{len(self.fresh)}"
-        self.fresh.add(written)
-        return written
-
-    def defined(self, name: str) -> bool:
-        scope = self.scope
-        while scope is not None:
-            if name in scope.bound:
-                return scope.bound[name][1] is not None
-            scope = scope.outer
-        return False
-
-    def load(self, name: str, scope=None):
-        """(name written, vector?) of `name` read in `scope`: a branch
-        reads a copy of an outer vector on its own rows."""
-        scope = scope or self.scope
-        if name in scope.bound:
-            written, vector = scope.bound[name]
-        elif scope.outer is None:
-            return name, False  # a global or a parameter
-        else:
-            written, vector = self.load(name, scope.outer)
-            if vector:
-                copy = self.new(name)
-                scope.copies.append(f"{copy} = {written}[..., {scope.rows}]")
-                written = copy
-            scope.bound[name] = written, vector
-        _require(vector is not None, f"`{name}` is bound on every row")
-        return written, vector
-
-    def store(self, name: str, vector) -> str:
-        scope = self.scope
-        written = name if scope.outer is None else self.new(name)
-        scope.bound[name] = written, vector
-        if name not in scope.stored:
-            scope.stored.append(name)
-        return written
+    def load(self, name: str):
+        """(name, vector?) of `name`; a global or a parameter is one value
+        for all rows."""
+        vector = self.vector.get(name, False)
+        _require(vector is not None, f"`{name}` is read by its items")
+        return name, vector
 
     def statements(self, statements) -> list:
         out = []
@@ -605,8 +550,6 @@ class _Lines:
                 out.append(f"if not np.isfinite({self.expr(value)[0]}).all():"
                            " raise FloatingPointError('not finite on every"
                            " row')")
-            elif kind is ast.If:
-                out += self.branches(s)
             else:
                 raise ValueError(f"not a statement over rows: {ast.dump(s)}")
         return out
@@ -614,51 +557,20 @@ class _Lines:
     def assign(self, target, value) -> str:
         if type(target) is ast.Name:
             text, vector = self.expr(value)
-            if vector and type(value) is ast.Tuple:
-                vector = None
-            return f"{self.store(target.id, vector)} = {text}"
+            self.vector[target.id] = (None if vector and type(value) is
+                                      ast.Tuple else vector)
+            return f"{target.id} = {text}"
         _require(_names(target), "a name or a tuple of names is assigned")
-        if type(value) is ast.Tuple and len(value.elts) == len(target.elts):
+        names = [t.id for t in target.elts]
+        if type(value) is ast.Tuple and len(value.elts) == len(names):
             pairs = [self.expr(v) for v in value.elts]
-            return _tuple([self.store(t.id, vector) for t, (_, vector) in zip(
-                target.elts, pairs)]) + " = " + _tuple([v for v, _ in pairs])
-        text, vector = self.expr(value)
-        _require(not vector, "a tuple of vectors is assigned by its items")
-        return _tuple([self.store(t.id, False) for t in target.elts]) + (
-            f" = {text}")
-
-    def branches(self, s) -> list:
-        """An `if` over vectors: each branch on its own rows, then each name
-        a branch binds joined, or left unbound if some rows bind none."""
-        test, vector = self.expr(s.test)
-        _require(vector, "an `if` tests one value a row")
-        outer, taken, other = self.scope, self.new("taken"), self.new("other")
-        out, scopes = [f"{taken} = {test}", f"{other} = ~{taken}"], []
-        for rows, body in ((taken, s.body), (other, s.orelse)):
-            self.scope = _Scope(outer, rows)
-            written = self.statements(body)
-            out += self.scope.copies + written
-            scopes.append(self.scope)
-        self.scope = outer
-        for name in dict.fromkeys(scopes[0].stored + scopes[1].stored):
-            sides = [self.side(scope, name) for scope in scopes]
-            if None in sides:
-                outer.bound[name] = None, None
-                continue
-            out.append(f"{self.store(name, True)} = _merged({taken}, "
-                       f"{other}, {sides[0]}, {sides[1]})")
-        return out
-
-    def side(self, scope, name: str):
-        """The value of `name` on the rows of a branch after it ran, or None
-        if it is unbound there."""
-        if name in scope.stored:
-            written, vector = scope.bound[name]
-            return None if vector is None else written
-        if not self.defined(name):
-            return None
-        written, vector = self.load(name)
-        return f"{written}[..., {scope.rows}]" if vector else written
+            text = _tuple([v for v, _ in pairs])
+            self.vector.update(zip(names, (v for _, v in pairs)))
+        else:
+            text, vector = self.expr(value)
+            _require(not vector, "a tuple of vectors is assigned by its items")
+            self.vector.update(dict.fromkeys(names, False))
+        return f"{_tuple(names)} = {text}"
 
     def expr(self, node):
         """(source, vector?) of the expression `node`."""

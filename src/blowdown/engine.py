@@ -32,8 +32,8 @@ refused there, at the step that logs it. After the last step,
 kernel, fills `_BLOCK_ROWS` rows at a time with numpy: it bounds the
 states, gives the protection bits, reconstructs the row and takes dV/dt
 against the row before, with the same floats as the kernel (`+ - * /` and
-comparisons in numpy, `**` and `math.exp` on Python floats, each `if` on
-the rows that take each branch). `_fill_rows` fills a row at a time,
+comparisons in numpy, `**` and `math.exp` on Python floats, a conditional
+expression as `np.where`). `_fill_rows` fills a row at a time,
 calling `_protect` and `evaluate_snapshot` once each: for a run of fewer
 than `_BLOCK_MIN_ROWS` rows, while `engine.evaluate_snapshot` is a wrapper
 or a replacement (and `_snapshot`, the function it was, is not), while
@@ -63,10 +63,12 @@ else; so `_evaluate` assigns every law it calls with statements, the
 snapshot's `V` and `eta_h` included. Until the first run the kernel is
 `_evaluate` itself, so parsing a scenario builds nothing; it stays
 `_evaluate` if the writer fails, or if `_evaluate`'s source cannot be read
-or does not compile to the code that is loaded. A law that `engine` or a
-law's module holds as a wrapper (`__wrapped__`) or a replacement, or
-whose source is not that of its loaded code, stays a call, and the rows
-are then filled one at a time. `_drive` checks once per run whether a call
+or does not compile to the code that is loaded. The laws are
+straight-line, each choice a conditional expression. A law that holds an
+`if` statement, that `engine` or a law's module holds as a wrapper
+(`__wrapped__`) or a replacement, or whose source is not that of its
+loaded code, stays a call, and the rows are then filled one at a time.
+`_drive` checks once per run whether a call
 either function read has changed: the kernel is generated again only if
 one of its own did (its laws, `_bounded`, `_raise_non_finite`), and the
 block filler if the kernel or `lyapunov_rate` did. A direct `assemble_rhs`
@@ -521,14 +523,6 @@ def _exp(x):
     """`math.exp` of each element of a vector: numpy's `exp` rounds
     otherwise."""
     return np.array(list(map(math.exp, x.tolist())), float)
-
-
-def _merged(taken, other, a, b):
-    """One value a row: `a` on the rows `taken` marks, `b` on the `other`
-    rows."""
-    out = np.empty(taken.shape, np.result_type(a, b))
-    out[taken], out[other] = a, b
-    return out
 
 
 def _fill_rows(table, raw, start: int, stop: int, p: Parameters) -> None:

@@ -23,11 +23,12 @@ def algebraic_flow(H0: float, H_static: float, C_n: float, n: float,
     """Quasi-steady pressure-flow relation.
 
     Returns (max(H0 - H_static, 0) / (C_n + eps))**(1/n); exactly zero when
-    the applied head does not exceed the static column head.
+    the applied head does not exceed the static column head, for any C_n >=
+    0 (`Parameters.validate` keeps eps > 0 and n in (0, 2]), and NaN for a
+    NaN C_n.
     """
     dH = H0 - H_static
-    if dH <= 0.0:
-        return 0.0
+    dH = 0.0 if dH <= 0.0 else dH
     return (dH / (C_n + eps)) ** (1.0 / n)
 
 

@@ -31,12 +31,10 @@ def consistency_guard(C: float, C_max: float, alpha_sig: float) -> float:
     Monotone decreasing in C; the steepness alpha_sig sets how sharply the
     reference is throttled around the supervisory limit.
     """
-    # Stable logistic evaluation for large |exponent|.
+    # Stable logistic evaluation for large |exponent|: exp(-|x|) <= 1.
     x = alpha_sig * (C_max - C)
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
+    z = math.exp(-x if x >= 0 else x)
+    return 1.0 / (1.0 + z) if x >= 0 else z / (1.0 + z)
 
 
 def protected_reference(sigma_C: float, q_p_ref: float) -> float:
@@ -51,11 +49,7 @@ def sliding_surface(e_q: float, xi_eq: float, lambda_q: float) -> float:
 
 def saturation(x: float) -> float:
     """Boundary-layer saturation: identity on [-1, 1], sign outside."""
-    if x > 1.0:
-        return 1.0
-    if x < -1.0:
-        return -1.0
-    return x
+    return 1.0 if x > 1.0 else -1.0 if x < -1.0 else x
 
 
 def equivalent_head(H_static: float, C_n: float, q_p_cmd: float, n: float,

@@ -1,12 +1,30 @@
 """Head/flow laws, first-order lags, and the two transport flows."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blowdown import hydraulics
-from defaults import refused
+from defaults import WIDE, bits, refused
 
 EPS = 1e-9  # the shipped Parameters.eps
+#: The index n as `Parameters.validate` keeps it, in (0, 2], its bounds
+#: drawn often.
+INDEX = st.sampled_from([5e-324, 1.0, 2.0]) | st.floats(
+    0.0, 2.0, exclude_min=True)
+
+
+def branching_algebraic_flow(H0: float, H_static: float, C_n: float, n: float,
+                             eps: float) -> float:
+    """`hydraulics.algebraic_flow` as it was written with an `if` statement,
+    the reference for its conditional expression."""
+    dH = H0 - H_static
+    if dH <= 0.0:
+        return 0.0
+    return (dH / (C_n + eps)) ** (1.0 / n)
 
 
 class TestStaticHead:
@@ -49,6 +67,27 @@ class TestAlgebraicFlow:
         # n = 1 degenerates to a linear conductance law.
         q = hydraulics.algebraic_flow(11.0, 10.0, 8000.0, 1.0, eps=0.0)
         assert q == pytest.approx(1.0 / 8000.0, rel=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @example(10.0, 10.9526, math.nan, 0.75, EPS)
+    @example(-0.0, 0.0, 0.0, 5e-324, 5e-324)
+    @example(1e300, -1e300, 0.0, 2.0, 1e-300)
+    @given(WIDE, WIDE, st.sampled_from([-0.0, math.nan]) | st.floats(
+        min_value=-0.0), INDEX, st.floats(min_value=0.0, exclude_min=True,
+                                          allow_infinity=False))
+    def test_same_bits_as_the_branching_law(self, H0, H_static, C_n, n, eps):
+        # C_n and eps as the kernel gives them: eps > 0 is validated, and
+        # C_n = K_ref * (...)**alpha_C with K_ref >= 0 is >= 0, inf or NaN.
+        # The one difference: with a NaN C_n and no head to drive a flow,
+        # the law gives NaN where the branch gave 0.0. A run's error does
+        # not change, since the kernel checks C_n before q_p_alg.
+        args = H0, H_static, C_n, n, eps
+        if math.isnan(C_n) and H0 - H_static <= 0.0:
+            assert branching_algebraic_flow(*args) == 0.0
+            assert math.isnan(hydraulics.algebraic_flow(*args))
+        else:
+            assert bits(hydraulics.algebraic_flow, *args) == bits(
+                branching_algebraic_flow, *args)
 
     def test_rejects_nonpositive_index(self):
         refused({"parameters": {"n": 0.0}},

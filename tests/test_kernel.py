@@ -635,29 +635,42 @@ class TestRowWriter:
 
 #: `consistency_guard` in forms the shipped laws do not take: a parameter read
 #: twice and in a keyword argument, and a result built over several lines,
-#: the last of which holds no code.
+#: the last of which holds no code, by a conditional expression with calls
+#: in both branches.
 SYNTHETIC = '''
 def guard(C, C_max, alpha_sig):
     """The consistency guard, written another way."""
     x = sorted([alpha_sig * (C_max - C)], reverse=C_max > 2.0)[0]
+    return (
+        1.0 / (1.0 + math.exp(-x)) if x >= 0
+        else math.exp(x) / (1.0 + math.exp(x))
+    )
+'''
+#: The guard with an `if` statement that returns, a form no law may take.
+BRANCHING = '''
+def guard(C, C_max, alpha_sig):
+    """The consistency guard, with a branch."""
+    x = alpha_sig * (C_max - C)
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)
-    return (
-        z / (1.0 + z)
-    )
+    return z / (1.0 + z)
 '''
 
 
 @pytest.mark.parametrize("form", ["module level", "indented", "unread",
-                                  "shadowed"])
+                                  "shadowed", "branching"])
 def test_a_law_of_another_form(monkeypatch, form):
     # A law is written in from the source `linecache` holds for it; one
-    # written inside a block, whose source cannot be read, or that reads a
-    # global the kernel would shadow with a parameter of `_evaluate` stays a
-    # call. Either way the kernel gives `_evaluate`'s bytes.
+    # written inside a block, whose source cannot be read, that reads a
+    # global the kernel would shadow with a parameter of `_evaluate`, or
+    # that holds an `if` statement stays a call. Either way the kernel gives
+    # `_evaluate`'s bytes.
+    scenario = replace(default_scenario(), t_end=2000.0)
+    by_block = integrate(scenario).data.tobytes()  # the shipped laws
     filename = f"<smc.consistency_guard, {form}>"
-    source = SYNTHETIC.replace("guard", form.replace(" ", "_"))
+    source = (BRANCHING if form == "branching" else SYNTHETIC).replace(
+        "guard", form.replace(" ", "_"))
     if form == "indented":
         source = "if True:\n" + source.replace("\n", "\n    ")
     if form == "shadowed":  # in the kernel, `p` is the parameters
@@ -676,6 +689,10 @@ def test_a_law_of_another_form(monkeypatch, form):
         form != "module level")
     for (y, p, u), _ in BRANCH_CASES.values():
         assert outcome(kernel, y, p, u) == outcome(engine._evaluate, y, p, u)
+    if form == "branching":  # its rows are filled one at a time
+        traj = integrate(scenario)
+        assert engine._fill_block is None
+        assert traj.data.tobytes() == by_block
 
 
 def test_a_law_whose_source_is_not_its_code(monkeypatch):

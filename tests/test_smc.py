@@ -4,12 +4,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from blowdown import hydraulics, smc
 from blowdown.errors import ParameterError
-from defaults import refused
+from defaults import WIDE, bits, refused
 
 EPS = 1e-9  # the shipped Parameters.eps
+
+
+# `smc.consistency_guard` and `smc.saturation` as they were written with `if`
+# statements, the references for their conditional expressions.
+def branching_consistency_guard(C: float, C_max: float,
+                                alpha_sig: float) -> float:
+    # Stable logistic evaluation for large |exponent|.
+    x = alpha_sig * (C_max - C)
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def branching_saturation(x: float) -> float:
+    if x > 1.0:
+        return 1.0
+    if x < -1.0:
+        return -1.0
+    return x
 
 
 class TestConsistencyGuard:
@@ -44,6 +65,12 @@ class TestConsistencyGuard:
         assert smc.consistency_guard(1.0, 0.30, 5000.0) == pytest.approx(0.0)
         assert smc.consistency_guard(0.0, 0.30, 5000.0) == pytest.approx(1.0)
 
+    @settings(max_examples=500, deadline=None)
+    @given(WIDE, WIDE, WIDE)
+    def test_same_bits_as_the_branching_law(self, C, C_max, alpha_sig):
+        assert bits(smc.consistency_guard, C, C_max, alpha_sig) == bits(
+            branching_consistency_guard, C, C_max, alpha_sig)
+
     def test_rejects_nonpositive_steepness(self):
         refused({"parameters": {"alpha_sig": 0.0}},
                 "parameters: alpha_sig must be positive")
@@ -77,6 +104,11 @@ class TestSlidingSurface:
         assert smc.saturation(3.0) == 1.0
         assert smc.saturation(-7.0) == -1.0
         assert smc.saturation(1.0) == 1.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(WIDE)
+    def test_saturation_same_bits_as_the_branching_law(self, x):
+        assert bits(smc.saturation, x) == bits(branching_saturation, x)
 
 
 class TestEquivalentHead:
