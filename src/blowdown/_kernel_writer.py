@@ -35,8 +35,13 @@ at a time, and a conditional expression over arithmetic as `np.where`, so
 every float is the kernel's. The law rule places `lyapunov_rate` for
 dV/dt.
 
-`engine` imports this module when it generates the kernel, at the first
-run, so importing the package or parsing a scenario compiles none of it.
+`generated` prints both functions for the shipped code as the module
+`_generated`, with the calls they read and a digest of each function the
+writer read; `python -m blowdown._kernel_writer` rewrites it. At its first
+run `engine` compiles the two from there if every digest is that of the
+loaded code, so a run of the shipped laws imports none of this module;
+otherwise, and at a later run once a call either function read has
+changed, `engine` imports it and generates them.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import functools
 import linecache
 import math
 import operator
+import sys
 import types
 
 _LAW_MODULES = frozenset(f"{__package__}.{m}" for m in (
@@ -137,6 +143,59 @@ def write_block(kernel, g: dict):
                                f"out[:, {k}] = {values.get(name, name)}"
                                for k, name in enumerate(columns)))
     return source, writer.calls
+
+
+#: The head of `_generated.py`.
+_GENERATED = '''\
+"""The closed-loop kernel and the block filler as `_kernel_writer` writes
+them for the shipped laws, with the calls they read and the digest of each
+function the writer read. `engine` compiles them at its first run if every
+digest is that of the loaded code. Written by `python -m
+blowdown._kernel_writer`; not edited by hand.
+"""
+'''
+
+
+def generated(g: dict, digests: dict | None = None) -> str:
+    """The text of `_generated.py`: the kernel and the block filler as
+    `write` and `write_block` write them in `g`, `engine`'s namespace; the
+    (module, name) of each call either reads; and, by interpreter cache
+    tag, `engine._digest` of `_evaluate` and of each of those calls on this
+    interpreter, or `digests` if given."""
+    kernel_source, kernel, calls = write(g["_evaluate"], "_kernel", g)
+    fill_source, fill_calls = write_block(kernel, g)
+    read = {(ns["__name__"], name): obj
+            for ns, name, obj in calls + fill_calls}
+    if digests is None:
+        digests = {sys.implementation.cache_tag: tuple(map(
+            g["_digest"], (g["_evaluate"], *read.values())))}
+    for source in (kernel_source, fill_source):
+        _require("'''" not in source and "\\" not in source,
+                 "a source that a raw string can hold")
+    names = [f"{module}.{name}" for module, name in (
+        (g["__name__"], "_evaluate"), *read)]
+    lines = [_GENERATED, f"KERNEL = r'''{kernel_source}'''", "",
+             f"FILL_BLOCK = r'''{fill_source}'''", "",
+             "#: (module, name) of each call the kernel or the filler reads.",
+             "CALLS = (", *(f"    {key!r}," for key in read), ")", "",
+             "#: By interpreter cache tag, `engine._digest` of"
+             " `engine._evaluate` and of", "#: each function of `CALLS`.",
+             "DIGESTS = {"]
+    for tag, values in digests.items():
+        lines += [f"    {tag!r}: (", *(
+            f"        0x{value:08x},  # {name}"
+            for value, name in zip(values, names, strict=True)), "    ),"]
+    return "\n".join(lines + ["}", ""])
+
+
+def main() -> None:
+    """Writes `_generated.py` beside `engine`, from the loaded code."""
+    from pathlib import Path
+
+    from . import engine
+    path = Path(engine.__file__).with_name("_generated.py")
+    path.write_text(generated(vars(engine)))
+    print(f"wrote {path}")
 
 
 def _over_rows(kernel, g: dict):
@@ -641,3 +700,7 @@ class _Lines:
                 f" {s} {t}" for s, (t, _) in zip(symbols, texts[1:]))
             return f"({text})", vector
         raise ValueError(f"not an expression over rows: {ast.dump(node)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import hydraulics, smc
+from . import engine, hydraulics, smc
 from .engine import (PROT_H0_BOUND, PROT_MFL_FLOOR, PROT_MS_FLOOR,
                      PROT_QCMD_BOUND, PROT_QP_BOUND, Scenario, Trajectory,
                      integrate, integrate_fixed_rk4)
@@ -345,15 +345,20 @@ def criterion_boundedness(ctx: _Context) -> CriterionResult:
 
 
 def criterion_determinism(ctx: _Context) -> CriterionResult:
-    """Two independent runs of the same scenario serialize byte-identically."""
+    """Three runs of the same scenario give one table, bit for bit, and one
+    CSV: the run as shipped, the run with every law called and its rows
+    filled one at a time (`engine._unfused`), and the run as shipped again.
+    The tables are compared too, since a CSV's 9 digits hide a last bit."""
     short = replace(ctx.scenario, t_end=min(ctx.scenario.t_end, 2.0e4))
-    first = trajectory_csv(integrate(short))
-    second = trajectory_csv(integrate(short))
-    ok = first == second
+    runs = (integrate(short), engine._unfused(integrate, short),
+            integrate(short))
+    texts = [trajectory_csv(run) for run in runs]
+    tables = {run.data.tobytes() for run in runs}
+    ok = len(tables) == len(set(texts)) == 1
     return CriterionResult(
         11, "determinism", ok,
         f"repeated serialization byte-identical: {ok} "
-        f"({len(first)} bytes)")
+        f"({len(texts[0])} bytes)")
 
 
 CRITERIA: List[Callable[[_Context], CriterionResult]] = [

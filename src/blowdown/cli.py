@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import yaml  # noqa: F401 -- perfbench/tracing.py patches `cli.yaml`
 
-from . import smc
+from . import engine, smc
 from .engine import MAX_LOG_ROWS, integrate
 from .errors import (BlowdownError, IntegrationError, ParameterError,
                      ScenarioError)
@@ -133,6 +133,7 @@ def _set_path(doc: dict, dotted: str, value: float) -> None:
 def _cmd_sweep(args) -> int:
     import concurrent.futures  # loads logging: only `sweep` needs it
     import copy
+    import multiprocessing
     tokens = [v.strip() for v in args.values.split(",") if v.strip()]
     try:
         named = {float(token): token for token in tokens}
@@ -154,8 +155,15 @@ def _cmd_sweep(args) -> int:
     out_root = Path(args.out)
     # Processes, not threads: DOPRI5 steps in pure Python, holding the GIL,
     # and scipy's lsoda keeps global Fortran state, one problem per process.
+    # Forked where the platform can, from a parent that has compiled the
+    # kernel and imported the solver, each worker starts warm.
+    engine._refresh_kernel()
+    if any(scenario.method == "LSODA" for _, scenario in runs):
+        import scipy.integrate  # noqa: F401
+    context = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(len(runs), 8)) as pool:
+            max_workers=min(len(runs), 8), mp_context=context) as pool:
         futures = [pool.submit(_run_to_csv, scenario,
                                out_root / f"{args.param}={token}")
                    for token, scenario in runs]

@@ -50,33 +50,41 @@ the states through `_bounded` and checks only that its results are finite,
 with one sum; only a failing check gathers them to name the first non-finite
 one. It returns floats: the derivative is a 9-tuple in state order.
 
-The kernel `assemble_rhs` and `evaluate_snapshot` run is generated from the
-public laws, once per process, by the first run: `_generate_kernel` has
-`_kernel_writer` write `_evaluate` with each call of a law (and of
-`_bounded`) as the law's body, nested laws included, with the same
-operations in the same order, so every float is the same. The writer
-transforms the syntax trees of `_evaluate` and the laws with `ast` and
-prints the kernel's `def` with `ast.unparse`. It moves no code: a law is
-written in where it is the whole value of an assignment, or where it is
-one `return` called with names or attributes, and stays a call anywhere
-else; so `_evaluate` assigns every law it calls with statements, the
-snapshot's `V` and `eta_h` included. Until the first run the kernel is
-`_evaluate` itself, so parsing a scenario builds nothing; it stays
-`_evaluate` if the writer fails, or if `_evaluate`'s source cannot be read
-or does not compile to the code that is loaded. The laws are
-straight-line, each choice a conditional expression. A law that holds an
-`if` statement, that `engine` or a law's module holds as a wrapper
-(`__wrapped__`) or a replacement, or whose source is not that of its
-loaded code, stays a call, and the rows are then filled one at a time.
-`_drive` checks once per run whether a call
-either function read has changed: the kernel is generated again only if
-one of its own did (its laws, `_bounded`, `_raise_non_finite`), and the
-block filler if the kernel or `lyapunov_rate` did. A direct `assemble_rhs`
-or `evaluate_snapshot` call sees a law wrapped or replaced after the kernel
-was generated only from the next run on. The generated kernel, the block
-filler and the DOPRI5 step are compiled under names of their own, with
-their source in `linecache`, so tracebacks, profiles and `inspect` show
-them.
+The kernel `assemble_rhs` and `evaluate_snapshot` run is `_evaluate` with
+each call of a law (and of `_bounded`) written in as the law's body, nested
+laws included, with the same operations in the same order, so every float
+is the same. `_kernel_writer` writes it: it transforms the syntax trees of
+`_evaluate` and the laws with `ast` and prints the kernel's `def` with
+`ast.unparse`. It moves no code: a law is written in where it is the whole
+value of an assignment, or where it is one `return` called with names or
+attributes, and stays a call anywhere else; so `_evaluate` assigns every
+law it calls with statements, the snapshot's `V` and `eta_h` included.
+The writer's output for the shipped code, the kernel and the block filler,
+is committed as the module `_generated`, rewritten by `python -m
+blowdown._kernel_writer` and compared with the writer's output by tier-1.
+Both functions are generated once per process, by the first run, never at
+import: the first run compiles those of `_generated` if `_evaluate` and
+every call they read have the digest (`_digest`) recorded there for this
+interpreter, so a run of the shipped laws never imports the writer; else,
+and at any later run once a call either function read has changed,
+`_generate_kernel` and `_generate_filler` have the writer write them.
+Until the first run the kernel is `_evaluate` itself, so parsing a
+scenario builds nothing; it stays `_evaluate` if the writer fails, or if
+`_evaluate`'s source cannot be read or does not compile to the code that
+is loaded. The laws are straight-line, each choice a conditional
+expression. A law that holds an `if` statement, that `engine` or a law's
+module holds as a wrapper (`__wrapped__`) or a replacement, or whose
+source is not that of its loaded code, stays a call, and the rows are then
+filled one at a time. `_drive` checks once per run whether a call either
+function read has changed: the kernel is generated again only if one of
+its own did (its laws, `_bounded`, `_raise_non_finite`), and the block
+filler if the kernel or `lyapunov_rate` did; the committed kernel has no
+syntax tree to write a filler from, so for it a changed `lyapunov_rate`
+counts as its own. A direct `assemble_rhs` or `evaluate_snapshot` call
+sees a law wrapped or replaced after the kernel was generated only from
+the next run on. The generated kernel, the block filler and the DOPRI5
+step are compiled under names of their own, with their source in
+`linecache`, so tracebacks, profiles and `inspect` show them.
 """
 
 from __future__ import annotations
@@ -87,7 +95,9 @@ import linecache
 import math
 import operator
 import struct
+import sys
 import warnings
+import zlib
 from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple
 
@@ -461,10 +471,14 @@ _snapshot = evaluate_snapshot  # blocks are filled only while it is this one
 
 
 def _refresh_kernel():
-    """The kernel, generated on the first run and again once a call it read
-    has changed; and the block filler `_fill_block`, generated again once
-    the kernel or a call it read has. `_drive` checks once per run."""
+    """The kernel and the block filler `_fill_block`: at the first run, those
+    `_generated` holds if they are still the writer's output for the loaded
+    code; then the kernel generated again once a call it read has changed,
+    and the filler once the kernel or a call it read has. `_drive` checks
+    once per run."""
     global _kernel, _kernel_calls, _fill_block, _fill_calls
+    if _fill_calls is None and (committed := _load_generated()):
+        _kernel, _kernel_calls, _fill_block, _fill_calls = committed
     if _stale(_kernel_calls):
         _kernel, _kernel_calls = _generate_kernel()
     if _stale(_fill_calls):
@@ -475,6 +489,37 @@ def _refresh_kernel():
 def _stale(calls) -> bool:
     return calls is None or any(ns.get(name) is not obj
                                 for ns, name, obj in calls)
+
+
+def _digest(fn) -> int:
+    """CRC-32 of what a function's code does: `co_code`, `co_consts` and
+    `co_names`, as the writer compares a function with its source."""
+    code = fn.__code__
+    return zlib.crc32(repr((code.co_consts, code.co_names)).encode(),
+                      zlib.crc32(code.co_code))
+
+
+def _load_generated():
+    """(kernel, its calls, filler, its calls) compiled from `_generated`,
+    the writer's output committed for the shipped code; None if the module
+    is missing or corrupt, or unless `_evaluate` and each call either
+    function reads has the digest recorded there for this interpreter. The
+    filler's calls count as the kernel's, since with no syntax tree a new
+    filler needs a new kernel."""
+    try:
+        from . import _generated
+        calls = [(vars(sys.modules[module]), name)
+                 for module, name in _generated.CALLS]
+        calls = [(ns, name, ns[name]) for ns, name in calls]
+        read = (_evaluate, *(obj for _, _, obj in calls))
+        if tuple(map(_digest, read)) != _generated.DIGESTS[
+                sys.implementation.cache_tag]:
+            return None
+        kernel = _compiled(_generated.KERNEL, "_kernel", globals())
+        filler = _compiled(_generated.FILL_BLOCK, "_fill_block", globals())
+    except Exception:  # the writer's path then tells what is wrong
+        return None
+    return kernel, calls, filler, [(globals(), "_kernel", kernel)]
 
 
 def _generate_kernel():
@@ -507,6 +552,20 @@ def _generate_filler():
         except Exception:  # a fault of the writer: rows one at a time
             pass
     return None, read
+
+
+def _unfused(run, *args):
+    """`run(*args)` as after a fault of the writer: a run calls `_evaluate`,
+    each law a call, and fills its rows one at a time. The generated kernel
+    and filler are restored after it, even if it raises."""
+    global _kernel, _kernel_calls, _fill_block, _fill_calls
+    saved = _kernel, _kernel_calls, _fill_block, _fill_calls
+    _kernel, _kernel_calls = _evaluate, []
+    _fill_block, _fill_calls = None, [(globals(), "_kernel", _evaluate)]
+    try:
+        return run(*args)
+    finally:
+        _kernel, _kernel_calls, _fill_block, _fill_calls = saved
 
 
 def _pow(a, b):

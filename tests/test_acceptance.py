@@ -7,6 +7,7 @@ one-liner so the observed margins are visible in the test log.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blowdown import acceptance, engine
@@ -104,3 +105,46 @@ def test_mass_on_a_phase_that_starts_empty(state):
     assert result.passed, result.line
     assert "nan" not in result.detail
     assert result.detail.startswith("fiber residual none,") == ("M_s" in state)
+
+
+def test_determinism_runs_the_written_laws_unfused(monkeypatch):
+    # The second of its three runs calls `_evaluate`, each law a call, and
+    # fills its rows one at a time; the third runs the generated code again.
+    ctx = acceptance._Context(parse_scenario({"t_end": 2000.0}))
+    engine._refresh_kernel()
+    fused = engine._kernel, engine._fill_block
+    seen, reconstruct = [], engine._reconstruct
+    monkeypatch.setattr(engine, "_reconstruct", lambda *args: (
+        seen.append((engine._kernel, engine._fill_block)),
+        reconstruct(*args))[1])
+    result = acceptance.criterion_determinism(ctx)
+    assert result.passed, result.line
+    assert seen == [fused, (engine._evaluate, None), fused]
+
+
+def test_determinism_restores_the_kernel_when_a_run_raises(monkeypatch):
+    ctx = acceptance._Context(parse_scenario({"t_end": 2000.0}))
+    engine._refresh_kernel()
+    fused = engine._kernel, engine._fill_block, engine._kernel_calls
+    runs, integrate = [], acceptance.integrate
+
+    def second_fails(scenario):
+        runs.append(engine._kernel)
+        if len(runs) == 2:
+            raise RuntimeError("a fault inside the unfused run")
+        return integrate(scenario)
+
+    monkeypatch.setattr(acceptance, "integrate", second_fails)
+    with pytest.raises(RuntimeError):
+        acceptance.criterion_determinism(ctx)
+    assert runs[1] is engine._evaluate
+    assert (engine._kernel, engine._fill_block, engine._kernel_calls) == fused
+
+
+def test_determinism_fails_on_numpys_power(monkeypatch):
+    # numpy's `power` rounds some results to another last bit, which the
+    # CSV's 9 significant digits hide: the tables differ, so the criterion
+    # fails when the block filler takes it for Python's `**`.
+    monkeypatch.setattr(engine, "_pow", np.power)
+    result = acceptance.criterion_determinism(acceptance._Context())
+    assert not result.passed, result.line

@@ -1,6 +1,9 @@
 """Command-line surface: subcommands, outputs, exit codes."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -226,6 +229,29 @@ class TestSweep:
         for value in ("1", "3"):
             assert (out / f"parameters.k_smc={value}"
                     / "trajectory.csv").exists()
+
+    def test_lsoda_sweep_writes_what_simulate_writes(self, tmp_path):
+        # Workers forked from a parent that compiled the kernel and imported
+        # scipy write the bytes of serial `simulate` runs; a worker that
+        # hangs fails the timeout.
+        doc = tmp_path / "scn.yaml"
+        doc.write_text("t_end: 2000.0\nmethod: LSODA\n")
+        out = tmp_path / "sweep"
+        src = os.path.dirname(os.path.dirname(engine.__file__))
+        subprocess.run(
+            [sys.executable, "-m", "blowdown.cli", "sweep", "--scenario",
+             str(doc), "--param", "parameters.k_smc", "--values", "1,3",
+             "--out", str(out)], env={**os.environ, "PYTHONPATH": src},
+            check=True, capture_output=True, timeout=120)
+        for value in ("1", "3"):
+            one = tmp_path / f"k_smc={value}.yaml"
+            one.write_text(doc.read_text()
+                           + f"parameters: {{k_smc: {value}}}\n")
+            assert main(["simulate", "--scenario", str(one), "--out",
+                         str(tmp_path / value)]) == EXIT_OK
+            swept = out / f"parameters.k_smc={value}" / "trajectory.csv"
+            assert swept.read_bytes() == (
+                tmp_path / value / "trajectory.csv").read_bytes()
 
     def test_directories_named_by_token(self, tmp_path, capsys):
         # Equal to 6 significant digits, once written to one directory.

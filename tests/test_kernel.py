@@ -21,6 +21,7 @@ import linecache
 import math
 import operator
 import struct
+import sys
 import traceback
 import tracemalloc
 import warnings
@@ -33,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blowdown import engine, smc
+from blowdown import _generated, engine, smc
 from blowdown.engine import (SNAPSHOT_COLUMNS, assemble_rhs, evaluate_snapshot,
                              integrate)
 from blowdown.errors import IntegrationError
@@ -710,6 +711,7 @@ def test_a_law_whose_source_is_not_its_code(monkeypatch):
                                   "f_ex = p.rho_fl * u.f_fl * 2.0")
                      for line in linecache.getlines(engine_file)]
     assert edited_engine != linecache.getlines(engine_file)
+    engine._refresh_kernel()  # the first run's: later ones reach the writer
     for edited_function in ("law", "_evaluate"):
         try:
             with monkeypatch.context() as patch:
@@ -792,6 +794,7 @@ def test_a_fault_of_the_writer_leaves_evaluate_the_kernel(monkeypatch):
     def fault(*args):
         raise AssertionError("a fault of the writer")
 
+    engine._refresh_kernel()  # the first run's: later ones reach the writer
     monkeypatch.setattr(_kernel_writer, "write", fault)
     monkeypatch.setattr(engine, "_kernel", engine._kernel)
     monkeypatch.setattr(engine, "_kernel_calls", None)
@@ -838,6 +841,10 @@ def test_the_row_writer_is_fused_from_the_kernels_tree(monkeypatch):
     assert parsed and kernel_source not in parsed
 
 
+#: What a code object does, as the writer compares it.
+DOES = operator.attrgetter("co_code", "co_consts", "co_names")
+
+
 def generated_block_filler():
     engine._refresh_kernel()
     return engine._fill_block
@@ -857,5 +864,82 @@ def test_generated_source_can_be_read(generated, name, head):
     source = inspect.getsource(fn)
     assert source.startswith(head + "\n")
     exec(compile(source, "<check>", "exec"), {}, filed := {})
-    does = operator.attrgetter("co_code", "co_consts", "co_names")
-    assert does(filed.popitem()[1].__code__) == does(fn.__code__)
+    assert DOES(filed.popitem()[1].__code__) == DOES(fn.__code__)
+
+
+TAG = sys.implementation.cache_tag
+
+
+def test_the_committed_module_is_the_writers_output():
+    # The committed kernel and filler are derived, never edited: a law,
+    # `_evaluate` or the writer changed without regenerating fails here. On
+    # an interpreter the module has no digests for, all but those must
+    # match.
+    from blowdown import _kernel_writer
+    committed = _generated.DIGESTS
+    text = _kernel_writer.generated(
+        vars(engine), None if TAG in committed else committed)
+    with open(_generated.__file__, encoding="utf-8") as file:
+        same = text == file.read()
+    assert same, ("src/blowdown/_generated.py is not the writer's output: "
+                  "run `python -m blowdown._kernel_writer`")
+
+
+def rate(s_q, s_prev, dt):
+    """`smc.lyapunov_rate`'s floats, from code of its own."""
+    return smc.lyapunov_rate(s_q, s_prev, dt)
+
+
+#: Each way the committed module cannot be used, and the change that makes
+#: it so: the first run then generates both functions through the writer.
+FALLBACKS = {
+    "another interpreter": lambda patch: patch.setattr(
+        _generated, "DIGESTS", {"other-tag": _generated.DIGESTS[TAG]}),
+    "patched digest": lambda patch: patch.setitem(
+        _generated.DIGESTS, TAG, (0,) + _generated.DIGESTS[TAG][1:]),
+    "corrupt module": lambda patch: patch.setattr(
+        _generated, "KERNEL", _generated.KERNEL[:-40]),
+    "missing module": lambda patch: (
+        patch.delattr(sys.modules["blowdown"], "_generated"),
+        patch.setitem(sys.modules, "blowdown._generated", None)),
+    "wrapped law": lambda patch: patch.setattr(
+        engine, "consistency_guard", functools.wraps(smc.consistency_guard)(
+            lambda *args: smc.consistency_guard(*args))),
+    "replaced lyapunov_rate": lambda patch: patch.setattr(
+        engine, "lyapunov_rate", rate)}
+
+
+def first_run(monkeypatch, change=None):
+    """(table bytes, kernel, filler) of a 2000 s run made as a process's
+    first, after `change`; the generated functions are restored after."""
+    scenario = replace(default_scenario(), t_end=2000.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_kernel", engine._evaluate)
+        for name in ("_kernel_calls", "_fill_block", "_fill_calls"):
+            patch.setattr(engine, name, None)
+        if change:
+            change(patch)
+        return integrate(scenario).data.tobytes(), (
+            engine._kernel, engine._fill_block)
+
+
+#: The committed module holds digests for one interpreter; on another the
+#: first run always takes the writer's path.
+COMMITTED_HERE = pytest.mark.skipif(
+    TAG not in _generated.DIGESTS,
+    reason=f"the committed module has no digests for {TAG}")
+
+
+@COMMITTED_HERE
+@pytest.mark.parametrize("fallback", FALLBACKS)
+def test_each_fallback_gives_the_committed_bytes(monkeypatch, fallback):
+    committed, (kernel, filler) = first_run(monkeypatch)
+    assert not hasattr(kernel, "tree") and filler is not None
+    assert kernel.__code__.co_filename == "<blowdown.engine._kernel>"
+    written, (kernel_, filler_) = first_run(monkeypatch, FALLBACKS[fallback])
+    assert written == committed
+    assert hasattr(kernel_, "tree")  # the writer's
+    if fallback in ("wrapped law", "replaced lyapunov_rate"):
+        return  # the law stays a call, and rows are filled one at a time
+    assert DOES(kernel_.__code__) == DOES(kernel.__code__)
+    assert DOES(filler_.__code__) == DOES(filler.__code__)
