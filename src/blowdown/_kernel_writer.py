@@ -82,6 +82,9 @@ def write(fn, name: str, kernel_globals: dict):
 #: columns and `{s_q}` is the table's column of s_q. `{kernel}` stands for
 #: the kernel's statements, `{rows}` for the row's own, `_DV_DT`, both
 #: written over the block, and `{columns}` for one assignment a column.
+#: The raw rows are the first cells of the table's own rows: the filler
+#: copies them first and writes `table` only once every column is computed,
+#: so a block it raises on keeps them for `engine._fill_rows`.
 _BLOCK = '''def _fill_block(table, raw, start, stop, p):
     """Rows `start` to `stop` of `table`, rebuilt from the same rows of
     `raw`: the kernel's statements, written over a block of rows."""

@@ -23,23 +23,23 @@ formulas by itself and is imported only when a scenario uses it.
 A run is one float table with a row per logged instant and a column per
 name in `TRAJECTORY_COLUMNS`: the differential states, the held inputs,
 the `SNAPSHOT_COLUMNS` of `evaluate_snapshot`, dV/dt and the protection
-mask. While it steps, `_drive` records each logged row raw, with one
-`pack_into` call into a narrow table allocated from the log grid: the time,
-the state, the held inputs and the protection bits gathered for the row
-(`_RAW_COLUMNS`); a state read from an interpolant that is not finite is
-refused there, at the step that logs it. After the last step,
-`_reconstruct` fills every other column. `_fill_block`, generated from the
-kernel, fills `_BLOCK_ROWS` rows at a time with numpy: it bounds the
-states, gives the protection bits, reconstructs the row and takes dV/dt
-against the row before, with the same floats as the kernel (`+ - * /` and
-comparisons in numpy, `**` and `math.exp` on Python floats, a conditional
-expression as `np.where`). `_fill_rows` fills a row at a time,
-calling `_protect` and `evaluate_snapshot` once each: for a run of fewer
-than `_BLOCK_MIN_ROWS` rows, while `engine.evaluate_snapshot` is a wrapper
-or a replacement (and `_snapshot`, the function it was, is not), while
-there is no block filler, and for any block the filler fails on, so that
-the error or the bytes are those of the rows one at a time. Both write the
-same bytes.
+mask. The table is allocated from the log grid before the first step.
+While it steps, `_drive` records each logged row raw, with one `pack_into`
+call into the first cells of the row: the time, the state, the held inputs
+and the protection bits gathered for the row (`_RAW_COLUMNS`); a state read
+from an interpolant that is not finite is refused there, at the step that
+logs it. After the last step, `_reconstruct` fills each row in place, its
+raw cells read first. `_fill_block`, generated with the kernel, fills
+`_BLOCK_ROWS` rows at a time with numpy: it bounds the states, gives the
+protection bits, reconstructs the row and takes dV/dt against the row
+before, with the same floats as the kernel (`+ - * /` and comparisons in
+numpy, `**` and `math.exp` on Python floats, a conditional expression as
+`np.where`). `_fill_rows` fills a row at a time, calling `_protect` and
+`evaluate_snapshot` once each: for a run of fewer than `_BLOCK_MIN_ROWS`
+rows, while `engine.evaluate_snapshot` is a wrapper or a replacement (and
+`_snapshot`, the function it was, is not), while there is no block filler,
+and for any block the filler fails on, so that the error or the bytes are
+those of the rows one at a time. Both write the same bytes.
 
 The right-hand side and the logged reconstructions come from one kernel,
 written once as `_evaluate`, which calls the one public function of each
@@ -59,32 +59,29 @@ is the same. `_kernel_writer` writes it: it transforms the syntax trees of
 value of an assignment, or where it is one `return` called with names or
 attributes, and stays a call anywhere else; so `_evaluate` assigns every
 law it calls with statements, the snapshot's `V` and `eta_h` included.
-The writer's output for the shipped code, the kernel and the block filler,
-is committed as the module `_generated`, rewritten by `python -m
-blowdown._kernel_writer` and compared with the writer's output by tier-1.
-Both functions are generated once per process, by the first run, never at
-import: the first run compiles those of `_generated` if `_evaluate` and
-every call they read have the digest (`_digest`) recorded there for this
-interpreter, so a run of the shipped laws never imports the writer; else,
-and at any later run once a call either function read has changed,
-`_generate_kernel` and `_generate_filler` have the writer write them.
-Until the first run the kernel is `_evaluate` itself, so parsing a
-scenario builds nothing; it stays `_evaluate` if the writer fails, or if
-`_evaluate`'s source cannot be read or does not compile to the code that
-is loaded. The laws are straight-line, each choice a conditional
-expression. A law that holds an `if` statement, that `engine` or a law's
-module holds as a wrapper (`__wrapped__`) or a replacement, or whose
-source is not that of its loaded code, stays a call, and the rows are then
-filled one at a time. `_drive` checks once per run whether a call either
-function read has changed: the kernel is generated again only if one of
-its own did (its laws, `_bounded`, `_raise_non_finite`), and the block
-filler if the kernel or `lyapunov_rate` did; the committed kernel has no
-syntax tree to write a filler from, so for it a changed `lyapunov_rate`
-counts as its own. A direct `assemble_rhs` or `evaluate_snapshot` call
-sees a law wrapped or replaced after the kernel was generated only from
-the next run on. The generated kernel, the block filler and the DOPRI5
-step are compiled under names of their own, with their source in
-`linecache`, so tracebacks, profiles and `inspect` show them.
+The kernel, the block filler and the calls they read (`_calls`) are one
+unit. The writer's output for the shipped code is committed as the module
+`_generated`, rewritten by `python -m blowdown._kernel_writer` and compared
+with the writer's output by tier-1. The unit is generated once per
+process, by the first run, never at import: the first run compiles the two
+functions of `_generated` if `_evaluate` and every call they read have the
+digest (`_digest`) recorded there for this interpreter, so a run of the
+shipped laws never imports the writer; else `_generate` has the writer
+write the kernel, then the filler from the kernel's syntax tree. `_drive`
+checks once per run whether a call of `_calls` has changed, and if one
+has, `_generate` writes both again. Until the first run the kernel is
+`_evaluate` itself, so parsing a scenario builds nothing; it stays
+`_evaluate` if the writer fails, or if `_evaluate`'s source cannot be read
+or does not compile to the code that is loaded. The laws are
+straight-line, each choice a conditional expression. A law that holds an
+`if` statement, that `engine` or a law's module holds as a wrapper
+(`__wrapped__`) or a replacement, or whose source is not that of its
+loaded code, stays a call, and the rows are then filled one at a time. A
+direct `assemble_rhs` or `evaluate_snapshot` call sees a law wrapped or
+replaced after the kernel was generated only from the next run on. The
+generated kernel, the block filler and the DOPRI5 step are compiled under
+names of their own, with their source in `linecache`, so tracebacks,
+profiles and `inspect` show them.
 """
 
 from __future__ import annotations
@@ -222,9 +219,9 @@ SNAPSHOT_COLUMNS = tuple(c for c in TRAJECTORY_COLUMNS if c not in {
 #: Packs one row of floats, given in `TRAJECTORY_COLUMNS` order, into a
 #: float table at a byte offset.
 _pack_into = struct.Struct(f"{len(TRAJECTORY_COLUMNS)}d").pack_into
-#: What `_drive` records of a logged row, and packs the same way into a raw
-#: table: the time, the state, the held inputs and the protection bits
-#: gathered for the row.
+#: What `_drive` records of a logged row, packed the same way into the first
+#: cells of the row: the time, the state, the held inputs and the protection
+#: bits gathered for the row.
 _RAW_COLUMNS = ("t", *_STATE_NAMES, *_INPUT_NAMES, "protection_mask")
 _pack_raw = struct.Struct(f"{len(_RAW_COLUMNS)}d").pack_into
 _held = operator.attrgetter(*_INPUT_NAMES)  # the inputs a row records
@@ -464,31 +461,22 @@ def _compiled(source: str, generator: str, namespace: dict):
 # Until the first run generates it, the kernel is `_evaluate` itself: the
 # same floats, and parsing a scenario builds nothing.
 _kernel = _evaluate
-_kernel_calls = None  # (namespace, name, object) of each call the kernel read
-_fill_block = None  # the block filler, generated from the kernel
-_fill_calls = None  # and each call it read, the kernel included
+_fill_block = None  # the block filler, generated with the kernel
+_calls = None  # (namespace, name, object) of each call either one read
 _snapshot = evaluate_snapshot  # blocks are filled only while it is this one
 
 
 def _refresh_kernel():
-    """The kernel and the block filler `_fill_block`: at the first run, those
-    `_generated` holds if they are still the writer's output for the loaded
-    code; then the kernel generated again once a call it read has changed,
-    and the filler once the kernel or a call it read has. `_drive` checks
-    once per run."""
-    global _kernel, _kernel_calls, _fill_block, _fill_calls
-    if _fill_calls is None and (committed := _load_generated()):
-        _kernel, _kernel_calls, _fill_block, _fill_calls = committed
-    if _stale(_kernel_calls):
-        _kernel, _kernel_calls = _generate_kernel()
-    if _stale(_fill_calls):
-        _fill_block, _fill_calls = _generate_filler()
+    """The kernel and the block filler `_fill_block`, one unit: at the first
+    run, those `_generated` holds if they are still the writer's output for
+    the loaded code; then both written again once a call either read has
+    changed. `_drive` checks once per run."""
+    global _kernel, _fill_block, _calls
+    if _calls is None:
+        _kernel, _fill_block, _calls = _load_generated() or _generate()
+    elif any(ns.get(name) is not obj for ns, name, obj in _calls):
+        _kernel, _fill_block, _calls = _generate()
     return _kernel
-
-
-def _stale(calls) -> bool:
-    return calls is None or any(ns.get(name) is not obj
-                                for ns, name, obj in calls)
 
 
 def _digest(fn) -> int:
@@ -500,12 +488,10 @@ def _digest(fn) -> int:
 
 
 def _load_generated():
-    """(kernel, its calls, filler, its calls) compiled from `_generated`,
-    the writer's output committed for the shipped code; None if the module
-    is missing or corrupt, or unless `_evaluate` and each call either
-    function reads has the digest recorded there for this interpreter. The
-    filler's calls count as the kernel's, since with no syntax tree a new
-    filler needs a new kernel."""
+    """(kernel, filler, the calls they read) compiled from `_generated`, the
+    writer's output committed for the shipped code; None if the module is
+    missing or corrupt, or unless `_evaluate` and each call has the digest
+    recorded there for this interpreter."""
     try:
         from . import _generated
         calls = [(vars(sys.modules[module]), name)
@@ -515,57 +501,45 @@ def _load_generated():
         if tuple(map(_digest, read)) != _generated.DIGESTS[
                 sys.implementation.cache_tag]:
             return None
-        kernel = _compiled(_generated.KERNEL, "_kernel", globals())
-        filler = _compiled(_generated.FILL_BLOCK, "_fill_block", globals())
+        return (_compiled(_generated.KERNEL, "_kernel", globals()),
+                _compiled(_generated.FILL_BLOCK, "_fill_block", globals()),
+                calls)
     except Exception:  # the writer's path then tells what is wrong
         return None
-    return kernel, calls, filler, [(globals(), "_kernel", kernel)]
 
 
-def _generate_kernel():
-    """(kernel, the calls it read): `_evaluate` with its laws written in,
-    holding as `tree` the syntax tree it was printed from; `_evaluate`
-    itself if that fails."""
+def _generate():
+    """(kernel, filler, the calls they read), as the writer writes them:
+    `_evaluate` with its laws written in, then the block filler from the
+    kernel's syntax tree. The filler is None if the writer fails on it, and
+    rows are then filled one at a time; the kernel is `_evaluate` itself if
+    the writer fails on it."""
     from . import _kernel_writer
     try:
         source, tree, calls = _kernel_writer.write(_evaluate, "_kernel",
                                                    globals())
         kernel = _compiled(source, "_kernel", globals())
-        kernel.tree = tree
-        return kernel, calls
     except Exception:  # a fault of the writer: the run goes on, unfused
-        return _evaluate, []  # the same floats, each law called
-
-
-def _generate_filler():
-    """(`_fill_block`, the calls it read, the kernel's included): the block
-    filler written from the kernel's tree; None if the kernel has none (it
-    is `_evaluate`) or the writer fails, and rows are then filled one at a
-    time."""
-    from . import _kernel_writer
-    read = [(globals(), "_kernel", _kernel)]
-    if hasattr(_kernel, "tree"):
-        try:
-            source, calls = _kernel_writer.write_block(_kernel.tree,
-                                                       globals())
-            return _compiled(source, "_fill_block", globals()), calls + read
-        except Exception:  # a fault of the writer: rows one at a time
-            pass
-    return None, read
+        return _evaluate, None, []  # the same floats, each law called
+    try:
+        source, fill_calls = _kernel_writer.write_block(tree, globals())
+        return kernel, _compiled(source, "_fill_block", globals()), (
+            calls + fill_calls)
+    except Exception:  # a fault of the writer: rows one at a time
+        return kernel, None, calls
 
 
 def _unfused(run, *args):
     """`run(*args)` as after a fault of the writer: a run calls `_evaluate`,
     each law a call, and fills its rows one at a time. The generated kernel
     and filler are restored after it, even if it raises."""
-    global _kernel, _kernel_calls, _fill_block, _fill_calls
-    saved = _kernel, _kernel_calls, _fill_block, _fill_calls
-    _kernel, _kernel_calls = _evaluate, []
-    _fill_block, _fill_calls = None, [(globals(), "_kernel", _evaluate)]
+    global _kernel, _fill_block, _calls
+    saved = _kernel, _fill_block, _calls
+    _kernel, _fill_block, _calls = _evaluate, None, []
     try:
         return run(*args)
     finally:
-        _kernel, _kernel_calls, _fill_block, _fill_calls = saved
+        _kernel, _fill_block, _calls = saved
 
 
 def _pow(a, b):
@@ -603,15 +577,17 @@ def _fill_rows(table, raw, start: int, stop: int, p: Parameters) -> None:
                                       int(row[-1]) | m)))
 
 
-def _reconstruct(raw, p: Parameters) -> np.ndarray:
-    """The trajectory table of a run's raw rows. `_fill_block` fills it a
+def _reconstruct(table, p: Parameters) -> np.ndarray:
+    """`table` filled in place from the raw cells `_drive` packed into the
+    first `len(_RAW_COLUMNS)` cells of each row. `_fill_block` fills it a
     block of rows at a time; `_fill_rows` fills it a row at a time for a
     run of fewer than `_BLOCK_MIN_ROWS` rows, while `evaluate_snapshot` is
     not `_snapshot` (a wrapper or a replacement that counts or changes each
     row's call) or there is no block filler, and fills again any block
     the filler fails on, so that its error or its bytes are those of its
-    rows one at a time."""
-    table = np.empty((len(raw), len(TRAJECTORY_COLUMNS)))
+    rows one at a time. Each copies the raw cells of its rows before it
+    writes them."""
+    raw = table[:, :len(_RAW_COLUMNS)]
     by_block = (len(raw) >= _BLOCK_MIN_ROWS and _fill_block is not None
                 and evaluate_snapshot is _snapshot)
     for start in range(0, len(raw), _BLOCK_ROWS):
@@ -639,20 +615,21 @@ def _drive(scenario: Scenario, segment, method: str,
     own. Nothing is carried to a later row. A clamped step end before `tb`
     starts a new segment from the clamped state. From one breakpoint to the
     next, a run may take `MAX_STEPS` steps, restarts included, plus the grid
-    of a fixed step `dt`. Rows are recorded raw, into a table sized by the
-    log grid, and `_reconstruct` fills the trajectory from it after the
-    last step; a row's own clamps are taken there. A row before `tb` holds
-    the segment's inputs `u`; only a row at `tb` looks its inputs up, since
-    there the left-closed hold takes the next entry."""
+    of a fixed step `dt`. Rows are recorded raw, into the first cells of
+    the rows of a trajectory table sized by the log grid, and `_reconstruct`
+    fills those rows after the last step; a row's own clamps are taken
+    there. A row before `tb` holds the segment's inputs `u`; only a row at
+    `tb` looks its inputs up, since there the left-closed hold takes the
+    next entry."""
     _refresh_kernel()
     p, schedule = scenario.parameters, scenario.schedule
     y = scenario.initial_state.as_array()
     log_times = _log_grid(scenario) + [math.inf]  # a time no step reaches
     seg_edges = sorted({t for t, _ in schedule
                         if t <= scenario.t_end} | {scenario.t_end})
-    raw = np.empty((len(log_times) - 1, len(_RAW_COLUMNS)))
-    size = raw.itemsize * raw.shape[1]
-    _pack_raw(raw, 0, 0.0, *y, *_held(inputs_at(schedule, 0.0)), 0)
+    table = np.empty((len(log_times) - 1, len(TRAJECTORY_COLUMNS)))
+    size = table.itemsize * table.shape[1]
+    _pack_raw(table, 0, 0.0, *y, *_held(inputs_at(schedule, 0.0)), 0)
     accum, log_idx = 0, 1  # t = 0 already recorded
     for ta, tb in zip(seg_edges[:-1], seg_edges[1:]):
         t, u = ta, inputs_at(schedule, ta)
@@ -673,7 +650,7 @@ def _drive(scenario: Scenario, segment, method: str,
                         z = sol(t_log)
                         z = z if type(z) is list else z.tolist()
                         _refuse(z)
-                        _pack_raw(raw, log_idx * size, t_log, *z, *held,
+                        _pack_raw(table, log_idx * size, t_log, *z, *held,
                                   accum)
                         accum, log_idx = 0, log_idx + 1
                 y, m = _protect(y, p)
@@ -682,13 +659,13 @@ def _drive(scenario: Scenario, segment, method: str,
                 if t_due > tb:
                     t_due = tb
                 while (t_log := log_times[log_idx]) <= t_due:
-                    _pack_raw(raw, log_idx * size, t_log, *y, *(
+                    _pack_raw(table, log_idx * size, t_log, *y, *(
                         held if t_log < tb
                         else _held(inputs_at(schedule, tb))), accum)
                     accum, log_idx = 0, log_idx + 1
                 if m and t < tb:
                     break  # a new segment from the clamped state
-    return Trajectory(_reconstruct(raw[:log_idx], p))
+    return Trajectory(_reconstruct(table[:log_idx], p))
 
 
 def integrate(scenario: Scenario) -> Trajectory:

@@ -5,6 +5,7 @@ same results from the command line). Each criterion prints its quantitative
 one-liner so the observed margins are visible in the test log.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from blowdown import acceptance, engine
 from blowdown.acceptance import CRITERIA, run_all
+from blowdown.errors import IntegrationError
 from blowdown.scenario_io import load_scenario, parse_scenario
 
 _NAMES = [fn.__name__.removeprefix("criterion_") for fn in CRITERIA]
@@ -94,6 +96,32 @@ def test_boundedness_fails_on_a_flow_clamp(monkeypatch):
     assert "run 0: PROT_QP_BOUND on 1 of " in result.detail
 
 
+def test_boundedness_fails_on_a_failed_run_and_a_non_finite_record(
+        monkeypatch):
+    # A run that raises and a run whose record holds a NaN each fail the
+    # criterion, named by their index; the other runs are clean.
+    ctx = acceptance._Context(parse_scenario({"t_end": 2000.0,
+                                              "method": "DOPRI5"}))
+    clean = ctx.trajectory.data
+    nan = clean.copy()
+    nan[3, engine.TRAJECTORY_COLUMNS.index("H0")] = math.nan
+    runs = []
+
+    def integrate(scenario):
+        runs.append(scenario)
+        if len(runs) == 1:
+            raise IntegrationError("a run that fails", t=5.0)
+        return engine.Trajectory((nan if len(runs) == 2 else clean).copy())
+
+    monkeypatch.setattr(acceptance, "integrate", integrate)
+    result = acceptance.criterion_boundedness(ctx)
+    assert len(runs) == 50
+    assert not result.passed, result.line
+    assert result.detail.startswith(
+        "run 0: a run that fails (at t = 5 s); run 1: non-finite record; "
+        "q_p in ["), result.detail
+
+
 @pytest.mark.parametrize("state", [{"M_s": 0.0}, {"M_fl": 0.0}])
 def test_mass_on_a_phase_that_starts_empty(state):
     # A phase that starts empty is judged against its largest logged mass;
@@ -125,7 +153,7 @@ def test_determinism_runs_the_written_laws_unfused(monkeypatch):
 def test_determinism_restores_the_kernel_when_a_run_raises(monkeypatch):
     ctx = acceptance._Context(parse_scenario({"t_end": 2000.0}))
     engine._refresh_kernel()
-    fused = engine._kernel, engine._fill_block, engine._kernel_calls
+    fused = engine._kernel, engine._fill_block, engine._calls
     runs, integrate = [], acceptance.integrate
 
     def second_fails(scenario):
@@ -138,7 +166,7 @@ def test_determinism_restores_the_kernel_when_a_run_raises(monkeypatch):
     with pytest.raises(RuntimeError):
         acceptance.criterion_determinism(ctx)
     assert runs[1] is engine._evaluate
-    assert (engine._kernel, engine._fill_block, engine._kernel_calls) == fused
+    assert (engine._kernel, engine._fill_block, engine._calls) == fused
 
 
 def test_determinism_fails_on_numpys_power(monkeypatch):

@@ -166,17 +166,24 @@ class TestRefusedInput:
           "--values", "1", "--out", "{dir}/sweep"], "scenario error"),
         (["check", "--scenario", "{utf16}"], "scenario error"),
         (["manifold", "--out", "{dir}/m.csv", "--e-range", "0", "inf",
-          "--steps", "3"], "error")],
+          "--steps", "3"], "error"),
+        (["sweep", "--param", "parameters.k_smc", "--values", "1,abc",
+          "--out", "{dir}/sweep"], "scenario error"),
+        (["sweep", "--scenario", "{doc}", "--param", "t_end.x", "--values",
+          "1", "--out", "{dir}/sweep"], "scenario error")],
         ids=["manifold-steps", "manifold-e-range", "simulate-out-file",
              "simulate-scenario-dir", "sweep-out-file", "simulate-not-utf8",
-             "sweep-not-utf8", "check-not-utf8", "manifold-e-inf"])
+             "sweep-not-utf8", "check-not-utf8", "manifold-e-inf",
+             "sweep-bad-values", "sweep-param-into-a-number"])
     def test_exit_1(self, tmp_path, capsys, argv, kind):
         file = tmp_path / "file"
         file.write_text("")
         utf16 = tmp_path / "utf16.yaml"  # a byte-order mark, then UTF-16
         utf16.write_bytes("t_end: 200.0\n".encode("utf-16"))
-        code = main([arg.format(dir=tmp_path, file=file, utf16=utf16)
-                     for arg in argv])
+        doc = tmp_path / "doc.yaml"
+        doc.write_text("t_end: 200.0\n")
+        code = main([arg.format(dir=tmp_path, file=file, utf16=utf16,
+                                doc=doc) for arg in argv])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"blowdown: {kind}: ")

@@ -424,10 +424,15 @@ class TestGeneratedKernel:
         assert np.array_equal(restored, plain)
 
 
+#: The raw cells of a trajectory table's rows, before they are filled.
+RAW = np.s_[:, :len(engine._RAW_COLUMNS)]
+
+
 def raw_table(states, inputs, times, masks=None):
-    """A raw table as `_drive` packs it, a row a state, each packed as it
-    is given, a list or an array."""
-    raw = np.empty((len(states), len(engine._RAW_COLUMNS)))
+    """A trajectory table as `_drive` stages it, a row a state, each packed
+    as it is given, a list or an array, into the row's raw cells; the other
+    cells are NaN."""
+    raw = np.full((len(states), len(engine.TRAJECTORY_COLUMNS)), math.nan)
     size = raw.itemsize * raw.shape[1]
     for i, (y, u, t) in enumerate(zip(states, inputs, times)):
         engine._pack_raw(raw, i * size, t, *y, *engine._held(u),
@@ -437,7 +442,7 @@ def raw_table(states, inputs, times, masks=None):
 
 @st.composite
 def raw_blocks(draw):
-    """(raw, p): a raw table of 1 to 8 rows, the states and inputs of
+    """(raw, p): a staged table of 1 to 8 rows, the states and inputs of
     `wide_cases` under the parameters of the first, whose bounds all share;
     each state a list or, as LSODA's interpolant gives it, an array; times
     that repeat (dV/dt 0.0) or move on, and the bits gathered."""
@@ -455,14 +460,14 @@ def raw_blocks(draw):
 
 
 def filled(raw, p, **constants):
-    """The bytes of the table `_reconstruct` fills from `raw` with
-    `constants` set in `engine`, or the text of the IntegrationError it
-    raised; a RuntimeWarning is an error."""
+    """The bytes of the table `_reconstruct` fills from a copy of the
+    staged table `raw` with `constants` set in `engine`, or the text of the
+    IntegrationError it raised; a RuntimeWarning is an error."""
     engine._refresh_kernel()
     with mock.patch.multiple(engine, **constants), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            return engine._reconstruct(raw, p).tobytes()
+            return engine._reconstruct(raw.copy(), p).tobytes()
         except IntegrationError as exc:
             return f"IntegrationError: {exc}"
 
@@ -495,11 +500,11 @@ class TestRowWriter:
         table = np.empty((len(raw), len(engine.TRAJECTORY_COLUMNS)))
         try:
             with np.errstate(all="raise", under="ignore"):
-                engine._fill_block(table, raw, 0, len(raw), p)
+                engine._fill_block(table, raw[RAW], 0, len(raw), p)
         except FloatingPointError:
             return
         assert table.tobytes() == expected
-        for row, values in zip(table, raw.tolist()):
+        for row, values in zip(table, raw[RAW].tolist()):
             protected, bits = engine._protect(values[1:10], p)
             assert row[MASK] == int(values[-1]) | bits
             assert list(row[1:3]) == protected[:2]
@@ -529,14 +534,29 @@ class TestRowWriter:
         assert by_blocks(raw, p) == expected
         assert isinstance(expected, str) == raises
 
+    @pytest.mark.parametrize("base", ["scalar", "vector"])
+    def test_pow_of_a_vector_exponent_is_pythons(self, base):
+        # The filler writes `_pow` for any `**` with a vector operand: each
+        # element is Python's `**`, bit for bit, whether the base is a
+        # float or a vector too.
+        rng = np.random.default_rng(11)
+        exponents = rng.uniform(-3.0, 3.0, 1000)
+        bases = 1.7 if base == "scalar" else rng.uniform(1e-3, 1e3, 1000)
+        powers = engine._pow(bases, exponents)
+        expected = [a ** b for a, b in zip(
+            np.broadcast_to(bases, exponents.shape).tolist(),
+            exponents.tolist())]
+        assert powers.tobytes() == np.array(expected).tobytes()
+
     def test_a_block_the_filler_fails_on_is_filled_row_by_row(
             self, monkeypatch):
         # Only the check's sum overflows: the rows are finite, the block
         # raises, and its rows alone are filled one at a time.
         scenario = replace(default_scenario(), t_end=400.0, method="DOPRI5")
         data = integrate(scenario).data
-        raw = np.ascontiguousarray(data[:, [engine.TRAJECTORY_COLUMNS.index(
-            name) for name in engine._RAW_COLUMNS]])
+        raw = data.copy()
+        raw[RAW] = data[:, [engine.TRAJECTORY_COLUMNS.index(name)
+                            for name in engine._RAW_COLUMNS]]
         raw[len(raw) // 2, [1, 4]] = 1.0e308  # M_s, xi_eq
         p = scenario.parameters
         blocks, fill_rows = [], engine._fill_rows
@@ -563,8 +583,9 @@ class TestRowWriter:
         assert bool(calls) == filler
 
     def test_reconstruction_memory_scales_with_the_block(self, monkeypatch):
-        # The filler's arrays grow with `_BLOCK_ROWS`, not with the run:
-        # filling 50,000 rows peaks at the table plus a fixed allowance.
+        # The filler's arrays grow with `_BLOCK_ROWS`, not with the run,
+        # and the rows are filled in place: filling 50,000 rows peaks
+        # within a fixed allowance.
         y, p, u = make_case()
         rows = 50_000
         raw = np.tile(raw_table([y], [u], [0.0]), (rows, 1))
@@ -578,8 +599,9 @@ class TestRowWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert table is raw
         assert table.shape == (rows, len(engine.TRAJECTORY_COLUMNS))
-        assert peak <= table.nbytes + 4 * 2**20
+        assert peak <= 4 * 2**20
 
     def test_wrapping_evaluate_snapshot_calls_it_per_row(self, monkeypatch):
         # A wrapper of `engine.evaluate_snapshot` that counts its calls
@@ -696,6 +718,16 @@ def test_a_law_of_another_form(monkeypatch, form):
         assert traj.data.tobytes() == by_block
 
 
+def write_again(patch):
+    """Makes the next run have the writer write the kernel and the filler
+    again, as once a call they read has changed; `patch` restores the unit
+    after."""
+    engine._refresh_kernel()  # the first run's: later ones reach the writer
+    for name in ("_kernel", "_fill_block"):
+        patch.setattr(engine, name, getattr(engine, name))
+    patch.setattr(engine, "_calls", [({}, "a changed call", object())])
+
+
 def test_a_law_whose_source_is_not_its_code(monkeypatch):
     # Source that does not compile to the loaded code (a file edited after
     # import) is not written in: an edited law stays a call, with its own
@@ -721,10 +753,9 @@ def test_a_law_whose_source_is_not_its_code(monkeypatch):
                     patch.setattr(engine, "consistency_guard",
                                   defined["edited_guard"])
                 else:  # the kernel generated again, from the edited file
+                    write_again(patch)
                     patch.setitem(linecache.cache, engine_file, (
                         0, None, edited_engine, engine_file))
-                    patch.setattr(engine, "_kernel", engine._kernel)
-                    patch.setattr(engine, "_kernel_calls", None)
                     _kernel_writer._source.cache_clear()
                     _kernel_writer._form.cache_clear()
                 kernel = engine._refresh_kernel()
@@ -794,10 +825,8 @@ def test_a_fault_of_the_writer_leaves_evaluate_the_kernel(monkeypatch):
     def fault(*args):
         raise AssertionError("a fault of the writer")
 
-    engine._refresh_kernel()  # the first run's: later ones reach the writer
+    write_again(monkeypatch)
     monkeypatch.setattr(_kernel_writer, "write", fault)
-    monkeypatch.setattr(engine, "_kernel", engine._kernel)
-    monkeypatch.setattr(engine, "_kernel_calls", None)
     assert engine._refresh_kernel() is engine._evaluate
     assert integrate(default_scenario()).data.shape[0] > 0
     assert engine._fill_block is None
@@ -811,17 +840,16 @@ def test_a_fault_of_the_row_writer_leaves_rows_calling_through(monkeypatch):
     def fault(kernel, g):
         raise AssertionError("a fault of the block writer")
 
+    write_again(monkeypatch)
     monkeypatch.setattr(_kernel_writer, "write_block", fault)
-    monkeypatch.setattr(engine, "_kernel", engine._kernel)
-    monkeypatch.setattr(engine, "_kernel_calls", None)
     assert integrate(scenario).data.tobytes() == by_block
     assert engine._kernel is not engine._evaluate
     assert engine._fill_block is None
 
 
 def test_the_row_writer_is_fused_from_the_kernels_tree(monkeypatch):
-    # `write` hands the block writer the kernel's syntax tree: generating
-    # both parses no printed kernel.
+    # `write` hands the block writer the kernel's syntax tree: `_generate`
+    # parses no printed kernel.
     parsed, parse = [], ast.parse
 
     def recording(source, *args, **kwargs):
@@ -831,11 +859,9 @@ def test_the_row_writer_is_fused_from_the_kernels_tree(monkeypatch):
     engine._refresh_kernel()
     filler = engine._fill_block
     monkeypatch.setattr(ast, "parse", recording)
-    monkeypatch.setattr(engine, "_kernel", engine._kernel)
-    monkeypatch.setattr(engine, "_kernel_calls", None)
-    engine._refresh_kernel()
-    assert engine._fill_block is not filler
-    assert "evaluate_snapshot" not in engine._fill_block.__code__.co_names
+    _, fill_block, _ = engine._generate()
+    assert fill_block is not filler
+    assert "evaluate_snapshot" not in fill_block.__code__.co_names
     kernel_source = "".join(linecache.getlines("<blowdown.engine._kernel>"))
     assert kernel_source.startswith("def _kernel(y, p, u, full):")
     assert parsed and kernel_source not in parsed
@@ -910,17 +936,21 @@ FALLBACKS = {
 
 
 def first_run(monkeypatch, change=None):
-    """(table bytes, kernel, filler) of a 2000 s run made as a process's
-    first, after `change`; the generated functions are restored after."""
+    """(table bytes, (kernel, filler), whether the writer wrote them) of a
+    2000 s run made as a process's first, after `change`; the unit is
+    restored after."""
     scenario = replace(default_scenario(), t_end=2000.0)
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_kernel", engine._evaluate)
-        for name in ("_kernel_calls", "_fill_block", "_fill_calls"):
+        for name in ("_fill_block", "_calls"):
             patch.setattr(engine, name, None)
+        written, generate = [], engine._generate
+        patch.setattr(engine, "_generate", lambda: (
+            written.append(True), generate())[1])
         if change:
             change(patch)
         return integrate(scenario).data.tobytes(), (
-            engine._kernel, engine._fill_block)
+            engine._kernel, engine._fill_block), bool(written)
 
 
 #: The committed module holds digests for one interpreter; on another the
@@ -933,12 +963,13 @@ COMMITTED_HERE = pytest.mark.skipif(
 @COMMITTED_HERE
 @pytest.mark.parametrize("fallback", FALLBACKS)
 def test_each_fallback_gives_the_committed_bytes(monkeypatch, fallback):
-    committed, (kernel, filler) = first_run(monkeypatch)
-    assert not hasattr(kernel, "tree") and filler is not None
+    committed, (kernel, filler), by_writer = first_run(monkeypatch)
+    assert not by_writer and filler is not None
     assert kernel.__code__.co_filename == "<blowdown.engine._kernel>"
-    written, (kernel_, filler_) = first_run(monkeypatch, FALLBACKS[fallback])
+    written, (kernel_, filler_), by_writer = first_run(
+        monkeypatch, FALLBACKS[fallback])
     assert written == committed
-    assert hasattr(kernel_, "tree")  # the writer's
+    assert by_writer
     if fallback in ("wrapped law", "replaced lyapunov_rate"):
         return  # the law stays a call, and rows are filled one at a time
     assert DOES(kernel_.__code__) == DOES(kernel.__code__)

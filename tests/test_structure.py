@@ -124,7 +124,7 @@ import json, sys
 sys.path[:0] = sys.argv[1:]
 import blowdown.cli
 from blowdown import engine
-at_import = engine._kernel_calls is not None
+at_import = engine._calls is not None
 builds, compiled = [], engine._compiled
 def counted(source, generator, namespace):
     builds.append(generator)
