@@ -1,8 +1,10 @@
 """The closed-loop kernel and the block filler as `_kernel_writer` writes
-them for the shipped laws, with the calls they read and the digest of each
-function the writer read. `engine` compiles them at its first run if every
-digest is that of the loaded code. Written by `python -m
-blowdown._kernel_writer`; not edited by hand.
+them for the shipped laws, with the calls they read and, by interpreter,
+the digest of each function the writer read. `engine` compiles them at the
+first run whose loaded code has this interpreter's digests, and runs them
+while each call is the object it was loaded with; otherwise it runs
+`_evaluate`. Written by `python -m blowdown._kernel_writer`; not edited by
+hand.
 """
 
 KERNEL = r'''def _kernel(y, p, u, full):
@@ -248,5 +250,61 @@ DIGESTS = {
         0xa7d9edc9,  # blowdown.engine.viscous_dissipation
         0xf7e3471c,  # blowdown.engine.lyapunov_value
         0x123c79a0,  # blowdown.engine.lyapunov_rate
+    ),
+    'cpython-312': (
+        0x07f5b030,  # blowdown.engine._evaluate
+        0x4a25b170,  # blowdown.engine._bounded
+        0xf1d5ed54,  # blowdown.engine.consistency
+        0x99f7130e,  # blowdown.engine.mixture_density
+        0xee50d02b,  # blowdown.engine.hydraulic_resistance
+        0xa75f1b71,  # blowdown.engine.static_head
+        0xcbb3ff95,  # blowdown.engine.consistency_guard
+        0x23c5b40c,  # blowdown.engine.protected_reference
+        0x99fb0c6b,  # blowdown.engine.relaxation
+        0x6d909ee0,  # blowdown.engine.sliding_surface
+        0x07ae7bc6,  # blowdown.engine.equivalent_head
+        0xcad02efe,  # blowdown.engine.control_law
+        0x13e74872,  # blowdown.smc.saturation
+        0xace78caa,  # blowdown.engine.algebraic_flow
+        0x0a4ef26a,  # blowdown.engine.fiber_flow
+        0xf6ee7798,  # blowdown.engine.liquor_flow
+        0xafe6142b,  # blowdown.engine.head_power
+        0xc949396b,  # blowdown.engine.electrical_power
+        0x93227a48,  # blowdown.engine._raise_non_finite
+        0x79841c6a,  # blowdown.engine.shear_rate
+        0xea390457,  # blowdown.engine.hb_stress
+        0xd2470654,  # blowdown.engine.phase_volumes
+        0x2eebc40c,  # blowdown.engine.efficiency
+        0xa7d9edc9,  # blowdown.engine.viscous_dissipation
+        0xf7e3471c,  # blowdown.engine.lyapunov_value
+        0x123c79a0,  # blowdown.engine.lyapunov_rate
+    ),
+    'cpython-313': (
+        0x53086c64,  # blowdown.engine._evaluate
+        0xea66429d,  # blowdown.engine._bounded
+        0xcb593348,  # blowdown.engine.consistency
+        0xd384e944,  # blowdown.engine.mixture_density
+        0x86ec25de,  # blowdown.engine.hydraulic_resistance
+        0x037b3459,  # blowdown.engine.static_head
+        0xbbc93a9e,  # blowdown.engine.consistency_guard
+        0x7f0f2bc7,  # blowdown.engine.protected_reference
+        0x08b84ffd,  # blowdown.engine.relaxation
+        0x0388ae5a,  # blowdown.engine.sliding_surface
+        0x9e3c4dd6,  # blowdown.engine.equivalent_head
+        0x47b94d6f,  # blowdown.engine.control_law
+        0x3258fe60,  # blowdown.smc.saturation
+        0x88b79d55,  # blowdown.engine.algebraic_flow
+        0xa0b6d3d9,  # blowdown.engine.fiber_flow
+        0xc29834db,  # blowdown.engine.liquor_flow
+        0x4221c51b,  # blowdown.engine.head_power
+        0x596b6ced,  # blowdown.engine.electrical_power
+        0xd6706751,  # blowdown.engine._raise_non_finite
+        0x564131ef,  # blowdown.engine.shear_rate
+        0x90a878d4,  # blowdown.engine.hb_stress
+        0xd51066aa,  # blowdown.engine.phase_volumes
+        0x6ced182e,  # blowdown.engine.efficiency
+        0xa3125918,  # blowdown.engine.viscous_dissipation
+        0xb70c4777,  # blowdown.engine.lyapunov_value
+        0x5aaea56a,  # blowdown.engine.lyapunov_rate
     ),
 }

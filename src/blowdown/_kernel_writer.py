@@ -18,10 +18,9 @@ or attributes read once, is written in place of its call. Any other call
 stays a call; nested laws are placed by the same rule. The kernel's `def`
 is `_evaluate`'s own, renamed and printed with `ast.unparse`. The
 operations and their order are those of `_evaluate`, so every float is the
-same. A law that holds an `if` statement, a law held as a wrapper
-(`__wrapped__`) or a replacement, and a law whose source cannot be read or
-is not that of its code, stay calls, and a run's rows are then filled one
-at a time.
+same. A law that holds an `if` statement, a function its law module does
+not define, and a law whose source cannot be read or is not that of its
+code, stay calls.
 
 `write` hands back the kernel's `def` with its source, and `write_block`
 writes `engine`'s block filler from that tree, never parsed again, and a
@@ -36,12 +35,10 @@ every float is the kernel's. The law rule places `lyapunov_rate` for
 dV/dt.
 
 `generated` prints both functions for the shipped code as the module
-`_generated`, with the calls they read and a digest of each function the
-writer read; `python -m blowdown._kernel_writer` rewrites it. At its first
-run `engine` compiles the two from there if every digest is that of the
-loaded code, so a run of the shipped laws imports none of this module;
-otherwise, and at a later run once a call either function read has
-changed, `engine` imports it and generates them.
+`_generated`, with the calls they read and, by interpreter, a digest of
+each function the writer read; `python -m blowdown._kernel_writer` rewrites
+it, keeping the other interpreters' digests. It is a build tool that no run
+imports: a run calls what `_generated` holds, or `_evaluate` itself.
 """
 
 from __future__ import annotations
@@ -151,27 +148,31 @@ def write_block(kernel, g: dict):
 #: The head of `_generated.py`.
 _GENERATED = '''\
 """The closed-loop kernel and the block filler as `_kernel_writer` writes
-them for the shipped laws, with the calls they read and the digest of each
-function the writer read. `engine` compiles them at its first run if every
-digest is that of the loaded code. Written by `python -m
-blowdown._kernel_writer`; not edited by hand.
+them for the shipped laws, with the calls they read and, by interpreter,
+the digest of each function the writer read. `engine` compiles them at the
+first run whose loaded code has this interpreter's digests, and runs them
+while each call is the object it was loaded with; otherwise it runs
+`_evaluate`. Written by `python -m blowdown._kernel_writer`; not edited by
+hand.
 """
 '''
 
 
-def generated(g: dict, digests: dict | None = None) -> str:
+def generated(g: dict, digests: dict) -> str:
     """The text of `_generated.py`: the kernel and the block filler as
     `write` and `write_block` write them in `g`, `engine`'s namespace; the
     (module, name) of each call either reads; and, by interpreter cache
-    tag, `engine._digest` of `_evaluate` and of each of those calls on this
-    interpreter, or `digests` if given."""
+    tag, `engine._digest` of `_evaluate` and of each of those calls: this
+    interpreter's, and those `digests` holds for others, of as many
+    calls."""
     kernel_source, kernel, calls = write(g["_evaluate"], "_kernel", g)
     fill_source, fill_calls = write_block(kernel, g)
     read = {(ns["__name__"], name): obj
             for ns, name, obj in calls + fill_calls}
-    if digests is None:
-        digests = {sys.implementation.cache_tag: tuple(map(
-            g["_digest"], (g["_evaluate"], *read.values())))}
+    here = tuple(map(g["_digest"], (g["_evaluate"], *read.values())))
+    digests = {tag: values for tag, values in digests.items()
+               if len(values) == len(here)}
+    digests[sys.implementation.cache_tag] = here
     for source in (kernel_source, fill_source):
         _require("'''" not in source and "\\" not in source,
                  "a source that a raw string can hold")
@@ -184,7 +185,7 @@ def generated(g: dict, digests: dict | None = None) -> str:
              "#: By interpreter cache tag, `engine._digest` of"
              " `engine._evaluate` and of", "#: each function of `CALLS`.",
              "DIGESTS = {"]
-    for tag, values in digests.items():
+    for tag, values in sorted(digests.items()):
         lines += [f"    {tag!r}: (", *(
             f"        0x{value:08x},  # {name}"
             for value, name in zip(values, names, strict=True)), "    ),"]
@@ -192,12 +193,17 @@ def generated(g: dict, digests: dict | None = None) -> str:
 
 
 def main() -> None:
-    """Writes `_generated.py` beside `engine`, from the loaded code."""
+    """Writes `_generated.py` beside `engine`, from the loaded code, with
+    the digests the module it replaces holds for other interpreters."""
     from pathlib import Path
 
     from . import engine
+    try:
+        from ._generated import DIGESTS
+    except (ImportError, SyntaxError):  # none yet, or one cut short
+        DIGESTS = {}
     path = Path(engine.__file__).with_name("_generated.py")
-    path.write_text(generated(vars(engine)))
+    path.write_text(generated(vars(engine), DIGESTS))
     print(f"wrote {path}")
 
 
@@ -367,9 +373,8 @@ def _plain_call(node) -> bool:
 
 
 def _is_law(obj) -> bool:
-    """A law as its module defines it: not a wrapper, not a replacement."""
+    """A function of a law module, or `engine._bounded`."""
     return (type(obj) is types.FunctionType
-            and not hasattr(obj, "__wrapped__")
             and (obj.__module__ in _LAW_MODULES
                  or (obj.__module__, obj.__name__) == _BOUNDED))
 

@@ -29,7 +29,7 @@ call into the first cells of the row: the time, the state, the held inputs
 and the protection bits gathered for the row (`_RAW_COLUMNS`); a state read
 from an interpolant that is not finite is refused there, at the step that
 logs it. After the last step, `_reconstruct` fills each row in place, its
-raw cells read first. `_fill_block`, generated with the kernel, fills
+raw cells read first. `_fill_block`, compiled with the kernel, fills
 `_BLOCK_ROWS` rows at a time with numpy: it bounds the states, gives the
 protection bits, reconstructs the row and takes dV/dt against the row
 before, with the same floats as the kernel (`+ - * /` and comparisons in
@@ -53,35 +53,28 @@ one. It returns floats: the derivative is a 9-tuple in state order.
 The kernel `assemble_rhs` and `evaluate_snapshot` run is `_evaluate` with
 each call of a law (and of `_bounded`) written in as the law's body, nested
 laws included, with the same operations in the same order, so every float
-is the same. `_kernel_writer` writes it: it transforms the syntax trees of
-`_evaluate` and the laws with `ast` and prints the kernel's `def` with
-`ast.unparse`. It moves no code: a law is written in where it is the whole
-value of an assignment, or where it is one `return` called with names or
-attributes, and stays a call anywhere else; so `_evaluate` assigns every
-law it calls with statements, the snapshot's `V` and `eta_h` included.
-The kernel, the block filler and the calls they read (`_calls`) are one
-unit. The writer's output for the shipped code is committed as the module
-`_generated`, rewritten by `python -m blowdown._kernel_writer` and compared
-with the writer's output by tier-1. The unit is generated once per
-process, by the first run, never at import: the first run compiles the two
-functions of `_generated` if `_evaluate` and every call they read have the
-digest (`_digest`) recorded there for this interpreter, so a run of the
-shipped laws never imports the writer; else `_generate` has the writer
-write the kernel, then the filler from the kernel's syntax tree. `_drive`
-checks once per run whether a call of `_calls` has changed, and if one
-has, `_generate` writes both again. Until the first run the kernel is
-`_evaluate` itself, so parsing a scenario builds nothing; it stays
-`_evaluate` if the writer fails, or if `_evaluate`'s source cannot be read
-or does not compile to the code that is loaded. The laws are
-straight-line, each choice a conditional expression. A law that holds an
-`if` statement, that `engine` or a law's module holds as a wrapper
-(`__wrapped__`) or a replacement, or whose source is not that of its
-loaded code, stays a call, and the rows are then filled one at a time. A
+is the same. The laws are straight-line, each choice a conditional
+expression, and `_evaluate` assigns every law it calls with statements, the
+snapshot's `V` and `eta_h` included. The build tool `_kernel_writer` writes
+the kernel and the block filler from their syntax trees; `python -m
+blowdown._kernel_writer` commits them as the module `_generated`, with the
+calls they read (`CALLS`) and, by interpreter, the digest (`_digest`) of
+`_evaluate` and of each call, and tier-1 compares the module with the
+writer's output. No run imports the writer. A run has one of two states.
+The first run whose `_evaluate` and calls have the digests recorded for this
+interpreter compiles the two functions of `_generated`, once per process,
+never at import; every run after it uses them while each call of `CALLS` is
+the object it was loaded with. Otherwise, as with no digests for this
+interpreter, a module missing or corrupt, or a law edited, wrapped or
+replaced, the kernel is `_evaluate` itself, each law a call, and the rows
+are filled one at a time; the run after a law is restored uses the
+committed unit again. `_drive` checks once per run, and until the first
+run the kernel is `_evaluate`, so parsing a scenario builds nothing. A
 direct `assemble_rhs` or `evaluate_snapshot` call sees a law wrapped or
-replaced after the kernel was generated only from the next run on. The
-generated kernel, the block filler and the DOPRI5 step are compiled under
-names of their own, with their source in `linecache`, so tracebacks,
-profiles and `inspect` show them.
+replaced after the last run only from the next run on. The committed
+kernel, the block filler and the DOPRI5 step are compiled under names of
+their own, with their source in `linecache`, so tracebacks, profiles and
+`inspect` show them.
 """
 
 from __future__ import annotations
@@ -458,24 +451,30 @@ def _compiled(source: str, generator: str, namespace: dict):
     return defined.popitem()[1]
 
 
-# Until the first run generates it, the kernel is `_evaluate` itself: the
-# same floats, and parsing a scenario builds nothing.
+# Until the first run compiles the committed unit, the kernel is `_evaluate`
+# itself: the same floats, and parsing a scenario builds nothing.
 _kernel = _evaluate
-_fill_block = None  # the block filler, generated with the kernel
-_calls = None  # (namespace, name, object) of each call either one read
+_fill_block = None  # the block filler, compiled with the kernel
+_committed = None  # (kernel, filler, calls) compiled from `_generated`
 _snapshot = evaluate_snapshot  # blocks are filled only while it is this one
+#: The unit of a run that cannot use the committed one: `_evaluate`, each
+#: law a call, with no block filler and no call to check.
+_UNFUSED = (_evaluate, None, ())
 
 
 def _refresh_kernel():
-    """The kernel and the block filler `_fill_block`, one unit: at the first
-    run, those `_generated` holds if they are still the writer's output for
-    the loaded code; then both written again once a call either read has
-    changed. `_drive` checks once per run."""
-    global _kernel, _fill_block, _calls
-    if _calls is None:
-        _kernel, _fill_block, _calls = _load_generated() or _generate()
-    elif any(ns.get(name) is not obj for ns, name, obj in _calls):
-        _kernel, _fill_block, _calls = _generate()
+    """The kernel, with the block filler `_fill_block`, of the next run: the
+    unit `_generated` holds, compiled by the first run that can use it,
+    while each call it reads is the object it was loaded with; else
+    `_evaluate` with no filler. `_drive` checks once per run; the two are
+    assigned only when they change."""
+    global _kernel, _fill_block, _committed
+    unit = _committed = _committed or _load_generated()
+    if unit is None or any(ns.get(name) is not obj
+                           for ns, name, obj in unit[2]):
+        unit = _UNFUSED
+    if _kernel is not unit[0]:
+        _kernel, _fill_block = unit[:2]
     return _kernel
 
 
@@ -491,55 +490,35 @@ def _load_generated():
     """(kernel, filler, the calls they read) compiled from `_generated`, the
     writer's output committed for the shipped code; None if the module is
     missing or corrupt, or unless `_evaluate` and each call has the digest
-    recorded there for this interpreter."""
+    recorded there for this interpreter. A law replaced at the first run
+    fails the digest: a later run tries again."""
     try:
         from . import _generated
+        digests = _generated.DIGESTS[sys.implementation.cache_tag]
         calls = [(vars(sys.modules[module]), name)
                  for module, name in _generated.CALLS]
         calls = [(ns, name, ns[name]) for ns, name in calls]
         read = (_evaluate, *(obj for _, _, obj in calls))
-        if tuple(map(_digest, read)) != _generated.DIGESTS[
-                sys.implementation.cache_tag]:
+        if tuple(map(_digest, read)) != digests:
             return None
         return (_compiled(_generated.KERNEL, "_kernel", globals()),
                 _compiled(_generated.FILL_BLOCK, "_fill_block", globals()),
                 calls)
-    except Exception:  # the writer's path then tells what is wrong
+    except Exception:  # runs then call `_evaluate`
         return None
 
 
-def _generate():
-    """(kernel, filler, the calls they read), as the writer writes them:
-    `_evaluate` with its laws written in, then the block filler from the
-    kernel's syntax tree. The filler is None if the writer fails on it, and
-    rows are then filled one at a time; the kernel is `_evaluate` itself if
-    the writer fails on it."""
-    from . import _kernel_writer
-    try:
-        source, tree, calls = _kernel_writer.write(_evaluate, "_kernel",
-                                                   globals())
-        kernel = _compiled(source, "_kernel", globals())
-    except Exception:  # a fault of the writer: the run goes on, unfused
-        return _evaluate, None, []  # the same floats, each law called
-    try:
-        source, fill_calls = _kernel_writer.write_block(tree, globals())
-        return kernel, _compiled(source, "_fill_block", globals()), (
-            calls + fill_calls)
-    except Exception:  # a fault of the writer: rows one at a time
-        return kernel, None, calls
-
-
 def _unfused(run, *args):
-    """`run(*args)` as after a fault of the writer: a run calls `_evaluate`,
-    each law a call, and fills its rows one at a time. The generated kernel
-    and filler are restored after it, even if it raises."""
-    global _kernel, _fill_block, _calls
-    saved = _kernel, _fill_block, _calls
-    _kernel, _fill_block, _calls = _evaluate, None, []
+    """`run(*args)` as a run of replaced laws: it calls `_evaluate`, each law
+    a call, and fills its rows one at a time. The committed unit is
+    restored after it, even if it raises."""
+    global _kernel, _fill_block, _committed
+    saved = _kernel, _fill_block, _committed
+    _kernel, _fill_block, _committed = _evaluate, None, _UNFUSED
     try:
         return run(*args)
     finally:
-        _kernel, _fill_block, _calls = saved
+        _kernel, _fill_block, _committed = saved
 
 
 def _pow(a, b):

@@ -153,7 +153,7 @@ def test_determinism_runs_the_written_laws_unfused(monkeypatch):
 def test_determinism_restores_the_kernel_when_a_run_raises(monkeypatch):
     ctx = acceptance._Context(parse_scenario({"t_end": 2000.0}))
     engine._refresh_kernel()
-    fused = engine._kernel, engine._fill_block, engine._calls
+    fused = engine._kernel, engine._fill_block, engine._committed
     runs, integrate = [], acceptance.integrate
 
     def second_fails(scenario):
@@ -166,7 +166,7 @@ def test_determinism_restores_the_kernel_when_a_run_raises(monkeypatch):
     with pytest.raises(RuntimeError):
         acceptance.criterion_determinism(ctx)
     assert runs[1] is engine._evaluate
-    assert (engine._kernel, engine._fill_block, engine._calls) == fused
+    assert (engine._kernel, engine._fill_block, engine._committed) == fused
 
 
 def test_determinism_fails_on_numpys_power(monkeypatch):

@@ -27,14 +27,16 @@ import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blowdown import _generated, engine, smc
+from blowdown import _generated, _kernel_writer, engine, smc
 from blowdown.engine import (SNAPSHOT_COLUMNS, assemble_rhs, evaluate_snapshot,
                              integrate)
 from blowdown.errors import IntegrationError
@@ -374,8 +376,8 @@ class TestGeneratedKernel:
 
     def test_wrapped_or_replaced_laws_stay_calls(self, monkeypatch):
         # The tracer's counters wrap laws, and a test may replace one: the
-        # kernel calls what `engine` holds, as `_evaluate` would, and writes
-        # the laws back in once they are restored.
+        # run calls `_evaluate`, which calls what `engine` holds, and the
+        # committed kernel once the laws are restored.
         scenario = replace(default_scenario(), t_end=400.0, method="DOPRI5")
         plain = integrate(scenario).data.copy()
         counts = Counter()
@@ -606,8 +608,8 @@ class TestRowWriter:
     def test_wrapping_evaluate_snapshot_calls_it_per_row(self, monkeypatch):
         # A wrapper of `engine.evaluate_snapshot` that counts its calls
         # sees one a row: the next run's rows call it, and once it is
-        # restored the rows are filled by block again. Nothing is generated
-        # again.
+        # restored the rows are filled by block again. The kernel and the
+        # filler stay the committed ones.
         scenario = replace(default_scenario(), t_end=2000.0)
         by_block = integrate(scenario).data.tobytes()
         kernel, filler = engine._kernel, engine._fill_block
@@ -628,32 +630,29 @@ class TestRowWriter:
         assert not calls
         assert engine._kernel is kernel and engine._fill_block is filler
 
-    def test_wrapping_a_law_writes_both_again(self, monkeypatch):
-        # A law wrapped stays a call in the kernel, and the filler, which
-        # runs no call over a block, gives way to rows one at a time; once
-        # the law is restored, both are written again with it written in.
+    def test_a_replaced_law_runs_evaluate_until_it_is_restored(
+            self, monkeypatch):
+        # A run with a call of `CALLS` replaced, in `engine` or in the law's
+        # own module, calls `_evaluate`, which calls the replacement, and
+        # fills its rows one at a time; once the law is restored, the next
+        # run uses the committed unit again.
         scenario = replace(default_scenario(), t_end=2000.0)
         by_block = integrate(scenario).data.tobytes()
-        kernel = engine._kernel
-        guard, calls = engine.consistency_guard, []
-
-        @functools.wraps(guard)
-        def counted(*args):
-            calls.append(args)
-            return guard(*args)
-
-        monkeypatch.setattr(engine, "consistency_guard", counted)
-        traj = integrate(scenario)
-        assert calls and traj.data.tobytes() == by_block
-        assert engine._kernel is not kernel
-        assert "consistency_guard" in engine._kernel.__code__.co_names
-        assert engine._fill_block is None
-        monkeypatch.undo()
-        calls.clear()
-        assert integrate(scenario).data.tobytes() == by_block
-        assert not calls
-        for generated in (engine._kernel, engine._fill_block):
-            assert "consistency_guard" not in generated.__code__.co_names
+        unit = engine._kernel, engine._fill_block
+        for module, name in ((engine, "consistency_guard"),
+                             (smc, "saturation")):
+            law, calls = getattr(module, name), []
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, lambda *args: (
+                    calls.append(args), law(*args))[1])
+                traj = integrate(scenario)
+                assert calls and traj.data.tobytes() == by_block
+                assert engine._kernel is engine._evaluate
+                assert engine._fill_block is None
+            calls.clear()
+            assert integrate(scenario).data.tobytes() == by_block
+            assert not calls
+            assert (engine._kernel, engine._fill_block) == unit
 
 
 #: `consistency_guard` in forms the shipped laws do not take: a parameter read
@@ -681,14 +680,24 @@ def guard(C, C_max, alpha_sig):
 '''
 
 
+def written():
+    """(kernel, tree): the kernel the writer writes for the laws `engine`
+    holds now, compiled, and its syntax tree."""
+    source, tree, _ = _kernel_writer.write(engine._evaluate, "_kernel",
+                                           vars(engine))
+    exec(compile(source, "<written>", "exec"), vars(engine), defined := {})
+    return defined["_kernel"], tree
+
+
 @pytest.mark.parametrize("form", ["module level", "indented", "unread",
                                   "shadowed", "branching"])
 def test_a_law_of_another_form(monkeypatch, form):
     # A law is written in from the source `linecache` holds for it; one
     # written inside a block, whose source cannot be read, that reads a
     # global the kernel would shadow with a parameter of `_evaluate`, or
-    # that holds an `if` statement stays a call. Either way the kernel gives
-    # `_evaluate`'s bytes.
+    # that holds an `if` statement stays a call, and no block filler can
+    # be written. Either way the kernel gives `_evaluate`'s bytes, and a run
+    # with the law replaced calls `_evaluate`.
     scenario = replace(default_scenario(), t_end=2000.0)
     by_block = integrate(scenario).data.tobytes()  # the shipped laws
     filename = f"<smc.consistency_guard, {form}>"
@@ -707,32 +716,23 @@ def test_a_law_of_another_form(monkeypatch, form):
             len(source), None, source.splitlines(True), filename))
     exec(compile(source, filename, "exec"), vars(smc), defined := {})
     monkeypatch.setattr(engine, "consistency_guard", defined.popitem()[1])
-    kernel = engine._refresh_kernel()
+    kernel, tree = written()
     assert ("consistency_guard" in kernel.__code__.co_names) == (
         form != "module level")
     for (y, p, u), _ in BRANCH_CASES.values():
         assert outcome(kernel, y, p, u) == outcome(engine._evaluate, y, p, u)
-    if form == "branching":  # its rows are filled one at a time
-        traj = integrate(scenario)
-        assert engine._fill_block is None
-        assert traj.data.tobytes() == by_block
-
-
-def write_again(patch):
-    """Makes the next run have the writer write the kernel and the filler
-    again, as once a call they read has changed; `patch` restores the unit
-    after."""
-    engine._refresh_kernel()  # the first run's: later ones reach the writer
-    for name in ("_kernel", "_fill_block"):
-        patch.setattr(engine, name, getattr(engine, name))
-    patch.setattr(engine, "_calls", [({}, "a changed call", object())])
+    if form != "module level":
+        with pytest.raises(ValueError):
+            _kernel_writer.write_block(tree, vars(engine))
+    traj = integrate(scenario)
+    assert engine._kernel is engine._evaluate
+    assert traj.data.tobytes() == by_block
 
 
 def test_a_law_whose_source_is_not_its_code(monkeypatch):
     # Source that does not compile to the loaded code (a file edited after
     # import) is not written in: an edited law stays a call, with its own
-    # floats, and with `_evaluate` edited the kernel is `_evaluate` itself.
-    from blowdown import _kernel_writer
+    # floats, and the writer refuses an edited `_evaluate`.
     filename = "<smc.consistency_guard, edited>"
     source = SYNTHETIC.replace("guard", "edited_guard")
     exec(compile(source, filename, "exec"), vars(smc), defined := {})
@@ -743,26 +743,23 @@ def test_a_law_whose_source_is_not_its_code(monkeypatch):
                                   "f_ex = p.rho_fl * u.f_fl * 2.0")
                      for line in linecache.getlines(engine_file)]
     assert edited_engine != linecache.getlines(engine_file)
-    engine._refresh_kernel()  # the first run's: later ones reach the writer
     for edited_function in ("law", "_evaluate"):
         try:
             with monkeypatch.context() as patch:
-                if edited_function == "law":
-                    patch.setitem(linecache.cache, filename, (
-                        len(edited), None, edited.splitlines(True), filename))
-                    patch.setattr(engine, "consistency_guard",
-                                  defined["edited_guard"])
-                else:  # the kernel generated again, from the edited file
-                    write_again(patch)
+                if edited_function == "_evaluate":
                     patch.setitem(linecache.cache, engine_file, (
                         0, None, edited_engine, engine_file))
                     _kernel_writer._source.cache_clear()
                     _kernel_writer._form.cache_clear()
-                kernel = engine._refresh_kernel()
-                if edited_function == "law":
-                    assert "consistency_guard" in kernel.__code__.co_names
-                else:
-                    assert kernel is engine._evaluate
+                    with pytest.raises(ValueError, match="is not its code"):
+                        written()
+                    continue
+                patch.setitem(linecache.cache, filename, (
+                    len(edited), None, edited.splitlines(True), filename))
+                patch.setattr(engine, "consistency_guard",
+                              defined["edited_guard"])
+                kernel, _ = written()
+                assert "consistency_guard" in kernel.__code__.co_names
                 for (y, p, u), _ in BRANCH_CASES.values():
                     assert outcome(kernel, y, p, u) == outcome(
                         engine._evaluate, y, p, u)
@@ -800,7 +797,6 @@ def test_a_law_is_written_in_only_where_its_call_stands(monkeypatch,
     # Nothing is moved: a law with statements is written in only in place of
     # a whole assignment, so a call that may not run stays a call, and the
     # written function returns what its source returns.
-    from blowdown import _kernel_writer
     source = f"def probe(x):\n    {PROBES[position]}\n"
     for filename, text in (("<inv>", INVERSE), ("<probe>", source)):
         monkeypatch.setitem(linecache.cache, filename, (
@@ -819,51 +815,21 @@ def test_a_law_is_written_in_only_where_its_call_stands(monkeypatch,
         position != "assignment"), written
 
 
-def test_a_fault_of_the_writer_leaves_evaluate_the_kernel(monkeypatch):
-    from blowdown import _kernel_writer
-
-    def fault(*args):
-        raise AssertionError("a fault of the writer")
-
-    write_again(monkeypatch)
-    monkeypatch.setattr(_kernel_writer, "write", fault)
-    assert engine._refresh_kernel() is engine._evaluate
-    assert integrate(default_scenario()).data.shape[0] > 0
-    assert engine._fill_block is None
-
-
-def test_a_fault_of_the_row_writer_leaves_rows_calling_through(monkeypatch):
-    from blowdown import _kernel_writer
-    scenario = replace(default_scenario(), t_end=2000.0)
-    by_block = integrate(scenario).data.tobytes()
-
-    def fault(kernel, g):
-        raise AssertionError("a fault of the block writer")
-
-    write_again(monkeypatch)
-    monkeypatch.setattr(_kernel_writer, "write_block", fault)
-    assert integrate(scenario).data.tobytes() == by_block
-    assert engine._kernel is not engine._evaluate
-    assert engine._fill_block is None
-
-
 def test_the_row_writer_is_fused_from_the_kernels_tree(monkeypatch):
-    # `write` hands the block writer the kernel's syntax tree: `_generate`
-    # parses no printed kernel.
+    # `write` hands the block writer the kernel's syntax tree: the filler
+    # is written without parsing the printed kernel.
     parsed, parse = [], ast.parse
 
     def recording(source, *args, **kwargs):
         parsed.append(source)
         return parse(source, *args, **kwargs)
 
-    engine._refresh_kernel()
-    filler = engine._fill_block
+    kernel_source, kernel, _ = _kernel_writer.write(
+        engine._evaluate, "_kernel", vars(engine))
     monkeypatch.setattr(ast, "parse", recording)
-    _, fill_block, _ = engine._generate()
-    assert fill_block is not filler
-    assert "evaluate_snapshot" not in fill_block.__code__.co_names
-    kernel_source = "".join(linecache.getlines("<blowdown.engine._kernel>"))
+    fill_source, _ = _kernel_writer.write_block(kernel, vars(engine))
     assert kernel_source.startswith("def _kernel(y, p, u, full):")
+    assert "evaluate_snapshot" not in fill_source
     assert parsed and kernel_source not in parsed
 
 
@@ -894,17 +860,15 @@ def test_generated_source_can_be_read(generated, name, head):
 
 
 TAG = sys.implementation.cache_tag
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_the_committed_module_is_the_writers_output():
     # The committed kernel and filler are derived, never edited: a law,
-    # `_evaluate` or the writer changed without regenerating fails here. On
-    # an interpreter the module has no digests for, all but those must
-    # match.
-    from blowdown import _kernel_writer
-    committed = _generated.DIGESTS
-    text = _kernel_writer.generated(
-        vars(engine), None if TAG in committed else committed)
+    # `_evaluate` or the writer changed without regenerating fails here, as
+    # does a module without this interpreter's digests. Those of the other
+    # interpreters are taken as they are committed.
+    text = _kernel_writer.generated(vars(engine), _generated.DIGESTS)
     with open(_generated.__file__, encoding="utf-8") as file:
         same = text == file.read()
     assert same, ("src/blowdown/_generated.py is not the writer's output: "
@@ -916,8 +880,22 @@ def rate(s_q, s_prev, dt):
     return smc.lyapunov_rate(s_q, s_prev, dt)
 
 
-#: Each way the committed module cannot be used, and the change that makes
-#: it so: the first run then generates both functions through the writer.
+def test_the_committed_module_has_digests_for_each_ci_interpreter():
+    # An interpreter without digests runs `_evaluate`, each law a call.
+    workflow = yaml.safe_load(
+        (ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    versions = workflow["jobs"]["tests"]["strategy"]["matrix"][
+        "python-version"]
+    assert versions and {f"cpython-{v.replace('.', '')}" for v in versions
+                         } <= _generated.DIGESTS.keys()
+
+
+def test_the_committed_calls_repeat_none():
+    assert len(set(_generated.CALLS)) == len(_generated.CALLS)
+
+
+#: Each way the committed unit cannot be used, and the change that makes it
+#: so: the first run then calls `_evaluate`, each law a call.
 FALLBACKS = {
     "another interpreter": lambda patch: patch.setattr(
         _generated, "DIGESTS", {"other-tag": _generated.DIGESTS[TAG]}),
@@ -935,42 +913,45 @@ FALLBACKS = {
         engine, "lyapunov_rate", rate)}
 
 
+def as_first_run(patch):
+    """Makes the next run a process's first, with no unit compiled."""
+    patch.setattr(engine, "_kernel", engine._evaluate)
+    for name in ("_fill_block", "_committed"):
+        patch.setattr(engine, name, None)
+
+
 def first_run(monkeypatch, change=None):
-    """(table bytes, (kernel, filler), whether the writer wrote them) of a
-    2000 s run made as a process's first, after `change`; the unit is
-    restored after."""
+    """(table bytes, (kernel, filler)) of a 2000 s run made as a process's
+    first, after `change`; the unit is restored after."""
     scenario = replace(default_scenario(), t_end=2000.0)
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "_kernel", engine._evaluate)
-        for name in ("_fill_block", "_calls"):
-            patch.setattr(engine, name, None)
-        written, generate = [], engine._generate
-        patch.setattr(engine, "_generate", lambda: (
-            written.append(True), generate())[1])
+        as_first_run(patch)
         if change:
             change(patch)
         return integrate(scenario).data.tobytes(), (
-            engine._kernel, engine._fill_block), bool(written)
+            engine._kernel, engine._fill_block)
 
 
-#: The committed module holds digests for one interpreter; on another the
-#: first run always takes the writer's path.
-COMMITTED_HERE = pytest.mark.skipif(
-    TAG not in _generated.DIGESTS,
-    reason=f"the committed module has no digests for {TAG}")
-
-
-@COMMITTED_HERE
 @pytest.mark.parametrize("fallback", FALLBACKS)
 def test_each_fallback_gives_the_committed_bytes(monkeypatch, fallback):
-    committed, (kernel, filler), by_writer = first_run(monkeypatch)
-    assert not by_writer and filler is not None
+    committed, (kernel, filler) = first_run(monkeypatch)
+    assert filler is not None
     assert kernel.__code__.co_filename == "<blowdown.engine._kernel>"
-    written, (kernel_, filler_), by_writer = first_run(
-        monkeypatch, FALLBACKS[fallback])
-    assert written == committed
-    assert by_writer
-    if fallback in ("wrapped law", "replaced lyapunov_rate"):
-        return  # the law stays a call, and rows are filled one at a time
-    assert DOES(kernel_.__code__) == DOES(kernel.__code__)
-    assert DOES(filler_.__code__) == DOES(filler.__code__)
+    unfused, unit = first_run(monkeypatch, FALLBACKS[fallback])
+    assert unfused == committed
+    assert unit == (engine._evaluate, None)
+
+
+def test_a_law_wrapped_at_the_first_run_is_fused_once_restored(monkeypatch):
+    # A wrapped law fails its digest: the first run calls `_evaluate`, and
+    # the run after the law is restored compiles the committed unit.
+    scenario = replace(default_scenario(), t_end=2000.0)
+    committed = integrate(scenario).data.tobytes()
+    as_first_run(monkeypatch)
+    with monkeypatch.context() as patch:
+        FALLBACKS["wrapped law"](patch)
+        assert integrate(scenario).data.tobytes() == committed
+        assert (engine._kernel, engine._fill_block) == (engine._evaluate, None)
+    assert integrate(scenario).data.tobytes() == committed
+    assert engine._kernel.__code__.co_filename == "<blowdown.engine._kernel>"
+    assert engine._fill_block is not None

@@ -3,13 +3,13 @@
 Each law of `state`, `rheology`, `hydraulics`, `smc` and `energetics` is
 one public function that checks nothing, with no checked twin beside an
 unchecked `_` copy and no default regularizer that could differ from
-`Parameters.eps`. The kernel is generated from those public laws:
+`Parameters.eps`. The kernel is written from those public laws:
 `_evaluate` calls them, and the kernel `assemble_rhs` and `evaluate_snapshot`
-run is `_evaluate` with each law's body written in, built once per process,
-by its first run.
-A law that `engine` holds as a wrapper or a replacement stays a call, so the
-criteria, the tests and the bench's per-module call counts see the equations
-that are integrated.
+run is `_evaluate` with each law's body written in, committed as a module
+and compiled once per process, by its first run; no run imports the writer.
+While `engine` or a law's module holds a wrapper or a replacement of a law,
+a run calls `_evaluate`, each law a call, so the criteria, the tests and the
+bench's per-module call counts see the equations that are integrated.
 
 Each decision of the engine is made in one place: `_STEPPERS` is the one
 table of methods, `_bounded` the one rule for the hard state bounds, and
@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowdown import _generated, engine, scenario_io
+from blowdown import engine, scenario_io
 from blowdown.cli import EXIT_OK, main
 from blowdown.scenario_io import default_scenario
 from blowdown.smc import lyapunov_rate
@@ -117,14 +117,14 @@ def test_the_kernel_writes_every_law_in():
 
 
 #: Imports the CLI, then parses and integrates the 100 documents of
-#: `perfbench`'s seed-1 ensemble, counting the kernels compiled, from the
-#: committed module or from the writer's output.
+#: `perfbench`'s seed-1 ensemble, counting the kernels compiled from the
+#: committed module.
 KERNEL_BUILDS = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
 import blowdown.cli
 from blowdown import engine
-at_import = engine._calls is not None
+at_import = engine._kernel is not engine._evaluate
 builds, compiled = [], engine._compiled
 def counted(source, generator, namespace):
     builds.append(generator)
@@ -168,13 +168,20 @@ def test_an_ensemble_builds_one_kernel(kernel_builds):
     assert kernel_builds["builds"] == 1
 
 
-@pytest.mark.skipif(
-    sys.implementation.cache_tag not in _generated.DIGESTS,
-    reason="the committed module has no digests for this interpreter")
 def test_an_ensemble_never_imports_the_writer(kernel_builds):
     # The first run compiles the committed kernel and block filler: no run
-    # of the shipped laws imports the writer.
+    # imports the writer.
     assert kernel_builds["writer_run"] is False
+
+
+def test_only_the_build_tool_imports_the_writer():
+    # The writer runs as `python -m blowdown._kernel_writer` and in tier-1,
+    # never on a run's path.
+    importers = {path.stem for path in SOURCE.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and "_kernel_writer" in ast.unparse(node)}
+    assert not importers
 
 
 def engine_functions():
