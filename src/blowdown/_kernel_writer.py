@@ -3,24 +3,26 @@ of a law written in as the law's body.
 
 A law is a function as its module defines it: a plain function of `state`,
 `rheology`, `hydraulics`, `smc` or `energetics`, or `engine._bounded`. The
-writer parses `_evaluate` and each law it calls with `ast`, once per
-function, from its source sliced from its file by its code object, and uses
-the tree only if it compiles to that code, so a file edited after import is
+writer parses `_evaluate` and each law it calls with `ast`, afresh for each
+use, from its source sliced from its file by its code object, and uses the
+tree only if it compiles to that code, so a file edited after import is
 not read as the code that runs. One syntax-tree transform, `_LawWriter`,
-writes a law's body where its call stands, and moves nothing. A law is
-straight-line: assignments, then one `return`, each choice a conditional
-expression. A law called as the whole value of an assignment
+writes a law's body where its call stands, in place, and moves nothing. A
+law is straight-line: assignments, then one `return`, each choice a
+conditional expression. A law called as the whole value of an assignment
 (`x = law(...)`, `a, b = law(...)`) is written in place of that
 assignment: the parameters replaced by the call's arguments, the locals
 renamed per call (`_consistency_guard1_x`), and its `return` an
 assignment to the target. A law of one `return` whose arguments are names,
-or attributes read once, is written in place of its call. Any other call
-stays a call; nested laws are placed by the same rule. The kernel's `def`
-is `_evaluate`'s own, renamed and printed with `ast.unparse`. The
-operations and their order are those of `_evaluate`, so every float is the
-same. A law that holds an `if` statement, a function its law module does
-not define, and a law whose source cannot be read or is not that of its
-code, stay calls.
+or attributes read once, is written in place of its call. Nested laws are
+placed by the same rule. The kernel's `def` is `_evaluate`'s own, renamed
+and printed with `ast.unparse`. The operations and their order are those
+of `_evaluate`, so every float is the same. Every call of a law is written
+in, or the writer raises ValueError naming the law and the form it does
+not take: a call elsewhere, a law that holds an `if` statement or reads a
+global the kernel reads as another object, and a law whose source cannot
+be read or is not that of its code. A call of a function that is not a
+law, such as `_raise_non_finite`, stays a call.
 
 `write` hands back the kernel's `def` with its source, and `write_block`
 writes `engine`'s block filler from that tree, never parsed again, and a
@@ -44,7 +46,6 @@ imports: a run calls what `_generated` holds, or `_evaluate` itself.
 from __future__ import annotations
 
 import ast
-import functools
 import linecache
 import math
 import operator
@@ -60,19 +61,18 @@ def write(fn, name: str, kernel_globals: dict):
     """(source, tree, calls): the source of a function `name`, `fn` with
     each law's body written in, to run with `kernel_globals`; its `def`,
     read by `_facts`, which `write_block` writes over rows; and the
-    (namespace, name, object) of each call it looked up. ValueError if the
-    source of `fn` cannot be read or is not that of its code."""
-    form = _form(fn)
-    if form is None:
-        raise ValueError(f"the source of {fn.__name__} is not its code")
-    writer = _LawWriter(kernel_globals, form)
-    doc = f"`{fn.__name__}` with each law's body written in."
-    args = _with(form.args, args=[_with(a, annotation=None)
-                                  for a in form.args.args])
-    kernel = _facts(_with(form, name=name, decorator_list=[], returns=None,
-                          args=args, body=[ast.Expr(ast.Constant(doc)),
-                                           *writer.body(form.statements)]))
-    return ast.unparse(kernel) + "\n", kernel, writer.calls
+    (namespace, name, object) of each call it looked up. ValueError if
+    the source of `fn` cannot be read or is not that of its code, or if a
+    law cannot be written in."""
+    kernel = _form(fn)
+    writer = _LawWriter(kernel_globals, kernel)
+    for arg in kernel.args.args:
+        arg.annotation = None
+    kernel.name, kernel.decorator_list, kernel.returns = name, [], None
+    kernel.body = [ast.Expr(ast.Constant(
+        f"`{fn.__name__}` with each law's body written in.")),
+        *writer.body(kernel.statements)]
+    return ast.unparse(_facts(kernel)) + "\n", kernel, writer.calls
 
 
 #: `engine`'s block filler. `{t}`, `{y}`, `{u}` and `{mask}` index the raw
@@ -265,9 +265,8 @@ def _is_name(node, name: str) -> bool:
     return type(node) is ast.Name and node.id == name
 
 
-@functools.lru_cache(maxsize=None)
 def _source(code) -> str:
-    """A function's source, sliced once from its file by its code object:
+    """A function's source, sliced from its file by its code object:
     from its `def` to the last line any of its instructions spans. (Under
     `-X no_debug_ranges` an instruction spans only its first line, so a
     function ending in a statement written over lines does not parse.)"""
@@ -291,21 +290,22 @@ _LEAVES = frozenset(kind for base in (
     for kind in base.__subclasses__()).union((ast.Constant,))
 
 
-@functools.lru_cache(maxsize=None)
 def _form(function):
-    """A function's `def`, parsed once from its source; None if its source
-    cannot be read or does not compile to the function's code. It carries
-    what the writer reads of it, walked once: `statements`, its body after
-    the docstring; `params`; the names it assigns, `stored`; the times it
-    reads each name, `reads`; the names it calls, `calls`; and whether it
-    is `plain`, holding only assignments, `return` and expressions."""
+    """A function's `def`, parsed afresh from its source, for the writer to
+    change in place; ValueError if its source cannot be read or does not
+    compile to the function's code. It carries what the writer reads of it,
+    walked once: `statements`, its body after the docstring; `params`; the
+    names it assigns, `stored`; the times it reads each name, `reads`; the
+    names it calls, `calls`; and whether it is `plain`, holding only
+    assignments, `return` and expressions."""
     try:
         tree = ast.parse(_source(function.__code__))
     except SyntaxError:  # a function written indented, inside a block
-        return None
+        tree = ast.Module([], [])
     fn = tree.body[0] if len(tree.body) == 1 else None
     if not isinstance(fn, ast.FunctionDef) or not _loaded(tree, function):
-        return None
+        raise ValueError(
+            f"the source of `{function.__name__}` is not its code")
     return _facts(fn)
 
 
@@ -392,17 +392,6 @@ def _names(target) -> bool:
         type(t) is ast.Name for t in target.elts)
 
 
-def _with(node, **fields):
-    """`node` with `fields` replaced, or `node` itself if none changed: a
-    parsed tree is never changed, so each law's is read again per call.
-    Nodes compare by identity, and lists of them item by item."""
-    if {field: getattr(node, field) for field in fields} == fields:
-        return node
-    new = type(node).__new__(type(node))
-    vars(new).update(vars(node), **fields)
-    return new
-
-
 def _assign(target, value) -> ast.Assign:
     return ast.Assign([target], value, lineno=0)  # `ast.unparse` reads it
 
@@ -411,29 +400,24 @@ def _name(name: str, ctx=ast.Load) -> ast.Name:
     return ast.Name(name, ctx())
 
 
-class _KeepCall(Exception):
-    """A law whose body cannot be written in where it is called."""
-
-
 class _LawWriter(ast.NodeTransformer):
     """Writes a function's statements with each law call as the law's body.
 
-    It visits the trees of `_evaluate` and its laws without changing them,
-    building a node where one of its parts changes. `calls` and `kept` hold
-    the (namespace, name, object) of each call looked up, and of each left
-    a call; `sites` counts the calls of each law written in. `names` maps
-    each parameter and local of the law being written to the node written
-    for it. Nothing is moved: a law called as the whole value of an
+    It changes the trees of `_evaluate` and its laws in place, each parsed
+    for this use. `calls` holds the (namespace, name, object) of each call
+    looked up, and `sites` counts the calls of each law written in. `names`
+    maps each parameter and local of the law being written to the node
+    written for it. Nothing is moved: a law called as the whole value of an
     assignment is written in place of that assignment, a law of one
     `return` whose arguments need no local is written in place of its call,
-    and any other call stays a call.
+    and any other call of a law raises ValueError.
     """
 
     def __init__(self, kernel_globals: dict, kernel):
-        # The kernel's own names: a law reading a global of one stays a call.
+        # The kernel's own names: a law may not read a global of one.
         self.kernel_globals = kernel_globals
         self.kernel_locals = kernel.stored.union(kernel.params)
-        self.calls, self.kept, self.sites = [], [], {}
+        self.calls, self.sites = [], {}
         self.names, self.ns = {}, kernel_globals
 
     def body(self, statements, target=None) -> list:
@@ -443,23 +427,17 @@ class _LawWriter(ast.NodeTransformer):
         for s in statements:
             kind = type(s)
             if kind is ast.If:  # the kernel's own: a law holds none
-                out.append(_with(s, test=self.visit(s.test),
-                                 body=self.body(s.body),
-                                 orelse=self.body(s.orelse)))
+                s.test = self.visit(s.test)
+                s.body, s.orelse = self.body(s.body), self.body(s.orelse)
+                out.append(s)
             elif kind is ast.Return:
-                value = s.value and self.visit(s.value)
-                if target is None:
-                    return out + [_with(s, value=value)]
-                if value is None:
-                    raise _KeepCall  # a law with no value
-                return out + [_assign(target, value)]
+                s.value = s.value and self.visit(s.value)
+                return out + [_assign(target, s.value) if target else s]
             elif (kind is ast.Assign and len(s.targets) == 1
                   and _plain_call(s.value) and _names(s.targets[0])):
                 out += self.site(s.value, self.visit(s.targets[0]))
             else:
                 out.append(self.visit(s))
-        if target is not None:
-            raise _KeepCall  # a law ends with no value
         return out
 
     def visit(self, node):
@@ -471,34 +449,23 @@ class _LawWriter(ast.NodeTransformer):
             return ast.Name(new.id, node.ctx)  # a local, renamed
         if kind in _LEAVES or kind in _OWN_SCOPE:
             return node  # nothing in it to rename or write in
-        if kind is ast.Call and _plain_call(node):
+        if kind is ast.Call and type(node.func) is ast.Name:
             return self.site(node)
         return self.generic_visit(node)
 
-    def generic_visit(self, node):
-        fields = {}
-        for field in node._fields:
-            old = getattr(node, field)
-            if type(old) is list:
-                fields[field] = [self.visit(x) if isinstance(x, ast.AST)
-                                 else x for x in old]
-            elif isinstance(old, ast.AST) and type(old) not in _LEAVES:
-                fields[field] = self.visit(old)
-        return _with(node, **fields)
-
     def site(self, node: ast.Call, target=None):
         """A call written in: with a `target`, the statements assigning its
-        value to it, else the expression standing for the call."""
-        args = [self.visit(a) for a in node.args]
+        value to it, else the expression standing for the call. A call of
+        a function that is not a law stays a call."""
         name, ns = node.func.id, self.ns
+        self.generic_visit(node)  # its arguments, and a local it calls
         if name not in self.names and name in ns:
             self.calls.append((ns, name, ns[name]))
-            try:
-                return self.law(ns[name], args, target)
-            except _KeepCall:
-                self.kept.append((ns, name, ns[name]))
-        call = _with(node, func=self.visit(node.func), args=args)
-        return call if target is None else [_assign(target, call)]
+            if _is_law(ns[name]):
+                _require(_plain_call(node), f"`{name}` is called with "
+                         "positional arguments alone")
+                return self.law(ns[name], node.args, target)
+        return node if target is None else [_assign(target, node)]
 
     def law(self, law, args: list, target):
         """`law`'s body for arguments `args`: with a `target`, its statements
@@ -506,18 +473,20 @@ class _LawWriter(ast.NodeTransformer):
         `return` with no argument to bind. A name, or an attribute of one
         read at most once, is written where its parameter is read; any other
         argument is bound to a local first. Parameters and locals take a
-        prefix of their own per call."""
-        form = _is_law(law) and _form(law)
-        if not form or not form.plain or len(args) != len(form.params):
-            raise _KeepCall
-        ns, missing = law.__globals__, object()
+        prefix of their own per call. ValueError if `law` is of another
+        form, or reads a global the kernel reads as another object."""
+        form, name = _form(law), f"`{law.__name__}`"
+        body, ns, missing = form.statements, law.__globals__, object()
+        returns = [s.value for s in body if type(s) is ast.Return]
+        _require(form.plain and returns and returns[0] is not None
+                 and len(args) == len(form.params), f"{name} is straight-line"
+                 ": assignments, then a `return` of a value, each choice a"
+                 " conditional expression, and called with its parameters")
         for free in form.reads.keys() - form.stored - set(form.params):
-            if free in form.calls and free in ns:
-                continue  # a law written in, or else checked below
-            if free in self.kernel_locals or ns.get(
-                    free, missing) is not self.kernel_globals.get(free,
-                                                                  missing):
-                raise _KeepCall  # the kernel would read another object
+            _require(free in form.calls and _is_law(ns.get(free)) or (
+                free not in self.kernel_locals and ns.get(free, missing)
+                is self.kernel_globals.get(free, missing)),
+                f"{name} reads `{free}` as the kernel reads it")
         self.sites[law] = site = self.sites.get(law, 0) + 1
         prefix = f"_{law.__name__.lstrip('_')}{site}_"
         names, binds = {}, []
@@ -529,21 +498,15 @@ class _LawWriter(ast.NodeTransformer):
                 names[param] = _name(prefix + param)
                 binds.append(_assign(_name(prefix + param, ast.Store), arg))
         names.update((local, _name(prefix + local)) for local in form.stored)
-        body = form.statements
-        if target is None and (binds or len(body) != 1 or type(
-                body[0]) is not ast.Return or body[0].value is None):
-            raise _KeepCall
-        kept, saved = len(self.kept), (self.names, self.ns)
+        _require(target is not None or not binds and len(body) == 1,
+                 f"{name} is called as the whole value of an assignment, or"
+                 " is one `return` whose arguments are names or attributes"
+                 " read once")
+        saved = self.names, self.ns
         self.names, self.ns = names, ns
-        try:
-            written = (self.visit(body[0].value) if target is None
-                       else binds + self.body(body, target))
-        finally:
-            self.names, self.ns = saved
-        if any(n is ns and (name in self.kernel_locals
-                            or self.kernel_globals.get(name) is not obj)
-               for n, name, obj in self.kept[kept:]):
-            raise _KeepCall  # a call the kernel would resolve elsewhere
+        written = (self.visit(body[0].value) if target is None
+                   else binds + self.body(body, target))
+        self.names, self.ns = saved
         return written
 
 

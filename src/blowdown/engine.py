@@ -36,10 +36,9 @@ before, with the same floats as the kernel (`+ - * /` and comparisons in
 numpy, `**` and `math.exp` on Python floats, a conditional expression as
 `np.where`). `_fill_rows` fills a row at a time, calling `_protect` and
 `evaluate_snapshot` once each: for a run of fewer than `_BLOCK_MIN_ROWS`
-rows, while `engine.evaluate_snapshot` is a wrapper or a replacement (and
-`_snapshot`, the function it was, is not), while there is no block filler,
-and for any block the filler fails on, so that the error or the bytes are
-those of the rows one at a time. Both write the same bytes.
+rows, while there is no block filler, and for any block the filler fails
+on, so that the error or the bytes are those of the rows one at a time.
+Both write the same bytes.
 
 The right-hand side and the logged reconstructions come from one kernel,
 written once as `_evaluate`, which calls the one public function of each
@@ -60,9 +59,11 @@ the kernel and the block filler from their syntax trees; `python -m
 blowdown._kernel_writer` commits them as the module `_generated`, with the
 calls they read (`CALLS`) and, by interpreter, the digest (`_digest`) of
 `_evaluate` and of each call, and tier-1 compares the module with the
-writer's output. No run imports the writer. A run has one of two states.
-The first run whose `_evaluate` and calls have the digests recorded for this
-interpreter compiles the two functions of `_generated`, once per process,
+writer's output. The writer writes every law in, or refuses to write the
+kernel; only `_raise_non_finite` stays a call. No run imports the writer.
+A run has one of two states. The first run whose `_evaluate` and calls
+have the digests recorded for this interpreter compiles the two functions
+of `_generated`, once per process,
 never at import; every run after it uses them while each call of `CALLS` is
 the object it was loaded with. Otherwise, as with no digests for this
 interpreter, a module missing or corrupt, or a law edited, wrapped or
@@ -187,9 +188,10 @@ class Scenario:
             return (f"unknown integration method {self.method!r}; "
                     f"use one of {', '.join(_STEPPERS)}")
         rows = self.t_end // self.log_interval + 1 + len(self.schedule)
-        if rows > MAX_LOG_ROWS:
+        if rows > MAX_LOG_ROWS:  # a count of 19 digits or more as 2e+304
+            count = f"{rows:,.0f}" if rows < 1e18 else f"{rows:.3g}"
             return (f"t_end // log_interval + 1 + breakpoints gives "
-                    f"{rows:,.0f} log rows, above {MAX_LOG_ROWS:,}")
+                    f"{count} log rows, above {MAX_LOG_ROWS:,}")
         return ""
 
 
@@ -456,7 +458,6 @@ def _compiled(source: str, generator: str, namespace: dict):
 _kernel = _evaluate
 _fill_block = None  # the block filler, compiled with the kernel
 _committed = None  # (kernel, filler, calls) compiled from `_generated`
-_snapshot = evaluate_snapshot  # blocks are filled only while it is this one
 #: The unit of a run that cannot use the committed one: `_evaluate`, each
 #: law a call, with no block filler and no call to check.
 _UNFUSED = (_evaluate, None, ())
@@ -560,15 +561,12 @@ def _reconstruct(table, p: Parameters) -> np.ndarray:
     """`table` filled in place from the raw cells `_drive` packed into the
     first `len(_RAW_COLUMNS)` cells of each row. `_fill_block` fills it a
     block of rows at a time; `_fill_rows` fills it a row at a time for a
-    run of fewer than `_BLOCK_MIN_ROWS` rows, while `evaluate_snapshot` is
-    not `_snapshot` (a wrapper or a replacement that counts or changes each
-    row's call) or there is no block filler, and fills again any block
-    the filler fails on, so that its error or its bytes are those of its
-    rows one at a time. Each copies the raw cells of its rows before it
-    writes them."""
+    run of fewer than `_BLOCK_MIN_ROWS` rows or while there is no block
+    filler, and fills again any block the filler fails on, so that its
+    error or its bytes are those of its rows one at a time. Each copies the
+    raw cells of its rows before it writes them."""
     raw = table[:, :len(_RAW_COLUMNS)]
-    by_block = (len(raw) >= _BLOCK_MIN_ROWS and _fill_block is not None
-                and evaluate_snapshot is _snapshot)
+    by_block = len(raw) >= _BLOCK_MIN_ROWS and _fill_block is not None
     for start in range(0, len(raw), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(raw))
         if by_block:

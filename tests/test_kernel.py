@@ -20,6 +20,7 @@ import inspect
 import linecache
 import math
 import operator
+import re
 import struct
 import sys
 import traceback
@@ -605,31 +606,6 @@ class TestRowWriter:
         assert table.shape == (rows, len(engine.TRAJECTORY_COLUMNS))
         assert peak <= 4 * 2**20
 
-    def test_wrapping_evaluate_snapshot_calls_it_per_row(self, monkeypatch):
-        # A wrapper of `engine.evaluate_snapshot` that counts its calls
-        # sees one a row: the next run's rows call it, and once it is
-        # restored the rows are filled by block again. The kernel and the
-        # filler stay the committed ones.
-        scenario = replace(default_scenario(), t_end=2000.0)
-        by_block = integrate(scenario).data.tobytes()
-        kernel, filler = engine._kernel, engine._fill_block
-        assert filler is not None
-        snapshot, calls = engine.evaluate_snapshot, []
-
-        @functools.wraps(snapshot)
-        def counted(*args):
-            calls.append(args)
-            return snapshot(*args)
-
-        monkeypatch.setattr(engine, "evaluate_snapshot", counted)
-        traj = integrate(scenario)
-        assert len(calls) == len(traj) and traj.data.tobytes() == by_block
-        monkeypatch.undo()
-        calls.clear()
-        assert integrate(scenario).data.tobytes() == by_block
-        assert not calls
-        assert engine._kernel is kernel and engine._fill_block is filler
-
     def test_a_replaced_law_runs_evaluate_until_it_is_restored(
             self, monkeypatch):
         # A run with a call of `CALLS` replaced, in `engine` or in the law's
@@ -681,25 +657,27 @@ def guard(C, C_max, alpha_sig):
 
 
 def written():
-    """(kernel, tree): the kernel the writer writes for the laws `engine`
-    holds now, compiled, and its syntax tree."""
-    source, tree, _ = _kernel_writer.write(engine._evaluate, "_kernel",
-                                           vars(engine))
+    """The kernel the writer writes for the laws `engine` holds now,
+    compiled."""
+    source, _, _ = _kernel_writer.write(engine._evaluate, "_kernel",
+                                        vars(engine))
     exec(compile(source, "<written>", "exec"), vars(engine), defined := {})
-    return defined["_kernel"], tree
+    return defined["_kernel"]
 
 
-@pytest.mark.parametrize("form", ["module level", "indented", "unread",
-                                  "shadowed", "branching"])
+#: The form the writer refuses each law for, in its words.
+REFUSED = {"indented": "the source of `indented` is not its code",
+           "unread": "the source of `unread` is not its code",
+           "shadowed": "`shadowed` reads `p` as the kernel reads it",
+           "branching": "`branching` is straight-line"}
+
+
+@pytest.mark.parametrize("form", ["module level", *REFUSED])
 def test_a_law_of_another_form(monkeypatch, form):
-    # A law is written in from the source `linecache` holds for it; one
-    # written inside a block, whose source cannot be read, that reads a
-    # global the kernel would shadow with a parameter of `_evaluate`, or
-    # that holds an `if` statement stays a call, and no block filler can
-    # be written. Either way the kernel gives `_evaluate`'s bytes, and a run
-    # with the law replaced calls `_evaluate`.
-    scenario = replace(default_scenario(), t_end=2000.0)
-    by_block = integrate(scenario).data.tobytes()  # the shipped laws
+    # A law is written in from the source `linecache` holds for it. The
+    # writer refuses one written inside a block, whose source cannot be
+    # read, that reads a global the kernel would shadow with a parameter of
+    # `_evaluate`, or that holds an `if` statement, naming it.
     filename = f"<smc.consistency_guard, {form}>"
     source = (BRANCHING if form == "branching" else SYNTHETIC).replace(
         "guard", form.replace(" ", "_"))
@@ -716,23 +694,20 @@ def test_a_law_of_another_form(monkeypatch, form):
             len(source), None, source.splitlines(True), filename))
     exec(compile(source, filename, "exec"), vars(smc), defined := {})
     monkeypatch.setattr(engine, "consistency_guard", defined.popitem()[1])
-    kernel, tree = written()
-    assert ("consistency_guard" in kernel.__code__.co_names) == (
-        form != "module level")
+    if form in REFUSED:
+        with pytest.raises(ValueError, match=re.escape(REFUSED[form])):
+            written()
+        return
+    kernel = written()
+    assert "consistency_guard" not in kernel.__code__.co_names
     for (y, p, u), _ in BRANCH_CASES.values():
         assert outcome(kernel, y, p, u) == outcome(engine._evaluate, y, p, u)
-    if form != "module level":
-        with pytest.raises(ValueError):
-            _kernel_writer.write_block(tree, vars(engine))
-    traj = integrate(scenario)
-    assert engine._kernel is engine._evaluate
-    assert traj.data.tobytes() == by_block
 
 
 def test_a_law_whose_source_is_not_its_code(monkeypatch):
     # Source that does not compile to the loaded code (a file edited after
-    # import) is not written in: an edited law stays a call, with its own
-    # floats, and the writer refuses an edited `_evaluate`.
+    # import) is not written in: the writer refuses an edited law and an
+    # edited `_evaluate`, naming it.
     filename = "<smc.consistency_guard, edited>"
     source = SYNTHETIC.replace("guard", "edited_guard")
     exec(compile(source, filename, "exec"), vars(smc), defined := {})
@@ -743,34 +718,24 @@ def test_a_law_whose_source_is_not_its_code(monkeypatch):
                                   "f_ex = p.rho_fl * u.f_fl * 2.0")
                      for line in linecache.getlines(engine_file)]
     assert edited_engine != linecache.getlines(engine_file)
-    for edited_function in ("law", "_evaluate"):
-        try:
-            with monkeypatch.context() as patch:
-                if edited_function == "_evaluate":
-                    patch.setitem(linecache.cache, engine_file, (
-                        0, None, edited_engine, engine_file))
-                    _kernel_writer._source.cache_clear()
-                    _kernel_writer._form.cache_clear()
-                    with pytest.raises(ValueError, match="is not its code"):
-                        written()
-                    continue
-                patch.setitem(linecache.cache, filename, (
-                    len(edited), None, edited.splitlines(True), filename))
-                patch.setattr(engine, "consistency_guard",
-                              defined["edited_guard"])
-                kernel, _ = written()
-                assert "consistency_guard" in kernel.__code__.co_names
-                for (y, p, u), _ in BRANCH_CASES.values():
-                    assert outcome(kernel, y, p, u) == outcome(
-                        engine._evaluate, y, p, u)
-        finally:  # read the loaded source again
-            _kernel_writer._source.cache_clear()
-            _kernel_writer._form.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setitem(linecache.cache, filename, (
+            len(edited), None, edited.splitlines(True), filename))
+        patch.setattr(engine, "consistency_guard", defined["edited_guard"])
+        with pytest.raises(ValueError,
+                           match="the source of `edited_guard` is not its"):
+            written()
+    monkeypatch.setitem(linecache.cache, engine_file, (
+        0, None, edited_engine, engine_file))
+    with pytest.raises(ValueError,
+                       match="the source of `_evaluate` is not its code"):
+        written()
 
 
 #: A law of two statements, and functions calling it where the call may not
-#: run, where it is an argument of a call that is not a law, and as the whole
-#: value of an assignment.
+#: run, where it is an argument of a call that is not a law, with a keyword
+#: argument, and as the whole value of an assignment: only the last is
+#: written in.
 INVERSE = '''
 def inv(a):
     b = 1.0 / a
@@ -781,6 +746,7 @@ PROBES = {
     "and": "return x and inv(x)",
     "if expression": "return inv(x) if x else 0.0",
     "argument": "return abs(inv(x))",
+    "keyword": "y = inv(a=x)\n    return y",
     "assignment": "y = inv(x)\n    return y"}
 
 
@@ -795,8 +761,9 @@ def run_probe(fn, x):
 def test_a_law_is_written_in_only_where_its_call_stands(monkeypatch,
                                                         position):
     # Nothing is moved: a law with statements is written in only in place of
-    # a whole assignment, so a call that may not run stays a call, and the
-    # written function returns what its source returns.
+    # a whole assignment, and the written function returns what its source
+    # returns. The writer refuses it anywhere else, as where its call may
+    # not run, naming it.
     source = f"def probe(x):\n    {PROBES[position]}\n"
     for filename, text in (("<inv>", INVERSE), ("<probe>", source)):
         monkeypatch.setitem(linecache.cache, filename, (
@@ -804,6 +771,11 @@ def test_a_law_is_written_in_only_where_its_call_stands(monkeypatch,
     exec(compile(INVERSE, "<inv>", "exec"), dict(vars(smc)), law := {})
     namespace = {"inv": law["inv"]}
     exec(compile(source, "<probe>", "exec"), namespace)
+    if position != "assignment":
+        form = "with positional" if position == "keyword" else "as the whole"
+        with pytest.raises(ValueError, match=f"`inv` is called {form}"):
+            _kernel_writer.write(namespace["probe"], "written", namespace)
+        return
     written, _, calls = _kernel_writer.write(namespace["probe"], "written",
                                              namespace)
     assert [name for _, name, _ in calls] == ["inv"]
@@ -811,8 +783,7 @@ def test_a_law_is_written_in_only_where_its_call_stands(monkeypatch,
     for x in (0.0, 2.0):
         assert run_probe(namespace["written"], x) == run_probe(
             namespace["probe"], x), written
-    assert ("inv" in namespace["written"].__code__.co_names) == (
-        position != "assignment"), written
+    assert "inv" not in namespace["written"].__code__.co_names, written
 
 
 def test_the_row_writer_is_fused_from_the_kernels_tree(monkeypatch):
@@ -873,6 +844,25 @@ def test_the_committed_module_is_the_writers_output():
         same = text == file.read()
     assert same, ("src/blowdown/_generated.py is not the writer's output: "
                   "run `python -m blowdown._kernel_writer`")
+
+
+def test_main_writes_the_committed_module(monkeypatch, capsys):
+    # `python -m blowdown._kernel_writer` writes the committed module, with
+    # the digests it holds for other interpreters; with no module to read
+    # them from, it writes this interpreter's alone.
+    written = []
+    monkeypatch.setattr(Path, "write_text", lambda path, text: written.append(
+        (path, text)))
+    path = Path(_generated.__file__)
+    _kernel_writer.main()
+    assert written == [(path, path.read_text(encoding="utf-8"))]
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    monkeypatch.setitem(sys.modules, "blowdown._generated", None)
+    written.clear()
+    _kernel_writer.main()
+    [(_, text)] = written
+    exec(text, module := {})
+    assert module["DIGESTS"] == {TAG: _generated.DIGESTS[TAG]}
 
 
 def rate(s_q, s_prev, dt):
