@@ -116,6 +116,9 @@ PROT_QCMD_BOUND = 0x10    # conditioned reference clamped to [0, q_p_max]
 
 MAX_LOG_ROWS = 1_000_000  # checked before any row is built
 MAX_STEPS = 100_000  # steps between two breakpoints, restarts included
+#: The smallest rtol any method honours as written: scipy's LSODA raises a
+#: smaller one to this with a warning, and Hairer's dopri5.f refuses it.
+MIN_RTOL = 100 * sys.float_info.epsilon
 _STIFF = "; for a stiff scenario use method: LSODA"
 
 #: Bounded-hydraulic-resistance protection: the resistance used by the
@@ -184,6 +187,8 @@ class Scenario:
             return "log_interval must be positive"
         if self.rtol <= 0 or self.atol <= 0:
             return "tolerances must be positive"
+        if self.rtol < MIN_RTOL:
+            return f"rtol must be at least {MIN_RTOL!r}, got {self.rtol!r}"
         if self.method not in _STEPPERS:
             return (f"unknown integration method {self.method!r}; "
                     f"use one of {', '.join(_STEPPERS)}")

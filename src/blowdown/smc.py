@@ -1,9 +1,10 @@
 """Sliding-mode discharge-flow control stack.
 
 Supervisory sigmoid protection of the raw flow reference, integral sliding
-manifold, equivalent head plus boundary-layer switching, head bounding, and
-Lyapunov/gain diagnostics. The reference conditioner is the first-order lag
-`hydraulics.relaxation` with time constant tau_ref.
+manifold, equivalent head plus boundary-layer switching, head bounding, the
+logged Lyapunov value and rate, and the manifold grid the demos draw. The
+reference conditioner is the first-order lag `hydraulics.relaxation` with
+time constant tau_ref.
 
 Controller evaluation is a pure function of (state, inputs, parameters);
 the only controller memory (xi_eq, q_p_cmd) lives in the integrated state
@@ -85,35 +86,6 @@ def lyapunov_value(s_q: float) -> float:
 def lyapunov_rate(s_q: float, s_q_prev: float, dt: float) -> float:
     """Backward-difference dV/dt = s_q (s_q - s_q_prev) / dt between rows."""
     return s_q * (s_q - s_q_prev) / dt
-
-
-def check_gain_condition(k_smc: float, tau_p: float, delta_max: float) -> bool:
-    """Attractivity gain check k_smc > tau_p * delta_max.
-
-    The switching gain must dominate the lumped uncertainty scaled by the
-    flow relaxation time for the manifold to stay attractive. delta_max is
-    the empirical bound on that uncertainty, see `estimate_delta_max`.
-    """
-    if k_smc <= 0 or tau_p <= 0 or delta_max < 0:
-        raise ParameterError("gains, tau_p must be positive; delta_max >= 0")
-    return k_smc > tau_p * delta_max
-
-
-def estimate_delta_max(t, s_q, k_smc: float, tau_p: float,
-                       phi_q: float) -> float:
-    """Empirical lumped-uncertainty bound from a logged run.
-
-    Reconstructs Delta = ds_q/dt + (k_smc/tau_p) * sat(s_q/phi_q) with
-    centered differences over the log and returns its maximum magnitude.
-    """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s_q, dtype=float)
-    if t.size < 3:
-        raise ParameterError("need at least 3 samples to estimate delta_max")
-    dsdt = np.gradient(s, t)
-    sat_term = np.clip(s / phi_q, -1.0, 1.0)
-    delta = dsdt + (k_smc / tau_p) * sat_term
-    return float(np.max(np.abs(delta)))
 
 
 def manifold_grid(e_range, xi_range, lambda_q: float, steps: int = 41):

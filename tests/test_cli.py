@@ -103,6 +103,18 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "must be finite" in capsys.readouterr().err
 
+    def test_rtol_scipy_would_raise_is_refused(self, tmp_path, capsys):
+        # LSODA would warn, run at 100 epsilons and exit 0.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--out", str(tmp_path / "run"),
+                         "--rtol", "1e-15"])
+        assert code == EXIT_USAGE and caught == []
+        assert capsys.readouterr().err == (
+            "blowdown: scenario error: scenario: rtol must be at least "
+            "2.220446049250313e-14, got 1e-15\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("argv,reason", [
         (["--t-end", "1e308", "--log-every", "1e308"],
          r"integration step failed: lsoda: Repeated convergence failures "

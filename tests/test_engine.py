@@ -26,7 +26,7 @@ from blowdown.errors import IntegrationError, ParameterError, ScenarioError
 from blowdown.scenario_io import (default_scenario, parse_scenario,
                                  trajectory_csv)
 from blowdown.smc import lyapunov_rate
-from blowdown.state import ExogenousInputs, Parameters
+from blowdown.state import ExogenousInputs, Parameters, ProcessState
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +107,17 @@ class TestScenarioValidate:
         with pytest.raises(ScenarioError,
                            match=f"breakpoint times must be finite, got {t}"):
             integrate(scenario)
+
+    def test_rtol_below_100_epsilons_refused(self):
+        # scipy's LSODA would raise it to 100 epsilons with a warning and
+        # run; DOPRI5 would honour it as written. Both methods refuse it.
+        with pytest.raises(ScenarioError, match=re.escape(
+                "scenario: rtol must be at least 2.220446049250313e-14, "
+                "got 1e-15")):
+            parse_scenario({"tolerances": {"rtol": 1.0e-15}})
+        least = parse_scenario({"tolerances": {
+            "rtol": 100 * sys.float_info.epsilon}})
+        assert least.rtol == 2.220446049250313e-14
 
     def test_log_rows_at_the_bound_accepted(self):
         # 999,995 intervals + the row at t = 0 + 4 breakpoints
@@ -635,6 +646,55 @@ class TestReferenceBytes:
             parse_scenario({"t_end": 5000}), dt=1.0))
         assert hashlib.sha256(csv.encode()).hexdigest() == (
             "464722a6c61840882ee81610c11c3554aa81d87b87ae98410c7fe1e6b3776ede")
+
+
+class TestRk4Relations:
+    """Exact relations between fixed-step RK4 runs of the default scenario
+    cut to 2e4 s: each changes the run in a way that, on the same step
+    grid and with the same inputs held, must leave every row's floats the
+    same."""
+
+    T_CUT, T_END = 1.0e4, 2.0e4
+
+    @pytest.fixture(scope="class")
+    def cut(self):
+        scenario = replace(default_scenario(), t_end=self.T_END)
+        return scenario, integrate_fixed_rk4(scenario, dt=1.0)
+
+    def test_breakpoint_repeating_held_inputs(self, cut):
+        scenario, reference = cut
+        first, *rest = scenario.schedule
+        schedule = [first, (self.T_CUT, inputs_at(scenario.schedule,
+                                                  self.T_CUT)), *rest]
+        traj = integrate_fixed_rk4(replace(scenario, schedule=schedule),
+                                   dt=1.0)
+        assert traj.data.tobytes() == reference.data.tobytes()
+        assert trajectory_csv(traj) == trajectory_csv(reference)
+
+    def test_resume_from_a_logged_row(self, cut):
+        scenario, reference = cut
+        at = int(np.flatnonzero(reference.times == self.T_CUT)[0])
+        row = reference.data[at]
+        start = ProcessState(*(
+            float(row[engine._COLUMN_INDEX[name]])
+            for name in engine._STATE_NAMES))
+        schedule = [(0.0, inputs_at(scenario.schedule, self.T_CUT))] + [
+            (t - self.T_CUT, u) for t, u in scenario.schedule
+            if t > self.T_CUT]
+        resumed = integrate_fixed_rk4(replace(
+            scenario, initial_state=start, schedule=schedule,
+            t_end=self.T_END - self.T_CUT), dt=1.0)
+        later = reference.data[at:]
+        assert resumed.data.shape == later.shape == (201, len(
+            engine.TRAJECTORY_COLUMNS))
+        assert np.array_equal(resumed.times, later[:, 0] - self.T_CUT)
+        dvdt = engine._COLUMN_INDEX["dVdt"]  # the first row has none before
+        for i, name in enumerate(engine.TRAJECTORY_COLUMNS):
+            if name == "t":
+                continue
+            rows = slice(1, None) if i == dvdt else slice(None)
+            assert (resumed.data[rows, i].tobytes()
+                    == later[rows, i].tobytes()), name
 
 
 def imported_modules(script: str):

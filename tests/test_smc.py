@@ -167,19 +167,6 @@ class TestDiagnostics:
     def test_lyapunov_decrease_sign(self):
         assert smc.lyapunov_rate(1e-3, 2e-3, 1.0) < 0
 
-    def test_gain_condition(self):
-        assert smc.check_gain_condition(3.0, 120.0, 1e-3)
-        assert not smc.check_gain_condition(3.0, 120.0, 1.0)
-
-    def test_delta_max_of_pure_decay(self):
-        # s following exactly ds/dt = -(k/tau) sat(s/phi) has zero residual.
-        k, tau, phi = 3.0, 120.0, 5e-4
-        t = np.linspace(0.0, 6.0, 601)  # s stays well outside the layer
-        s0 = 0.2
-        s = s0 - (k / tau) * t  # constant switching-driven decay rate
-        delta = smc.estimate_delta_max(t, s, k, tau, phi)
-        assert delta == pytest.approx(0.0, abs=1e-9)
-
 
 class TestManifoldGrid:
     def test_shapes_and_orientation(self):
